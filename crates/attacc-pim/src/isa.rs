@@ -15,10 +15,11 @@
 //! implement paged (blocked) KV residency, and [`AttInst::Barrier`]
 //! marks an xPU↔PIM handoff point.
 //!
-//! Every instruction has a stable one-line text form ([`fmt::Display`])
-//! that the `attacc-trace` codec parses back; [`AttInst`] is `Eq` under
-//! the codec's contract that vector payloads are finite (the parser
-//! rejects NaN/Inf, so `PartialEq` is total on codec-legal traces).
+//! Every instruction has a stable one-line text form ([`write_line`],
+//! which [`fmt::Display`] calls) that the `attacc-trace` codec parses
+//! back; [`AttInst`] is `Eq` under the codec's contract that vector
+//! payloads are finite (the parser rejects NaN/Inf, so `PartialEq` is
+//! total on codec-legal traces).
 
 #[cfg(feature = "serde")]
 use serde::{Deserialize, Serialize};
@@ -168,81 +169,148 @@ impl Eq for AttInst {}
 /// The stable opcode mnemonic of each instruction — the first token of
 /// its [`fmt::Display`] line and the key trace reports aggregate by.
 impl AttInst {
+    /// Every opcode mnemonic, sorted; [`AttInst::opcode_index`] indexes
+    /// it, so per-opcode tables can be plain arrays kept in mnemonic
+    /// order.
+    pub const OPCODES: [&'static str; 14] = [
+        "admit",
+        "append",
+        "barrier",
+        "config_pages",
+        "declare_kv",
+        "evict_kv",
+        "load_q",
+        "map_page",
+        "read",
+        "retire",
+        "run",
+        "run_batch",
+        "set_model",
+        "unmap_page",
+    ];
+
+    /// Position of this instruction's mnemonic in [`AttInst::OPCODES`].
+    #[must_use]
+    pub fn opcode_index(&self) -> usize {
+        match self {
+            AttInst::UpdateRequest { remove: false, .. } => 0,
+            AttInst::AppendKv { .. } => 1,
+            AttInst::Barrier { .. } => 2,
+            AttInst::ConfigPages { .. } => 3,
+            AttInst::DeclareKv { .. } => 4,
+            AttInst::EvictKv { .. } => 5,
+            AttInst::LoadQ { .. } => 6,
+            AttInst::MapPage { .. } => 7,
+            AttInst::ReadOutput { .. } => 8,
+            AttInst::UpdateRequest { remove: true, .. } => 9,
+            AttInst::RunAttention { .. } => 10,
+            AttInst::RunAttentionBatch { .. } => 11,
+            AttInst::SetModel { .. } => 12,
+            AttInst::UnmapPage { .. } => 13,
+        }
+    }
+
     /// Opcode mnemonic (stable across releases; the trace text format).
     #[must_use]
     pub fn opcode(&self) -> &'static str {
-        match self {
-            AttInst::SetModel { .. } => "set_model",
-            AttInst::UpdateRequest { remove: false, .. } => "admit",
-            AttInst::UpdateRequest { remove: true, .. } => "retire",
-            AttInst::AppendKv { .. } => "append",
-            AttInst::DeclareKv { .. } => "declare_kv",
-            AttInst::LoadQ { .. } => "load_q",
-            AttInst::RunAttention { .. } => "run",
-            AttInst::RunAttentionBatch { .. } => "run_batch",
-            AttInst::ReadOutput { .. } => "read",
-            AttInst::EvictKv { .. } => "evict_kv",
-            AttInst::ConfigPages { .. } => "config_pages",
-            AttInst::MapPage { .. } => "map_page",
-            AttInst::UnmapPage { .. } => "unmap_page",
-            AttInst::Barrier { .. } => "barrier",
-        }
+        Self::OPCODES[self.opcode_index()]
     }
 }
 
-fn write_vec(f: &mut fmt::Formatter<'_>, name: &str, v: &[f32]) -> fmt::Result {
-    write!(f, " {name}=")?;
+/// Writes ` key=n` with the digits formatted by hand (no `fmt` machinery
+/// on the codec's hot path).
+#[inline]
+fn write_int<W: fmt::Write>(w: &mut W, key: &str, mut n: u64) -> fmt::Result {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    w.write_str(key)?;
+    digits[start..].iter().try_for_each(|&d| w.write_char(char::from(d)))
+}
+
+fn write_vec<W: fmt::Write>(w: &mut W, key: &str, v: &[f32]) -> fmt::Result {
+    w.write_str(key)?;
     for (i, x) in v.iter().enumerate() {
         if i > 0 {
-            f.write_str(",")?;
+            w.write_char(',')?;
         }
         // `{}` on f32 is the shortest representation that parses back to
         // the same bits, so the codec round-trips exactly.
-        write!(f, "{x}")?;
+        write!(w, "{x}")?;
     }
     Ok(())
 }
 
-/// The canonical one-line trace form: `opcode key=value ...`, keys in a
-/// fixed order, floats in shortest round-trip notation. This format is
-/// the trace file format — `attacc-trace::parse_inst` inverts it.
+/// Writes the canonical one-line trace form of `inst` (no newline):
+/// `opcode key=value ...`, keys in a fixed order, floats in shortest
+/// round-trip notation. This is the trace file format — both
+/// [`fmt::Display`] and `attacc-trace`'s `Trace::to_text` go through it,
+/// and `attacc-trace::parse_inst` inverts it.
+///
+/// # Errors
+/// Propagates the writer's error.
+pub fn write_line<W: fmt::Write>(w: &mut W, inst: &AttInst) -> fmt::Result {
+    w.write_str(inst.opcode())?;
+    match *inst {
+        AttInst::SetModel { n_head, d_head, max_l } => {
+            write_int(w, " n_head=", n_head.into())?;
+            write_int(w, " d_head=", d_head as u64)?;
+            write_int(w, " max_l=", max_l)
+        }
+        AttInst::UpdateRequest { request, .. } => write_int(w, " req=", request),
+        AttInst::AppendKv { request, head, ref k, ref v } => {
+            write_int(w, " req=", request)?;
+            write_int(w, " head=", head.into())?;
+            write_vec(w, " k=", k)?;
+            write_vec(w, " v=", v)
+        }
+        AttInst::DeclareKv { request, head, tokens } => {
+            write_int(w, " req=", request)?;
+            write_int(w, " head=", head.into())?;
+            write_int(w, " tokens=", tokens)
+        }
+        AttInst::LoadQ { request, head, ref q } => {
+            write_int(w, " req=", request)?;
+            write_int(w, " head=", head.into())?;
+            write_vec(w, " q=", q)
+        }
+        AttInst::RunAttention { request, head } | AttInst::ReadOutput { request, head } => {
+            write_int(w, " req=", request)?;
+            write_int(w, " head=", head.into())
+        }
+        AttInst::RunAttentionBatch { request, head0, n_heads } => {
+            write_int(w, " req=", request)?;
+            write_int(w, " head0=", head0.into())?;
+            write_int(w, " n_heads=", n_heads.into())
+        }
+        AttInst::EvictKv { request, head, keep_last } => {
+            write_int(w, " req=", request)?;
+            write_int(w, " head=", head.into())?;
+            write_int(w, " keep_last=", keep_last)
+        }
+        AttInst::ConfigPages { tokens_per_page } => {
+            write_int(w, " tokens_per_page=", tokens_per_page)
+        }
+        AttInst::MapPage { request, head, page } | AttInst::UnmapPage { request, head, page } => {
+            write_int(w, " req=", request)?;
+            write_int(w, " head=", head.into())?;
+            write_int(w, " page=", page)
+        }
+        AttInst::Barrier { tag } => write_int(w, " tag=", tag.into()),
+    }
+}
+
+/// The canonical one-line trace form, via [`write_line`].
 impl fmt::Display for AttInst {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.opcode())?;
-        match self {
-            AttInst::SetModel { n_head, d_head, max_l } => {
-                write!(f, " n_head={n_head} d_head={d_head} max_l={max_l}")
-            }
-            AttInst::UpdateRequest { request, .. } => write!(f, " req={request}"),
-            AttInst::AppendKv { request, head, k, v } => {
-                write!(f, " req={request} head={head}")?;
-                write_vec(f, "k", k)?;
-                write_vec(f, "v", v)
-            }
-            AttInst::DeclareKv { request, head, tokens } => {
-                write!(f, " req={request} head={head} tokens={tokens}")
-            }
-            AttInst::LoadQ { request, head, q } => {
-                write!(f, " req={request} head={head}")?;
-                write_vec(f, "q", q)
-            }
-            AttInst::RunAttention { request, head } | AttInst::ReadOutput { request, head } => {
-                write!(f, " req={request} head={head}")
-            }
-            AttInst::RunAttentionBatch { request, head0, n_heads } => {
-                write!(f, " req={request} head0={head0} n_heads={n_heads}")
-            }
-            AttInst::EvictKv { request, head, keep_last } => {
-                write!(f, " req={request} head={head} keep_last={keep_last}")
-            }
-            AttInst::ConfigPages { tokens_per_page } => {
-                write!(f, " tokens_per_page={tokens_per_page}")
-            }
-            AttInst::MapPage { request, head, page } | AttInst::UnmapPage { request, head, page } => {
-                write!(f, " req={request} head={head} page={page}")
-            }
-            AttInst::Barrier { tag } => write!(f, " tag={tag}"),
-        }
+        write_line(f, self)
     }
 }
 
@@ -416,10 +484,24 @@ mod tests {
             ),
             (AttInst::Barrier { tag: 7 }, "barrier tag=7"),
         ];
+        let mut seen = [false; AttInst::OPCODES.len()];
         for (inst, line) in cases {
             assert_eq!(inst.to_string(), line);
             assert!(line.starts_with(inst.opcode()));
+            seen[inst.opcode_index()] = true;
         }
+        assert!(seen.iter().all(|&s| s), "every mnemonic has an instruction");
+        assert!(AttInst::OPCODES.windows(2).all(|w| w[0] < w[1]), "sorted and distinct");
+    }
+
+    #[test]
+    fn integers_print_at_their_extremes() {
+        let inst = AttInst::MapPage { request: u64::MAX, head: u32::MAX, page: 0 };
+        assert_eq!(
+            inst.to_string(),
+            format!("map_page req={} head={} page=0", u64::MAX, u32::MAX)
+        );
+        assert_eq!(AttInst::Barrier { tag: 10 }.to_string(), "barrier tag=10");
     }
 
     #[test]

@@ -11,10 +11,23 @@
 //! are all errors naming the offending line. Strictness is what makes
 //! `parse(format(t)) == t` and `format(parse(s)) == s` both hold
 //! byte-for-byte — the property the round-trip suite pins.
+//!
+//! Both directions are single passes over bytes. Formatting goes
+//! through [`attacc_pim::isa::write_line`] straight into one pre-sized
+//! `String`. Parsing walks each line with a byte cursor that matches the
+//! expected `key=` prefix and accumulates the integer value in the same
+//! step. Field separators are any Unicode whitespace, as with
+//! `str::split_whitespace`. Anything off the canonical path drops to a
+//! token-level slow path, which builds the error message.
 
+use attacc_pim::isa::write_line;
 use attacc_pim::AttInst;
 use std::fmt;
 use std::str::FromStr;
+
+/// Initial `to_text` capacity per instruction: a timing-trace line such
+/// as `declare_kv req=7 head=95 tokens=1` is about this long.
+const LINE_BYTES_HINT: usize = 40;
 
 /// A compiled instruction trace.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -47,9 +60,9 @@ impl Trace {
     /// instruction per line, trailing newline).
     #[must_use]
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(self.insts.len() * LINE_BYTES_HINT);
         for inst in &self.insts {
-            out.push_str(&inst.to_string());
+            write_line(&mut out, inst).expect("writing to a String cannot fail");
             out.push('\n');
         }
         out
@@ -60,17 +73,30 @@ impl Trace {
     /// # Errors
     /// Returns a [`TraceParseError`] naming the first malformed line.
     pub fn parse(text: &str) -> Result<Trace, TraceParseError> {
-        let mut insts = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
+        // One instruction per line at most: sizing up front saves the
+        // copies of a doubling `Vec`.
+        let lines = text.bytes().filter(|&b| b == b'\n').count() + 1;
+        let mut insts = Vec::with_capacity(lines);
+        let mut cur = Cursor { s: text, pos: 0, eol: b'\n' };
+        let mut line = 1;
+        loop {
+            // A `\r` before the `\n` is whitespace to the cursor, so `\r\n`
+            // files parse like `\n` files.
+            cur.skip_ws();
+            match text.as_bytes().get(cur.pos) {
+                None => break,
+                Some(b'\n') => {}
+                Some(b'#') => {
+                    cur.pos = text[cur.pos..].find('\n').map_or(text.len(), |n| cur.pos + n);
+                }
+                Some(_) => {
+                    let inst = cur.inst().map_err(|message| TraceParseError { line, message })?;
+                    insts.push(inst);
+                }
             }
-            let inst = parse_inst(line).map_err(|message| TraceParseError {
-                line: i + 1,
-                message,
-            })?;
-            insts.push(inst);
+            // The cursor now sits on this line's `\n` or at the end.
+            cur.pos += 1;
+            line += 1;
         }
         Ok(Trace { insts })
     }
@@ -107,26 +133,95 @@ impl fmt::Display for TraceParseError {
 
 impl std::error::Error for TraceParseError {}
 
-/// Pulls the fields of one line, checking key names arrive in the
-/// canonical order.
-struct Fields<'a> {
-    opcode: &'a str,
-    rest: std::str::SplitWhitespace<'a>,
+/// `char::is_whitespace` on an ASCII byte.
+fn ascii_ws(b: u8) -> bool {
+    b == b' ' || (b'\t'..=b'\r').contains(&b)
 }
 
-impl<'a> Fields<'a> {
-    fn of(line: &'a str) -> Result<Fields<'a>, String> {
-        let mut rest = line.split_whitespace();
-        let opcode = rest.next().ok_or_else(|| "empty instruction".to_string())?;
-        Ok(Fields { opcode, rest })
+/// A position in trace text. Fields are read in canonical order; each
+/// reader first skips the whitespace before its field. Whitespace is
+/// `char::is_whitespace` (the `split_whitespace` rule) except that the
+/// byte `eol` ends the line: `\n` when reading a whole trace, and a byte
+/// that never occurs in UTF-8 when reading a single line.
+struct Cursor<'a> {
+    s: &'a str,
+    pos: usize,
+    eol: u8,
+}
+
+impl<'a> Cursor<'a> {
+    /// Width in bytes of the non-ASCII character at `i`, and whether it
+    /// is whitespace.
+    #[cold]
+    fn wide_char_at(&self, i: usize) -> (usize, bool) {
+        let c = self.s[i..].chars().next().expect("cursor sits on a char boundary");
+        (c.len_utf8(), c.is_whitespace())
+    }
+
+    /// Whether the character at `i` ends a token.
+    #[inline]
+    fn delimits(&self, i: usize) -> bool {
+        match self.s.as_bytes().get(i) {
+            None => true,
+            Some(&b) if b.is_ascii() => ascii_ws(b),
+            Some(_) => self.wide_char_at(i).1,
+        }
+    }
+
+    #[inline]
+    fn skip_ws(&mut self) {
+        let bytes = self.s.as_bytes();
+        let mut i = self.pos;
+        while let Some(&b) = bytes.get(i) {
+            if b == self.eol {
+                break;
+            } else if b.is_ascii() {
+                if !ascii_ws(b) {
+                    break;
+                }
+                i += 1;
+            } else {
+                let (width, ws) = self.wide_char_at(i);
+                if !ws {
+                    break;
+                }
+                i += width;
+            }
+        }
+        self.pos = i;
+    }
+
+    /// The next whitespace-delimited token (empty at the end of the line).
+    #[inline]
+    fn token(&mut self) -> &'a str {
+        self.skip_ws();
+        let bytes = self.s.as_bytes();
+        let start = self.pos;
+        let mut i = start;
+        while let Some(&b) = bytes.get(i) {
+            if b.is_ascii() {
+                if ascii_ws(b) {
+                    break;
+                }
+                i += 1;
+            } else {
+                let (width, ws) = self.wide_char_at(i);
+                if ws {
+                    break;
+                }
+                i += width;
+            }
+        }
+        self.pos = i;
+        &self.s[start..i]
     }
 
     /// The raw value of the next field, which must be named `key`.
     fn value(&mut self, key: &str) -> Result<&'a str, String> {
-        let tok = self
-            .rest
-            .next()
-            .ok_or_else(|| format!("missing field {key}"))?;
+        let tok = self.token();
+        if tok.is_empty() {
+            return Err(format!("missing field {key}"));
+        }
         let (k, v) = tok
             .split_once('=')
             .ok_or_else(|| format!("expected {key}=..., got {tok:?}"))?;
@@ -136,19 +231,49 @@ impl<'a> Fields<'a> {
         Ok(v)
     }
 
-    fn u64(&mut self, key: &str) -> Result<u64, String> {
-        let v = self.value(key)?;
-        v.parse().map_err(|_| format!("bad {key} value {v:?}"))
+    /// An unsigned integer field. Off the canonical path (a wrong key,
+    /// overflow, a stray character) the field is re-read as a token and
+    /// `str::parse` decides the result and the message.
+    #[inline(always)]
+    fn int<T: TryFrom<u64>>(&mut self, key: &str) -> Result<T, String> {
+        self.skip_ws();
+        match self.fast_int(key).and_then(|(n, end)| Some((T::try_from(n).ok()?, end))) {
+            Some((n, end)) => {
+                self.pos = end;
+                Ok(n)
+            }
+            None => self.slow_int(key),
+        }
     }
 
-    fn u32(&mut self, key: &str) -> Result<u32, String> {
-        let v = self.value(key)?;
-        v.parse().map_err(|_| format!("bad {key} value {v:?}"))
+    /// Matches `key=` at the cursor, then reads an optional `+` and
+    /// decimal digits up to a delimiter in the same pass, returning the
+    /// value and the position after it.
+    #[inline(always)]
+    fn fast_int(&self, key: &str) -> Option<(u64, usize)> {
+        let bytes = self.s.as_bytes();
+        let eq = self.pos + key.len();
+        if bytes.get(self.pos..eq) != Some(key.as_bytes()) || bytes.get(eq) != Some(&b'=') {
+            return None;
+        }
+        let mut i = eq + 1 + usize::from(bytes.get(eq + 1) == Some(&b'+'));
+        let digits = i;
+        let mut n = 0u64;
+        while let Some(&b) = bytes.get(i).filter(|b| b.is_ascii_digit()) {
+            n = n.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
+            i += 1;
+        }
+        (i > digits && self.delimits(i)).then_some((n, i))
     }
 
-    fn usize(&mut self, key: &str) -> Result<usize, String> {
+    #[cold]
+    #[inline(never)]
+    fn slow_int<T: TryFrom<u64>>(&mut self, key: &str) -> Result<T, String> {
         let v = self.value(key)?;
-        v.parse().map_err(|_| format!("bad {key} value {v:?}"))
+        v.parse::<u64>()
+            .ok()
+            .and_then(|n| T::try_from(n).ok())
+            .ok_or_else(|| format!("bad {key} value {v:?}"))
     }
 
     /// A comma-separated finite-f32 vector (empty value = empty vector).
@@ -169,11 +294,70 @@ impl<'a> Fields<'a> {
     }
 
     /// Asserts the line is exhausted.
-    fn end(mut self) -> Result<(), String> {
-        match self.rest.next() {
-            None => Ok(()),
-            Some(extra) => Err(format!("unexpected trailing field {extra:?}")),
+    fn end(&mut self) -> Result<(), String> {
+        match self.token() {
+            "" => Ok(()),
+            extra => Err(format!("unexpected trailing field {extra:?}")),
         }
+    }
+
+    /// The instruction on the rest of the line.
+    fn inst(&mut self) -> Result<AttInst, String> {
+        let inst = match self.token() {
+            "" => return Err("empty instruction".to_string()),
+            "set_model" => AttInst::SetModel {
+                n_head: self.int("n_head")?,
+                d_head: self.int("d_head")?,
+                max_l: self.int("max_l")?,
+            },
+            "admit" => AttInst::UpdateRequest { request: self.int("req")?, remove: false },
+            "retire" => AttInst::UpdateRequest { request: self.int("req")?, remove: true },
+            "append" => AttInst::AppendKv {
+                request: self.int("req")?,
+                head: self.int("head")?,
+                k: self.vec_f32("k")?,
+                v: self.vec_f32("v")?,
+            },
+            "declare_kv" => AttInst::DeclareKv {
+                request: self.int("req")?,
+                head: self.int("head")?,
+                tokens: self.int("tokens")?,
+            },
+            "load_q" => AttInst::LoadQ {
+                request: self.int("req")?,
+                head: self.int("head")?,
+                q: self.vec_f32("q")?,
+            },
+            "run" => AttInst::RunAttention { request: self.int("req")?, head: self.int("head")? },
+            "run_batch" => AttInst::RunAttentionBatch {
+                request: self.int("req")?,
+                head0: self.int("head0")?,
+                n_heads: self.int("n_heads")?,
+            },
+            "read" => AttInst::ReadOutput { request: self.int("req")?, head: self.int("head")? },
+            "evict_kv" => AttInst::EvictKv {
+                request: self.int("req")?,
+                head: self.int("head")?,
+                keep_last: self.int("keep_last")?,
+            },
+            "config_pages" => {
+                AttInst::ConfigPages { tokens_per_page: self.int("tokens_per_page")? }
+            }
+            "map_page" => AttInst::MapPage {
+                request: self.int("req")?,
+                head: self.int("head")?,
+                page: self.int("page")?,
+            },
+            "unmap_page" => AttInst::UnmapPage {
+                request: self.int("req")?,
+                head: self.int("head")?,
+                page: self.int("page")?,
+            },
+            "barrier" => AttInst::Barrier { tag: self.int("tag")? },
+            other => return Err(format!("unknown opcode {other:?}")),
+        };
+        self.end()?;
+        Ok(inst)
     }
 }
 
@@ -182,59 +366,7 @@ impl<'a> Fields<'a> {
 /// # Errors
 /// Returns a message describing the first malformed field.
 pub fn parse_inst(line: &str) -> Result<AttInst, String> {
-    let mut f = Fields::of(line)?;
-    let inst = match f.opcode {
-        "set_model" => AttInst::SetModel {
-            n_head: f.u32("n_head")?,
-            d_head: f.usize("d_head")?,
-            max_l: f.u64("max_l")?,
-        },
-        "admit" => AttInst::UpdateRequest { request: f.u64("req")?, remove: false },
-        "retire" => AttInst::UpdateRequest { request: f.u64("req")?, remove: true },
-        "append" => AttInst::AppendKv {
-            request: f.u64("req")?,
-            head: f.u32("head")?,
-            k: f.vec_f32("k")?,
-            v: f.vec_f32("v")?,
-        },
-        "declare_kv" => AttInst::DeclareKv {
-            request: f.u64("req")?,
-            head: f.u32("head")?,
-            tokens: f.u64("tokens")?,
-        },
-        "load_q" => AttInst::LoadQ {
-            request: f.u64("req")?,
-            head: f.u32("head")?,
-            q: f.vec_f32("q")?,
-        },
-        "run" => AttInst::RunAttention { request: f.u64("req")?, head: f.u32("head")? },
-        "run_batch" => AttInst::RunAttentionBatch {
-            request: f.u64("req")?,
-            head0: f.u32("head0")?,
-            n_heads: f.u32("n_heads")?,
-        },
-        "read" => AttInst::ReadOutput { request: f.u64("req")?, head: f.u32("head")? },
-        "evict_kv" => AttInst::EvictKv {
-            request: f.u64("req")?,
-            head: f.u32("head")?,
-            keep_last: f.u64("keep_last")?,
-        },
-        "config_pages" => AttInst::ConfigPages { tokens_per_page: f.u64("tokens_per_page")? },
-        "map_page" => AttInst::MapPage {
-            request: f.u64("req")?,
-            head: f.u32("head")?,
-            page: f.u64("page")?,
-        },
-        "unmap_page" => AttInst::UnmapPage {
-            request: f.u64("req")?,
-            head: f.u32("head")?,
-            page: f.u64("page")?,
-        },
-        "barrier" => AttInst::Barrier { tag: f.u32("tag")? },
-        other => return Err(format!("unknown opcode {other:?}")),
-    };
-    f.end()?;
-    Ok(inst)
+    Cursor { s: line, pos: 0, eol: 0xff }.inst()
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@ use crate::Trace;
 use attacc_hbm::{AccessDepth, HbmConfig};
 use attacc_pim::timing_exec::execute_head;
 use attacc_pim::{AttInst, GemvPlacement, HeadJob, HeadTrace, InstError, SoftmaxUnit};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Hardware configuration the timing executor replays against.
 #[derive(Debug, Clone)]
@@ -141,46 +141,252 @@ impl TraceReport {
     }
 }
 
+/// One head of one admitted request.
+#[derive(Default)]
+struct HeadState {
+    /// Resident KV length.
+    len: u64,
+    /// Mapped pages, sorted ascending.
+    pages: Vec<u64>,
+}
+
+impl HeadState {
+    /// Tokens an attention launch over this head actually streams. A page
+    /// whose first token lies past the resident range (or past `u64`)
+    /// contributes nothing.
+    fn visible_len(&self, tokens_per_page: Option<u64>) -> u64 {
+        let Some(tpp) = tokens_per_page else { return self.len };
+        self.pages
+            .iter()
+            .filter_map(|&p| p.checked_mul(tpp).filter(|&first| first < self.len))
+            .map(|first| (self.len - first).min(tpp))
+            .sum()
+    }
+}
+
+/// The device as the trace has configured it. Each admitted request owns
+/// a slot of head states indexed by head number, grown on first touch
+/// up to the highest head the trace addresses (below `n_head`, for which
+/// the functional controller allocates at admission); retired slots are
+/// cleared and reused.
 #[derive(Default)]
 struct DeviceState {
     n_head: u32,
     d_head: u64,
     configured: bool,
-    requests: HashSet<u64>,
-    /// Resident KV length per (request, head).
-    lens: HashMap<(u64, u32), u64>,
     tokens_per_page: Option<u64>,
-    mapped: HashMap<(u64, u32), BTreeSet<u64>>,
+    /// Admitted request id → index into `requests`. Ids come from the
+    /// trace, so the map keeps the default (collision-resistant) hasher.
+    slots: HashMap<u64, usize>,
+    /// The last id `slots` resolved: runs of instructions address one
+    /// request, so most lookups stop here.
+    last_slot: Option<(u64, usize)>,
+    requests: Vec<Vec<HeadState>>,
+    free: Vec<usize>,
 }
 
 impl DeviceState {
-    fn check(&self, request: u64, head: u32) -> Result<(), InstError> {
+    fn slot(&mut self, request: u64) -> Result<usize, InstError> {
         if !self.configured {
             return Err(InstError::NotConfigured);
         }
-        if !self.requests.contains(&request) {
-            return Err(InstError::UnknownRequest(request));
+        if let Some((_, slot)) = self.last_slot.filter(|&(id, _)| id == request) {
+            return Ok(slot);
         }
+        let slot = *self.slots.get(&request).ok_or(InstError::UnknownRequest(request))?;
+        self.last_slot = Some((request, slot));
+        Ok(slot)
+    }
+
+    fn check(&mut self, request: u64, head: u32) -> Result<usize, InstError> {
+        let slot = self.slot(request)?;
         if head >= self.n_head {
             return Err(InstError::UnknownHead(head));
         }
-        Ok(())
+        Ok(slot)
     }
 
-    /// Tokens an attention launch over this head actually streams.
-    fn visible_len(&self, request: u64, head: u32) -> u64 {
-        let len = self.lens.get(&(request, head)).copied().unwrap_or(0);
-        match self.tokens_per_page {
-            None => len,
-            Some(tpp) => {
-                let Some(pages) = self.mapped.get(&(request, head)) else { return 0 };
-                pages
-                    .iter()
-                    .filter(|&&p| p * tpp < len)
-                    .map(|&p| (len - p * tpp).min(tpp))
-                    .sum()
-            }
+    fn head_mut(&mut self, request: u64, head: u32) -> Result<&mut HeadState, InstError> {
+        let slot = self.check(request, head)?;
+        let heads = &mut self.requests[slot];
+        let h = head as usize;
+        if heads.len() <= h {
+            heads.resize_with(h + 1, HeadState::default);
         }
+        Ok(&mut heads[h])
+    }
+
+    fn admit(&mut self, request: u64) {
+        if self.slots.contains_key(&request) {
+            return;
+        }
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.requests.push(Vec::new());
+            self.requests.len() - 1
+        });
+        self.slots.insert(request, slot);
+    }
+
+    fn retire(&mut self, request: u64) -> Result<(), InstError> {
+        let slot = self.slots.remove(&request).ok_or(InstError::UnknownRequest(request))?;
+        if self.last_slot.is_some_and(|(id, _)| id == request) {
+            self.last_slot = None;
+        }
+        self.requests[slot].clear();
+        self.free.push(slot);
+        Ok(())
+    }
+}
+
+/// One timing replay in progress.
+struct Replay<'c> {
+    cfg: &'c TimingConfig,
+    /// External-interface bandwidth (B/s).
+    ext_bw: f64,
+    /// External-interface streaming energy (pJ/bit).
+    ext_pj_bit: f64,
+    state: DeviceState,
+    /// Head cost per visible length under the current `set_model`.
+    memo: HashMap<u64, HeadCost>,
+    /// The last cost `memo` returned: a request's heads advance in
+    /// lockstep, so one batch launch mostly repeats one length.
+    last_cost: Option<(u64, HeadCost)>,
+    report: TraceReport,
+}
+
+impl Replay<'_> {
+    /// Executes one instruction, returning the time and energy it is
+    /// charged.
+    fn step(&mut self, inst: &AttInst) -> Result<(f64, f64), InstError> {
+        match *inst {
+            AttInst::SetModel { n_head, d_head, .. } => {
+                self.state = DeviceState {
+                    n_head,
+                    d_head: d_head as u64,
+                    configured: true,
+                    ..DeviceState::default()
+                };
+                self.memo.clear();
+                self.last_cost = None;
+            }
+            AttInst::UpdateRequest { request, remove } => {
+                if !self.state.configured {
+                    return Err(InstError::NotConfigured);
+                }
+                if remove {
+                    self.state.retire(request)?;
+                } else {
+                    self.state.admit(request);
+                }
+            }
+            AttInst::AppendKv { request, head, .. } => return self.ingest(request, head, 1),
+            AttInst::DeclareKv { request, head, tokens } => {
+                return self.ingest(request, head, tokens);
+            }
+            AttInst::LoadQ { request, head, .. } | AttInst::ReadOutput { request, head } => {
+                self.state.check(request, head)?;
+            }
+            AttInst::RunAttention { request, head } => {
+                let slot = self.state.slot(request)?;
+                return self.run_head(slot, head);
+            }
+            AttInst::RunAttentionBatch { request, head0, n_heads } => {
+                let heads = head0..head0.saturating_add(n_heads);
+                let (mut time_s, mut energy_j) = (0.0, 0.0);
+                if !heads.is_empty() {
+                    let slot = self.state.slot(request)?;
+                    for head in heads {
+                        let (t, e) = self.run_head(slot, head)?;
+                        time_s += t;
+                        energy_j += e;
+                    }
+                }
+                return Ok((time_s, energy_j));
+            }
+            AttInst::EvictKv { request, head, keep_last } => {
+                let h = self.state.head_mut(request, head)?;
+                h.len = h.len.min(keep_last);
+            }
+            AttInst::ConfigPages { tokens_per_page } => {
+                if !self.state.configured {
+                    return Err(InstError::NotConfigured);
+                }
+                self.state.tokens_per_page = Some(tokens_per_page.max(1));
+            }
+            AttInst::MapPage { request, head, page } => {
+                if self.state.tokens_per_page.is_none() {
+                    return Err(InstError::PagingNotConfigured);
+                }
+                let pages = &mut self.state.head_mut(request, head)?.pages;
+                if let Err(at) = pages.binary_search(&page) {
+                    pages.insert(at, page);
+                }
+            }
+            AttInst::UnmapPage { request, head, page } => {
+                if self.state.tokens_per_page.is_none() {
+                    return Err(InstError::PagingNotConfigured);
+                }
+                let pages = &mut self.state.head_mut(request, head)?.pages;
+                let at = pages.binary_search(&page).map_err(|_| InstError::PageNotMapped(page))?;
+                pages.remove(at);
+            }
+            AttInst::Barrier { .. } => self.report.barriers += 1,
+        }
+        Ok((0.0, 0.0))
+    }
+
+    /// Registers `tokens` KV pairs on a head and charges shipping them over
+    /// the external interface. A length or byte count past `u64` is a
+    /// capacity error.
+    fn ingest(&mut self, request: u64, head: u32, tokens: u64) -> Result<(f64, f64), InstError> {
+        let h = self.state.head_mut(request, head)?;
+        h.len = h.len.checked_add(tokens).ok_or(InstError::CapacityExceeded)?;
+        // One token's K and V vectors, then `tokens` of them.
+        let bytes = self
+            .state
+            .d_head
+            .checked_mul(2)
+            .and_then(|b| b.checked_mul(self.cfg.kv_dtype_bytes))
+            .and_then(|per_token| per_token.checked_mul(tokens))
+            .ok_or(InstError::CapacityExceeded)?;
+        self.report.host_bytes =
+            self.report.host_bytes.checked_add(bytes).ok_or(InstError::CapacityExceeded)?;
+        let time_s = bytes as f64 / self.ext_bw;
+        self.report.host_s += time_s;
+        Ok((time_s, bytes as f64 * 8.0 * self.ext_pj_bit * 1e-12))
+    }
+
+    /// Launches one head of the request in `slot`.
+    fn run_head(&mut self, slot: usize, head: u32) -> Result<(f64, f64), InstError> {
+        if head >= self.state.n_head {
+            return Err(InstError::UnknownHead(head));
+        }
+        let h = self.state.requests[slot]
+            .get(head as usize)
+            .filter(|h| h.len > 0)
+            .ok_or(InstError::EmptyKv)?;
+        let l_eff = h.visible_len(self.state.tokens_per_page);
+        if l_eff == 0 {
+            return Err(InstError::NothingMapped);
+        }
+        let cost = match self.last_cost {
+            Some((l, cost)) if l == l_eff => cost,
+            _ => {
+                let (cfg, d_head) = (self.cfg, self.state.d_head);
+                let cost = *self.memo.entry(l_eff).or_insert_with(|| head_cost(cfg, l_eff, d_head));
+                self.last_cost = Some((l_eff, cost));
+                cost
+            }
+        };
+        let r = &mut self.report;
+        r.heads_run += 1;
+        r.score_s += cost.trace.score_s;
+        r.softmax_s += cost.trace.softmax_s;
+        r.context_s += cost.trace.context_s;
+        r.attention_s += cost.time_s;
+        r.mac_commands += cost.trace.mac_commands;
+        r.activates += cost.trace.activates;
+        Ok((cost.time_s, cost.energy_j))
     }
 }
 
@@ -189,172 +395,51 @@ impl DeviceState {
 ///
 /// # Errors
 /// Returns the failure wrapped with the zero-based instruction index
-/// ([`InstError::Trace`]), exactly as functional replay does.
+/// ([`InstError::Trace`]), exactly as functional replay does. A KV
+/// length or ingest byte count that overflows `u64` is
+/// [`InstError::CapacityExceeded`].
 pub fn execute_timing(cfg: &TimingConfig, trace: &Trace) -> Result<TraceReport, InstError> {
-    let mut state = DeviceState::default();
-    let mut memo: HashMap<u64, HeadCost> = HashMap::new();
-    let mut per_opcode: BTreeMap<&'static str, OpcodeCost> = BTreeMap::new();
-
-    let mut report = TraceReport {
-        instructions: 0,
-        heads_run: 0,
-        score_s: 0.0,
-        softmax_s: 0.0,
-        context_s: 0.0,
-        attention_s: 0.0,
-        host_s: 0.0,
-        host_bytes: 0,
-        energy_j: 0.0,
-        mac_commands: 0,
-        activates: 0,
-        barriers: 0,
-        per_opcode: Vec::new(),
+    let mut replay = Replay {
+        cfg,
+        ext_bw: cfg.hbm.external_bandwidth_bytes_per_s(),
+        ext_pj_bit: cfg.hbm.energy.streaming_pj_per_bit(AccessDepth::External, false),
+        state: DeviceState::default(),
+        memo: HashMap::new(),
+        last_cost: None,
+        report: TraceReport {
+            instructions: 0,
+            heads_run: 0,
+            score_s: 0.0,
+            softmax_s: 0.0,
+            context_s: 0.0,
+            attention_s: 0.0,
+            host_s: 0.0,
+            host_bytes: 0,
+            energy_j: 0.0,
+            mac_commands: 0,
+            activates: 0,
+            barriers: 0,
+            per_opcode: Vec::new(),
+        },
     };
-
-    let ext_bw = cfg.hbm.external_bandwidth_bytes_per_s();
-    let ext_pj_bit = cfg.hbm.energy.streaming_pj_per_bit(AccessDepth::External, false);
+    let mut per_opcode = [OpcodeCost::default(); AttInst::OPCODES.len()];
 
     for (index, inst) in trace.insts.iter().enumerate() {
-        let mut time_s = 0.0;
-        let mut energy_j = 0.0;
-        let mut ingest = |bytes: u64, time_s: &mut f64, energy_j: &mut f64| {
-            *time_s += bytes as f64 / ext_bw;
-            *energy_j += bytes as f64 * 8.0 * ext_pj_bit * 1e-12;
-            report.host_s += bytes as f64 / ext_bw;
-            report.host_bytes += bytes;
-        };
-        let step = |state: &mut DeviceState, request: u64, head: u32, tokens: u64| {
-            *state.lens.entry((request, head)).or_insert(0) += tokens;
-        };
-        let run_one = |state: &DeviceState,
-                       memo: &mut HashMap<u64, HeadCost>,
-                       report: &mut TraceReport,
-                       request: u64,
-                       head: u32|
-         -> Result<(f64, f64), InstError> {
-            let len = state.lens.get(&(request, head)).copied().unwrap_or(0);
-            if len == 0 {
-                return Err(InstError::EmptyKv);
-            }
-            let l_eff = state.visible_len(request, head);
-            if l_eff == 0 {
-                return Err(InstError::NothingMapped);
-            }
-            let cost = *memo
-                .entry(l_eff)
-                .or_insert_with(|| head_cost(cfg, l_eff, state.d_head));
-            report.heads_run += 1;
-            report.score_s += cost.trace.score_s;
-            report.softmax_s += cost.trace.softmax_s;
-            report.context_s += cost.trace.context_s;
-            report.attention_s += cost.time_s;
-            report.mac_commands += cost.trace.mac_commands;
-            report.activates += cost.trace.activates;
-            Ok((cost.time_s, cost.energy_j))
-        };
-
-        match *inst {
-            AttInst::SetModel { n_head, d_head, .. } => {
-                state = DeviceState {
-                    n_head,
-                    d_head: d_head as u64,
-                    configured: true,
-                    ..DeviceState::default()
-                };
-                memo.clear();
-            }
-            AttInst::UpdateRequest { request, remove } => {
-                if !state.configured {
-                    return Err(InstError::NotConfigured.at_index(index));
-                }
-                if remove {
-                    if !state.requests.remove(&request) {
-                        return Err(InstError::UnknownRequest(request).at_index(index));
-                    }
-                    state.lens.retain(|&(r, _), _| r != request);
-                    state.mapped.retain(|&(r, _), _| r != request);
-                } else {
-                    state.requests.insert(request);
-                }
-            }
-            AttInst::AppendKv { request, head, .. } => {
-                state.check(request, head).map_err(|e| e.at_index(index))?;
-                step(&mut state, request, head, 1);
-                ingest(2 * state.d_head * cfg.kv_dtype_bytes, &mut time_s, &mut energy_j);
-            }
-            AttInst::DeclareKv { request, head, tokens } => {
-                state.check(request, head).map_err(|e| e.at_index(index))?;
-                step(&mut state, request, head, tokens);
-                ingest(
-                    tokens * 2 * state.d_head * cfg.kv_dtype_bytes,
-                    &mut time_s,
-                    &mut energy_j,
-                );
-            }
-            AttInst::LoadQ { request, head, .. } | AttInst::ReadOutput { request, head } => {
-                state.check(request, head).map_err(|e| e.at_index(index))?;
-            }
-            AttInst::RunAttention { request, head } => {
-                state.check(request, head).map_err(|e| e.at_index(index))?;
-                let (t, e) =
-                    run_one(&state, &mut memo, &mut report, request, head).map_err(|e| e.at_index(index))?;
-                time_s += t;
-                energy_j += e;
-            }
-            AttInst::RunAttentionBatch { request, head0, n_heads } => {
-                for head in head0..head0.saturating_add(n_heads) {
-                    state.check(request, head).map_err(|e| e.at_index(index))?;
-                    let (t, e) = run_one(&state, &mut memo, &mut report, request, head)
-                        .map_err(|e| e.at_index(index))?;
-                    time_s += t;
-                    energy_j += e;
-                }
-            }
-            AttInst::EvictKv { request, head, keep_last } => {
-                state.check(request, head).map_err(|e| e.at_index(index))?;
-                let len = state.lens.entry((request, head)).or_insert(0);
-                *len = (*len).min(keep_last);
-            }
-            AttInst::ConfigPages { tokens_per_page } => {
-                if !state.configured {
-                    return Err(InstError::NotConfigured.at_index(index));
-                }
-                state.tokens_per_page = Some(tokens_per_page.max(1));
-            }
-            AttInst::MapPage { request, head, page } => {
-                if state.tokens_per_page.is_none() {
-                    return Err(InstError::PagingNotConfigured.at_index(index));
-                }
-                state.check(request, head).map_err(|e| e.at_index(index))?;
-                state.mapped.entry((request, head)).or_default().insert(page);
-            }
-            AttInst::UnmapPage { request, head, page } => {
-                if state.tokens_per_page.is_none() {
-                    return Err(InstError::PagingNotConfigured.at_index(index));
-                }
-                state.check(request, head).map_err(|e| e.at_index(index))?;
-                let removed = state
-                    .mapped
-                    .get_mut(&(request, head))
-                    .is_some_and(|pages| pages.remove(&page));
-                if !removed {
-                    return Err(InstError::PageNotMapped(page).at_index(index));
-                }
-            }
-            AttInst::Barrier { .. } => {
-                report.barriers += 1;
-            }
-        }
-
-        report.energy_j += energy_j;
-        report.instructions += 1;
-        let entry = per_opcode.entry(inst.opcode()).or_default();
+        let (time_s, energy_j) = replay.step(inst).map_err(|e| e.at_index(index))?;
+        replay.report.energy_j += energy_j;
+        replay.report.instructions += 1;
+        let entry = &mut per_opcode[inst.opcode_index()];
         entry.count += 1;
         entry.time_s += time_s;
         entry.energy_j += energy_j;
     }
 
-    report.per_opcode = per_opcode.into_iter().collect();
+    let mut report = replay.report;
+    report.per_opcode = AttInst::OPCODES
+        .into_iter()
+        .zip(per_opcode)
+        .filter(|(_, cost)| cost.count > 0)
+        .collect();
     Ok(report)
 }
 
@@ -490,6 +575,67 @@ mod tests {
         };
         let err = execute_timing(&cfg, &bad_head).unwrap_err();
         assert_eq!(err, InstError::UnknownHead(9).at_index(2));
+    }
+
+    #[test]
+    fn a_page_past_u64_tokens_is_not_visible() {
+        let cfg = TimingConfig::paper();
+        let text = format!(
+            "set_model n_head=1 d_head=128 max_l=64\nadmit req=0\n\
+             config_pages tokens_per_page=4\ndeclare_kv req=0 head=0 tokens=8\n\
+             map_page req=0 head=0 page=0\nmap_page req=0 head=0 page={}\n\
+             run req=0 head=0\n",
+            u64::MAX
+        );
+        let report = execute_timing(&cfg, &Trace::parse(&text).unwrap()).unwrap();
+        assert_eq!(report.heads_run, 1);
+        let want = head_cost(&cfg, 4, 128).time_s;
+        assert_eq!(report.attention_s.to_bits(), want.to_bits(), "only page 0 is visible");
+
+        let only_far_page = text.replace("map_page req=0 head=0 page=0\n", "");
+        let err = execute_timing(&cfg, &Trace::parse(&only_far_page).unwrap()).unwrap_err();
+        assert_eq!(err, InstError::NothingMapped.at_index(5));
+    }
+
+    #[test]
+    fn kv_bytes_or_length_past_u64_is_a_capacity_error() {
+        let cfg = TimingConfig::paper();
+        let bytes = format!(
+            "set_model n_head=1 d_head=128 max_l=64\nadmit req=0\n\
+             declare_kv req=0 head=0 tokens={}\n",
+            u64::MAX
+        );
+        let err = execute_timing(&cfg, &Trace::parse(&bytes).unwrap()).unwrap_err();
+        assert_eq!(err, InstError::CapacityExceeded.at_index(2));
+
+        // With d_head = 0 no bytes move, so only the length can overflow.
+        let length = format!(
+            "set_model n_head=1 d_head=0 max_l=64\nadmit req=0\n\
+             declare_kv req=0 head=0 tokens={0}\ndeclare_kv req=0 head=0 tokens={0}\n",
+            u64::MAX
+        );
+        let err = execute_timing(&cfg, &Trace::parse(&length).unwrap()).unwrap_err();
+        assert_eq!(err, InstError::CapacityExceeded.at_index(3));
+    }
+
+    #[test]
+    fn a_second_set_model_prices_heads_at_its_own_d_head() {
+        let cfg = TimingConfig::paper();
+        let text = "set_model n_head=1 d_head=8 max_l=64\nadmit req=0\n\
+                    declare_kv req=0 head=0 tokens=5\nrun req=0 head=0\n\
+                    set_model n_head=1 d_head=64 max_l=64\nadmit req=0\n\
+                    declare_kv req=0 head=0 tokens=5\nrun req=0 head=0\n";
+        let report = execute_timing(&cfg, &Trace::parse(text).unwrap()).unwrap();
+        let want = head_cost(&cfg, 5, 8).time_s + head_cost(&cfg, 5, 64).time_s;
+        assert_eq!(report.attention_s.to_bits(), want.to_bits());
+    }
+
+    #[test]
+    fn per_opcode_table_lists_only_executed_opcodes() {
+        let cfg = TimingConfig::paper();
+        let report = execute_timing(&cfg, &timing_trace(KvPolicy::Full)).unwrap();
+        let opcodes: Vec<&str> = report.per_opcode.iter().map(|(o, _)| *o).collect();
+        assert_eq!(opcodes, ["admit", "barrier", "declare_kv", "retire", "run_batch", "set_model"]);
     }
 
     #[test]
