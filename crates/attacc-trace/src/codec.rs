@@ -29,6 +29,9 @@ use std::str::FromStr;
 /// as `declare_kv req=7 head=95 tokens=1` is about this long.
 const LINE_BYTES_HINT: usize = 40;
 
+/// The shortest instruction line, `admit req=0`, plus its newline.
+const MIN_LINE_BYTES: usize = 12;
+
 /// A compiled instruction trace.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -73,10 +76,9 @@ impl Trace {
     /// # Errors
     /// Returns a [`TraceParseError`] naming the first malformed line.
     pub fn parse(text: &str) -> Result<Trace, TraceParseError> {
-        // One instruction per line at most: sizing up front saves the
-        // copies of a doubling `Vec`.
-        let lines = text.bytes().filter(|&b| b == b'\n').count() + 1;
-        let mut insts = Vec::with_capacity(lines);
+        // An upper bound on the instruction count, so the `Vec` never
+        // regrows: capacity past the pushed instructions is never touched.
+        let mut insts = Vec::with_capacity(text.len() / MIN_LINE_BYTES + 1);
         let mut cur = Cursor { s: text, pos: 0, eol: b'\n' };
         let mut line = 1;
         loop {

@@ -159,37 +159,6 @@ pub fn paged_resident(len: u64, tokens_per_page: u64, recent: u64) -> BTreeSet<u
     pages
 }
 
-/// An upper bound on the instructions [`compile`] emits, so the trace is
-/// allocated once instead of copied through a growing `Vec`. Per request
-/// and head: the prefill KV (one `declare_kv`, or `prompt_l` appends),
-/// the policy's first maintenance (an eviction, or the sink plus recent
-/// pages), then per step one KV instruction, at most one eviction or one
-/// map plus one unmap, and `load_q`/`read` for functional payloads. Per
-/// request: `admit`, `retire` and one launch per step. Per trace:
-/// `set_model`, `config_pages` and a barrier per step.
-fn max_instructions(schedule: &DecodeSchedule, n_head: u32) -> usize {
-    let (first_upkeep, upkeep) = match schedule.policy {
-        KvPolicy::Full => (0, 0),
-        KvPolicy::SlidingWindow { .. } => (1, 1),
-        KvPolicy::Paged { recent_pages, .. } => (recent_pages.saturating_add(1), 2),
-    };
-    let functional = matches!(schedule.payload, TracePayload::Functional { .. });
-    let per_step = 1 + upkeep + if functional { 2 } else { 0 };
-    let per_request = |r: &RequestPlan| {
-        let prefill = if functional { r.prompt_l } else { 1 };
-        let per_head = prefill
-            .saturating_add(first_upkeep)
-            .saturating_add(r.decode_steps.saturating_mul(per_step));
-        per_head.saturating_mul(u64::from(n_head)).saturating_add(2 + r.decode_steps)
-    };
-    let max_steps = schedule.requests.iter().map(|r| r.decode_steps).max().unwrap_or(0);
-    let total = schedule
-        .requests
-        .iter()
-        .fold(3u64.saturating_add(max_steps), |n, r| n.saturating_add(per_request(r)));
-    usize::try_from(total).unwrap_or(0)
-}
-
 /// Compiles a model graph plus a decode schedule into a trace.
 ///
 /// The head geometry (`n_head`, `d_head`) is read from the attention op
@@ -227,12 +196,11 @@ pub fn compile(model: &ModelConfig, schedule: &DecodeSchedule) -> Trace {
     };
     let d_head = d_head as usize;
 
-    let mut insts = Vec::with_capacity(max_instructions(schedule, n_head));
-    insts.push(AttInst::SetModel {
+    let mut insts = vec![AttInst::SetModel {
         n_head,
         d_head,
         max_l: max_l.max(1),
-    });
+    }];
     if let KvPolicy::Paged { tokens_per_page, .. } = schedule.policy {
         insts.push(AttInst::ConfigPages { tokens_per_page });
     }
@@ -445,30 +413,19 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bound_covers_every_policy_and_payload() {
-        let policies = [
-            KvPolicy::Full,
-            KvPolicy::SlidingWindow { window: 3 },
-            KvPolicy::Paged { tokens_per_page: 2, recent_pages: 1 },
-            KvPolicy::Paged { tokens_per_page: 1, recent_pages: 3 },
-        ];
-        for policy in policies {
-            for payload in [TracePayload::Timing, TracePayload::Functional { seed: 1 }] {
-                for (prompt_l, steps) in [(0, 5), (1, 0), (9, 7)] {
-                    let sched = DecodeSchedule {
-                        requests: vec![
-                            RequestPlan { prompt_l, decode_steps: steps },
-                            RequestPlan { prompt_l: 2, decode_steps: 1 },
-                        ],
-                        policy,
-                        payload,
-                    };
-                    let t = compile(&tiny(), &sched);
-                    let bound = max_instructions(&sched, 2);
-                    assert!(t.len() <= bound, "{sched:?}: {} > {bound}", t.len());
-                }
-            }
-        }
+    fn keep_every_page_maps_only_the_pages_that_exist() {
+        // `recent_pages = u64::MAX` keeps everything resident: the trace
+        // maps the 3 pages of 9 tokens per head and never unmaps.
+        let sched = DecodeSchedule::uniform(
+            1,
+            9,
+            2,
+            KvPolicy::Paged { tokens_per_page: 4, recent_pages: u64::MAX },
+            TracePayload::Timing,
+        );
+        let t = compile(&tiny(), &sched);
+        assert_eq!(t.insts.iter().filter(|i| i.opcode() == "map_page").count(), 3 * 2);
+        assert_eq!(t.insts.iter().filter(|i| i.opcode() == "unmap_page").count(), 0);
     }
 
     #[test]

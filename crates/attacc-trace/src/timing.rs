@@ -164,11 +164,23 @@ impl HeadState {
     }
 }
 
+/// The heads of one admitted request that the trace has touched, sorted
+/// by head number. Storage follows the instructions, not the head numbers
+/// they name: a trace addressing `head=4294967294` holds one entry.
+type Heads = Vec<(u32, HeadState)>;
+
+/// Where `head` sits in `heads` (`Err`: where it would be inserted).
+/// Traces touch a request's heads from 0 upward, so head `h` is usually
+/// entry `h` and the search is skipped.
+fn find(heads: &Heads, head: u32) -> Result<usize, usize> {
+    match heads.get(head as usize) {
+        Some(&(h, _)) if h == head => Ok(head as usize),
+        _ => heads.binary_search_by_key(&head, |&(h, _)| h),
+    }
+}
+
 /// The device as the trace has configured it. Each admitted request owns
-/// a slot of head states indexed by head number, grown on first touch
-/// up to the highest head the trace addresses (below `n_head`, for which
-/// the functional controller allocates at admission); retired slots are
-/// cleared and reused.
+/// a slot of head states; retired slots are cleared and reused.
 #[derive(Default)]
 struct DeviceState {
     n_head: u32,
@@ -178,10 +190,11 @@ struct DeviceState {
     /// Admitted request id → index into `requests`. Ids come from the
     /// trace, so the map keeps the default (collision-resistant) hasher.
     slots: HashMap<u64, usize>,
-    /// The last id `slots` resolved: runs of instructions address one
-    /// request, so most lookups stop here.
+    /// The last id `slots` resolved. Runs of instructions address one
+    /// request (99% of lookups on the benchmark's compiled traces), and
+    /// the hashed lookup it skips is a large share of replay time.
     last_slot: Option<(u64, usize)>,
-    requests: Vec<Vec<HeadState>>,
+    requests: Vec<Heads>,
     free: Vec<usize>,
 }
 
@@ -206,14 +219,15 @@ impl DeviceState {
         Ok(slot)
     }
 
+    /// The head's state, created empty on first touch.
     fn head_mut(&mut self, request: u64, head: u32) -> Result<&mut HeadState, InstError> {
         let slot = self.check(request, head)?;
         let heads = &mut self.requests[slot];
-        let h = head as usize;
-        if heads.len() <= h {
-            heads.resize_with(h + 1, HeadState::default);
-        }
-        Ok(&mut heads[h])
+        let at = find(heads, head).unwrap_or_else(|at| {
+            heads.insert(at, (head, HeadState::default()));
+            at
+        });
+        Ok(&mut heads[at].1)
     }
 
     fn admit(&mut self, request: u64) {
@@ -248,8 +262,9 @@ struct Replay<'c> {
     state: DeviceState,
     /// Head cost per visible length under the current `set_model`.
     memo: HashMap<u64, HeadCost>,
-    /// The last cost `memo` returned: a request's heads advance in
-    /// lockstep, so one batch launch mostly repeats one length.
+    /// The last cost `memo` returned. A request's heads advance in
+    /// lockstep, so one batch launch repeats one length (nearly every
+    /// lookup on the benchmark's compiled traces).
     last_cost: Option<(u64, HeadCost)>,
     report: TraceReport,
 }
@@ -361,8 +376,10 @@ impl Replay<'_> {
         if head >= self.state.n_head {
             return Err(InstError::UnknownHead(head));
         }
-        let h = self.state.requests[slot]
-            .get(head as usize)
+        let heads = &self.state.requests[slot];
+        let h = find(heads, head)
+            .ok()
+            .map(|at| &heads[at].1)
             .filter(|h| h.len > 0)
             .ok_or(InstError::EmptyKv)?;
         let l_eff = h.visible_len(self.state.tokens_per_page);
@@ -616,6 +633,27 @@ mod tests {
         );
         let err = execute_timing(&cfg, &Trace::parse(&length).unwrap()).unwrap_err();
         assert_eq!(err, InstError::CapacityExceeded.at_index(3));
+    }
+
+    #[test]
+    fn head_state_does_not_scale_with_the_head_number() {
+        // Storage indexed by head number would need ~137 GB for this
+        // trace; only the two touched heads may be held.
+        let cfg = TimingConfig::paper();
+        let far = u32::MAX - 1;
+        let text = format!(
+            "set_model n_head={} d_head=128 max_l=64\nadmit req=0\n\
+             declare_kv req=0 head={far} tokens=3\ndeclare_kv req=0 head=0 tokens=5\n\
+             run req=0 head={far}\nrun req=0 head=0\nrun req=0 head=7\n",
+            u32::MAX
+        );
+        let err = execute_timing(&cfg, &Trace::parse(&text).unwrap()).unwrap_err();
+        assert_eq!(err, InstError::EmptyKv.at_index(6), "head 7 was never touched");
+
+        let ok = text.replace("run req=0 head=7\n", "");
+        let report = execute_timing(&cfg, &Trace::parse(&ok).unwrap()).unwrap();
+        let want = head_cost(&cfg, 3, 128).time_s + head_cost(&cfg, 5, 128).time_s;
+        assert_eq!(report.attention_s.to_bits(), want.to_bits());
     }
 
     #[test]

@@ -297,12 +297,14 @@ fn mutation_examples_agree_with_the_reference_parser() {
 
 /// Instructions over a few requests, heads and pages, so streams collide
 /// on the same state. Most touch requests 0 and 1 and heads 0 and 1,
-/// which the usual prefix makes valid; bulk KV, launches and page maps
-/// are weighted up so streams reach attention before their first error.
+/// which the usual prefix makes valid; the rest reach heads up to 7 in
+/// any order, so a request's touched heads can be sparse. Bulk KV,
+/// launches and page maps are weighted up so streams reach attention
+/// before their first error.
 fn arb_replay_inst() -> impl Strategy<Value = AttInst> {
-    let (req, head) = (|| 0u64..2, || 0u32..2);
+    let (req, head) = (|| 0u64..2, || prop_oneof![0u32..2, 0u32..2, 0u32..2, 0u32..8]);
     prop_oneof![
-        (1u32..5, 1usize..9, 1u64..64)
+        (1u32..9, 1usize..9, 1u64..64)
             .prop_map(|(n_head, d_head, max_l)| AttInst::SetModel { n_head, d_head, max_l }),
         (0u64..4).prop_map(|request| AttInst::UpdateRequest { request, remove: false }),
         (0u64..4).prop_map(|request| AttInst::UpdateRequest { request, remove: true }),
@@ -403,6 +405,31 @@ fn arb_live_inst() -> impl Strategy<Value = AttInst> {
     ]
 }
 
+/// Eight heads and two admitted requests, then KV, launches and evictions
+/// on heads picked in any order, so a request's touched heads are sparse
+/// and created out of order.
+fn arb_sparse_heads() -> impl Strategy<Value = Trace> {
+    let (req, head) = (|| 0u64..2, || 0u32..8);
+    let inst = prop_oneof![
+        (req(), head(), 1u64..40)
+            .prop_map(|(request, head, tokens)| AttInst::DeclareKv { request, head, tokens }),
+        (req(), head(), 1u64..40)
+            .prop_map(|(request, head, tokens)| AttInst::DeclareKv { request, head, tokens }),
+        (req(), head()).prop_map(|(request, head)| AttInst::RunAttention { request, head }),
+        (req(), head(), 1u64..40)
+            .prop_map(|(request, head, keep_last)| AttInst::EvictKv { request, head, keep_last }),
+    ];
+    prop::collection::vec(inst, 0..40).prop_map(|body| {
+        let mut insts = vec![
+            AttInst::SetModel { n_head: 8, d_head: 8, max_l: 64 },
+            AttInst::UpdateRequest { request: 0, remove: false },
+            AttInst::UpdateRequest { request: 1, remove: false },
+        ];
+        insts.extend(body);
+        Trace { insts }
+    })
+}
+
 /// Replays `trace` through both implementations and requires the same
 /// outcome, floats compared bit for bit (their `Debug` form is the
 /// shortest round-trip decimal).
@@ -432,6 +459,11 @@ proptest! {
     ) {
         same_replay(&trace).map_err(TestCaseError::fail)?;
     }
+
+    #[test]
+    fn replay_matches_the_reference_on_sparse_heads(trace in arb_sparse_heads()) {
+        same_replay(&trace).map_err(TestCaseError::fail)?;
+    }
 }
 
 #[test]
@@ -439,7 +471,7 @@ fn replay_scenarios_agree_with_the_reference() {
     let cfg = TimingConfig::paper();
     let setup = "set_model n_head=2 d_head=8 max_l=64\nadmit req=0\n";
     // Each body runs after `setup`; `Ok(l)` is one launch over `l` tokens.
-    let cases: [(&str, Result<u64, InstError>); 9] = [
+    let cases: [(&str, Result<u64, InstError>); 11] = [
         // Re-admitting a live request keeps its KV.
         ("declare_kv req=0 head=0 tokens=5\nadmit req=0\nrun req=0 head=0\n", Ok(5)),
         // Retiring and re-admitting an id starts from an empty cache.
@@ -470,6 +502,13 @@ fn replay_scenarios_agree_with_the_reference() {
         ),
         // An empty head group launches nothing, so nothing is checked.
         ("run_batch req=9 head0=7 n_heads=0\n", Ok(0)),
+        // Heads touched out of order keep their own state.
+        (
+            "declare_kv req=0 head=1 tokens=5\ndeclare_kv req=0 head=0 tokens=3\n\
+             run req=0 head=1\n",
+            Ok(5),
+        ),
+        ("declare_kv req=0 head=1 tokens=5\nrun req=0 head=0\n", Err(InstError::EmptyKv.at_index(3))),
     ];
     for (body, want) in cases {
         let trace = Trace::parse(&format!("{setup}{body}")).unwrap();
