@@ -1,56 +1,45 @@
 //! Fleet-scale chaos: fault injection through the autoscaled,
-//! disaggregated fleet loop.
+//! disaggregated fleet.
 //!
-//! [`simulate_fleet_chaos`] is a strict superset of
-//! [`attacc_cluster::simulate_fleet_mix`], exactly as `simulate_chaos`
-//! is of `simulate_cluster`: the event loop mirrors the fleet loop
-//! arm for arm (same float operations in the same order), and every
-//! chaos addition is gated so that with [`FaultSchedule::none`] and
-//! [`DegradePolicy::off`] the returned [`FleetReport`] is byte-identical
-//! to the fault-free run — `tests/cluster_equivalence.rs` pins it.
+//! [`simulate_fleet_chaos`] runs the one serving loop
+//! ([`attacc_cluster::ServingLoop::fleet`]) with the fault transitions
+//! pre-loaded. With [`FaultSchedule::none`] and [`DegradePolicy::off`]
+//! every fault path is inert and the returned [`FleetReport`] is
+//! byte-identical to [`attacc_cluster::simulate_fleet_mix`]'s —
+//! `tests/cluster_equivalence.rs` pins it. Under faults the loop adds:
 //!
-//! What the chaos layer adds on top of the fleet loop:
-//!
-//! - **Crash-aware routing.** A global `up` mask feeds
-//!   [`attacc_cluster::route_in_pool`]; crashed nodes are excluded from
-//!   eligibility unless their whole pool is down (then the request parks
-//!   at a dead node's door until repair, as in `simulate_chaos`).
-//! - **Crash-aware autoscaling.** The [`Autoscaler`] observes
-//!   *available* (active ∧ up) capacity, so losing a node looks like
-//!   losing capacity and the scaler provisions a replacement — paying
-//!   `cold_start_s` through the existing node-second billing. Scale-out
-//!   picks an up spare; if every spare is down the action is skipped.
-//! - **Downtime is not billed.** A crash closes the node's
-//!   activation meter; repair reopens it (if the node is still
-//!   pool-active). `node_active_s[g] + downtime[g] ≤ makespan` holds
-//!   per node — the property suite checks it.
+//! - **Crash-aware routing.** Crashed nodes are excluded from eligibility
+//!   unless their whole pool is down (then the request parks at a dead
+//!   node's door until repair, as in `simulate_chaos`).
+//! - **Crash-aware autoscaling.** The autoscaler observes *available*
+//!   (active ∧ up) capacity, so losing a node looks like losing capacity
+//!   and the scaler provisions a replacement — paying `cold_start_s`
+//!   through the existing node-second billing. Scale-out picks an up
+//!   spare; if every spare is down the action is skipped.
+//! - **Downtime is not billed.** A crash closes the node's activation
+//!   meter; repair reopens it (if the node is still pool-active).
+//!   `node_active_s[g] + downtime[g] ≤ makespan` holds per node — the
+//!   property suite checks it.
 //! - **Recovery economics.** A crash voids in-flight and resident KV.
-//!   Displaced work with a surviving KV image re-ships warm straight
-//!   into the decode pool under [`RecoveryMode::KvMigrate`] (priced by
+//!   Displaced work with a surviving KV image re-ships warm straight into
+//!   the decode pool under [`RecoveryMode::KvMigrate`] (priced by
 //!   [`InterconnectModel::migrate_kv_s`], counted as recovery re-ships,
 //!   not normal prefill→decode `kv_ships`); otherwise it re-enters the
 //!   front pool cold and re-prefills — on a disaggregated fleet that
 //!   means a prefill node recomputes the Sum and ships the KV again.
-//! - **Graceful degradation.** A [`DegradePolicy`] adds admission
-//!   control (shed arrivals when the front pool's backlog per available
-//!   capacity unit exceeds a threshold), brownout (shrink answers and
-//!   relax the TTFT SLO while a pool is substantially down), and a
-//!   retry-storm guard (stagger crash-recovery re-dispatches beyond a
-//!   burst).
+//! - **Graceful degradation.** A [`DegradePolicy`] adds admission control
+//!   (shed arrivals when the front pool's backlog per available capacity
+//!   unit exceeds a threshold), brownout (shrink answers and relax the
+//!   TTFT SLO while a pool is substantially down), and a retry-storm
+//!   guard (stagger crash-recovery re-dispatches beyond a burst).
 //!
-//! [`InterconnectModel`]: attacc_cluster::InterconnectModel
+//! [`FleetReport`]: attacc_cluster::FleetReport
 //! [`InterconnectModel::migrate_kv_s`]: attacc_cluster::InterconnectModel::migrate_kv_s
 
 use crate::fault::FaultSchedule;
 use crate::policy::{DegradePolicy, RecoveryMode};
 use crate::report::FleetChaosReport;
-use crate::sim::RequestIndex;
-use attacc_cluster::{
-    kv_stride_for, route_in_pool, Autoscaler, ClusterReport, EventKind, EventQueue, FleetConfig,
-    FleetMix, FleetReport, NodeEngine, NodeLoad, NodeRole, Pool, PoolKind, PoolObservation, Router,
-    RouterPolicy, ScaleDirection, ScaleEvent,
-};
-use attacc_model::Request;
+use attacc_cluster::{FleetConfig, FleetMix, ServingLoop};
 use attacc_serving::{ArrivalWorkload, StageExecutor};
 #[cfg(feature = "serde")]
 use serde::{Deserialize, Serialize};
@@ -79,737 +68,6 @@ impl FleetChaosConfig {
     }
 }
 
-/// Per-logical-request bookkeeping for SLO/goodput accounting, stored in
-/// a flat `Vec` indexed by the interned request id.
-#[derive(Debug, Clone, Copy)]
-struct FleetTrack {
-    /// Front-door arrival time.
-    arrival_s: f64,
-    /// Output tokens admitted (brownout may shrink this below the
-    /// workload's `l_out`).
-    l_out: u64,
-    /// The TTFT SLO this request is held to (brownout may relax it).
-    ttft_slo_s: f64,
-    /// Earliest first token.
-    first_token_s: Option<f64>,
-    /// Earliest completion.
-    completed_s: Option<f64>,
-    /// Rejected at admission; never dispatched.
-    shed: bool,
-}
-
-/// A crash-displaced re-dispatch parked by the storm guard, keyed by the
-/// `Timer` event id.
-#[derive(Debug, Clone, Copy)]
-struct Deferred {
-    arrival_s: f64,
-    request: Request,
-    warm: bool,
-}
-
-struct FleetChaosSim<'a, 'b> {
-    cfg: &'b FleetChaosConfig,
-    engines: Vec<NodeEngine<'a>>,
-    prefill_pool: Option<Pool>,
-    decode_pool: Pool,
-    autoscaler: Option<Autoscaler>,
-    p_max: usize,
-    n: usize,
-    q: EventQueue,
-    in_flight: Vec<u64>,
-    in_flight_tokens: Vec<u64>,
-    ready_scheduled: Vec<bool>,
-    busy_until: Vec<f64>,
-    first_route_s: Vec<Option<f64>>,
-    up: Vec<bool>,
-    link_factor: f64,
-    makespan: f64,
-    ids: RequestIndex,
-    trackers: Vec<Option<FleetTrack>>,
-    deferred: Vec<Option<Deferred>>,
-    loads_scratch: Vec<NodeLoad>,
-    mask_scratch: Vec<bool>,
-    handoffs: Vec<(f64, f64, Request)>,
-    scale_events: Vec<ScaleEvent>,
-    node_seconds: f64,
-    node_active_s: Vec<f64>,
-    cold_start_node_s: f64,
-    kv_ships: u64,
-    kv_shipped_bytes: u64,
-    crashes: u64,
-    lost_tokens: u64,
-    recomputed_tokens: u64,
-    migrated_kv_tokens: u64,
-    recovery_reships: u64,
-    recovery_reshipped_bytes: u64,
-    shed_requests: u64,
-    shed_tokens: u64,
-    browned_out: u64,
-    deferred_redispatches: u64,
-    downtime: Vec<(usize, f64, f64)>,
-    down_since: Vec<Option<f64>>,
-}
-
-impl<'a, 'b> FleetChaosSim<'a, 'b> {
-    fn new(
-        prefill_nodes: &[&'a dyn StageExecutor],
-        decode_nodes: &[&'a dyn StageExecutor],
-        mix: &FleetMix,
-        cfg: &'b FleetChaosConfig,
-    ) -> FleetChaosSim<'a, 'b> {
-        let fleet = &cfg.fleet;
-        let p_max = fleet.prefill.map_or(0, |p| p.max_nodes);
-        let n = p_max + fleet.decode.max_nodes;
-        let sched_of = |mix_pool: &attacc_cluster::PoolMix, i: usize| {
-            mix_pool.schedulers.get(i).copied().unwrap_or(fleet.scheduler)
-        };
-        let engines: Vec<NodeEngine> = prefill_nodes
-            .iter()
-            .enumerate()
-            .map(|(i, e)| NodeEngine::with_role(*e, sched_of(&mix.prefill, i), NodeRole::Prefill))
-            .chain(decode_nodes.iter().enumerate().map(|(i, e)| {
-                NodeEngine::with_role(*e, sched_of(&mix.decode, i), NodeRole::Monolithic)
-            }))
-            .collect();
-        let prefill_pool = fleet.prefill.map(|p| {
-            let mut pool = Pool::new(PoolKind::Prefill, 0, p, &mix.prefill);
-            pool.router = Router::new(fleet.policy);
-            pool
-        });
-        let mut decode_pool = Pool::new(PoolKind::Decode, p_max, fleet.decode, &mix.decode);
-        decode_pool.router = Router::new(fleet.policy);
-        FleetChaosSim {
-            cfg,
-            engines,
-            prefill_pool,
-            decode_pool,
-            autoscaler: fleet.autoscaler.map(Autoscaler::new),
-            p_max,
-            n,
-            q: EventQueue::new(),
-            in_flight: vec![0; n],
-            in_flight_tokens: vec![0; n],
-            ready_scheduled: vec![false; n],
-            busy_until: vec![0.0; n],
-            first_route_s: vec![None; n],
-            up: vec![true; n],
-            link_factor: 1.0,
-            makespan: 0.0,
-            ids: RequestIndex::default(),
-            trackers: Vec::new(),
-            deferred: Vec::new(),
-            loads_scratch: Vec::with_capacity(n),
-            mask_scratch: Vec::with_capacity(n),
-            handoffs: Vec::new(),
-            scale_events: Vec::new(),
-            node_seconds: 0.0,
-            node_active_s: vec![0.0; n],
-            cold_start_node_s: 0.0,
-            kv_ships: 0,
-            kv_shipped_bytes: 0,
-            crashes: 0,
-            lost_tokens: 0,
-            recomputed_tokens: 0,
-            migrated_kv_tokens: 0,
-            recovery_reships: 0,
-            recovery_reshipped_bytes: 0,
-            shed_requests: 0,
-            shed_tokens: 0,
-            browned_out: 0,
-            deferred_redispatches: 0,
-            downtime: Vec::new(),
-            down_since: vec![None; n],
-        }
-    }
-
-    /// The pool owning global node `g`, plus its pool-local index.
-    fn pool_of(&mut self, g: usize) -> (&mut Pool, usize) {
-        match self.prefill_pool.as_mut() {
-            Some(p) if g < p.cfg.max_nodes => (p, g),
-            _ => (&mut self.decode_pool, g - self.p_max),
-        }
-    }
-
-    /// Whether admission control rejects an arrival right now: the front
-    /// pool's backlog per unit of available (up ∧ active ∧ weighted)
-    /// capacity exceeds the threshold — or no capacity is up at all.
-    fn sheds_now(&self) -> bool {
-        let Some(s) = self.cfg.degrade.shed else { return false };
-        let front = self.prefill_pool.as_ref().unwrap_or(&self.decode_pool);
-        let (base, k) = (front.base, front.cfg.max_nodes);
-        let mut backlog = 0u64;
-        for g in base..base + k {
-            backlog += self.in_flight[g]
-                + self.engines[g].queued_len() as u64
-                + self.engines[g].active_len() as u64;
-        }
-        let avail = front.available_weight(&self.up);
-        avail <= 0.0 || backlog as f64 > s.max_backlog_per_node * avail
-    }
-
-    /// Whether any pool is degraded enough (available weight below the
-    /// configured fraction of its active weight) to trigger brownout.
-    fn browned_out_now(&self) -> bool {
-        let Some(b) = self.cfg.degrade.brownout else { return false };
-        [self.prefill_pool.as_ref(), Some(&self.decode_pool)]
-            .into_iter()
-            .flatten()
-            .any(|p| p.available_weight(&self.up) < b.below_up_frac * p.active_weight())
-    }
-
-    fn on_arrival(&mut self, now: f64, request: Request) {
-        let idx = self.ids.index_of(request.id);
-        if self.sheds_now() {
-            self.shed_requests += 1;
-            self.shed_tokens += request.l_out;
-            self.trackers[idx] = Some(FleetTrack {
-                arrival_s: now,
-                l_out: request.l_out,
-                ttft_slo_s: self.cfg.fleet.slo.ttft_s,
-                first_token_s: None,
-                completed_s: None,
-                shed: true,
-            });
-            return;
-        }
-        let mut request = request;
-        let mut ttft_slo_s = self.cfg.fleet.slo.ttft_s;
-        if self.browned_out_now() {
-            let b = self.cfg.degrade.brownout.expect("brownout checked above");
-            let shrunk = ((request.l_out as f64 * b.lout_frac) as u64).max(1);
-            request = Request::new(request.id, request.l_in, shrunk);
-            ttft_slo_s *= b.slo_relax;
-            self.browned_out += 1;
-        }
-        self.trackers[idx] = Some(FleetTrack {
-            arrival_s: now,
-            l_out: request.l_out,
-            ttft_slo_s,
-            first_token_s: None,
-            completed_s: None,
-            shed: false,
-        });
-        let mut loads = std::mem::take(&mut self.loads_scratch);
-        let mut mask = std::mem::take(&mut self.mask_scratch);
-        let front = self.prefill_pool.as_mut().unwrap_or(&mut self.decode_pool);
-        let (node, migrated) = route_in_pool(
-            front,
-            &self.engines,
-            &self.in_flight,
-            &self.in_flight_tokens,
-            &mut loads,
-            &mut mask,
-            &mut self.first_route_s,
-            Some(&self.up),
-            now,
-            request.id,
-        );
-        self.loads_scratch = loads;
-        self.mask_scratch = mask;
-        // Identical to the fleet loop's front-door charge, scaled by the
-        // (default 1.0, IEEE-identity) link degradation factor.
-        let delay = if self.cfg.fleet.policy == RouterPolicy::PassThrough {
-            0.0
-        } else {
-            let ic = &self.cfg.fleet.interconnect;
-            let mut d = ic.ship_prompt_s(request.l_in);
-            if migrated {
-                d += ic.migrate_kv_s(request.l_in);
-            }
-            d * self.link_factor
-        };
-        self.in_flight[node] += 1;
-        self.in_flight_tokens[node] += request.final_len();
-        self.q.push(
-            now + delay,
-            EventKind::Deliver { node, arrival_s: now, request, warm: false },
-        );
-    }
-
-    fn on_deliver(&mut self, now: f64, node: usize, arrival_s: f64, request: Request, warm: bool) {
-        self.in_flight[node] -= 1;
-        self.in_flight_tokens[node] -= request.final_len();
-        if warm {
-            self.engines[node].deliver_warm(arrival_s, request);
-        } else {
-            self.engines[node].deliver(arrival_s, request);
-        }
-        // A down node's door still accepts the package, but nobody is
-        // home to run rounds: the NodeUp handler pokes it on recovery.
-        if self.up[node] && !self.ready_scheduled[node] {
-            self.ready_scheduled[node] = true;
-            self.q.push(now.max(self.busy_until[node]), EventKind::NodeReady { node });
-        }
-    }
-
-    fn on_node_ready(&mut self, now: f64, node: usize) {
-        self.ready_scheduled[node] = false;
-        let mut t = now;
-        while self.up[node] && !self.engines[node].is_drained() {
-            let out = self.engines[node].run_round(t);
-            self.busy_until[node] = out.end_s;
-            self.makespan = self.makespan.max(out.end_s);
-            t = out.end_s;
-            // Float-free tracker consumption (the proven ChaosSim
-            // pattern): draining the round logs leaves the FleetReport
-            // bytes untouched.
-            for &(id, ts) in self.engines[node].first_tokens() {
-                let tr = self.trackers[self.ids.index_of(id)]
-                    .as_mut()
-                    .expect("first token for tracked request");
-                tr.first_token_s = Some(tr.first_token_s.map_or(ts, |p| p.min(ts)));
-            }
-            for &(id, ts) in self.engines[node].retired_log() {
-                let tr = self.trackers[self.ids.index_of(id)]
-                    .as_mut()
-                    .expect("retirement for tracked request");
-                tr.completed_s = Some(tr.completed_s.map_or(ts, |p| p.min(ts)));
-            }
-            self.engines[node].clear_round_logs();
-            // A prefill node hands its finished Sums off for decode —
-            // same routing/charging as the fleet loop, link-scaled.
-            let mut handoffs = std::mem::take(&mut self.handoffs);
-            self.engines[node].drain_prefilled_into(&mut handoffs);
-            if !handoffs.is_empty() {
-                let mut loads = std::mem::take(&mut self.loads_scratch);
-                let mut mask = std::mem::take(&mut self.mask_scratch);
-                for &(ready_s, _arrival_s, rest) in &handoffs {
-                    let (dest, _) = route_in_pool(
-                        &mut self.decode_pool,
-                        &self.engines,
-                        &self.in_flight,
-                        &self.in_flight_tokens,
-                        &mut loads,
-                        &mut mask,
-                        &mut self.first_route_s,
-                        Some(&self.up),
-                        ready_s,
-                        rest.id,
-                    );
-                    let ship_s =
-                        self.cfg.fleet.interconnect.migrate_kv_s(rest.l_in) * self.link_factor;
-                    self.kv_ships += 1;
-                    self.kv_shipped_bytes +=
-                        rest.l_in * self.cfg.fleet.interconnect.kv_bytes_per_token;
-                    self.in_flight[dest] += 1;
-                    self.in_flight_tokens[dest] += rest.final_len();
-                    let at = ready_s + ship_s;
-                    self.q.push(
-                        at,
-                        EventKind::Deliver { node: dest, arrival_s: at, request: rest, warm: true },
-                    );
-                }
-                handoffs.clear();
-                self.loads_scratch = loads;
-                self.mask_scratch = mask;
-            }
-            self.handoffs = handoffs;
-            let next_round_pops_first = self
-                .q
-                .next_time()
-                .is_none_or(|nt| nt.total_cmp(&t) == std::cmp::Ordering::Greater);
-            if !next_round_pops_first {
-                if !self.engines[node].is_drained() {
-                    self.ready_scheduled[node] = true;
-                    self.q.push(t, EventKind::NodeReady { node });
-                }
-                break;
-            }
-        }
-    }
-
-    /// Routes one crash-recovery re-dispatch: warm straight into the
-    /// decode pool (a recovery re-ship over the interconnect), cold into
-    /// the front pool (re-prefill from scratch).
-    fn dispatch_recovery(&mut self, now: f64, arrival_s: f64, request: Request, warm: bool) {
-        let mut loads = std::mem::take(&mut self.loads_scratch);
-        let mut mask = std::mem::take(&mut self.mask_scratch);
-        let ic = &self.cfg.fleet.interconnect;
-        if warm {
-            let (dest, _) = route_in_pool(
-                &mut self.decode_pool,
-                &self.engines,
-                &self.in_flight,
-                &self.in_flight_tokens,
-                &mut loads,
-                &mut mask,
-                &mut self.first_route_s,
-                Some(&self.up),
-                now,
-                request.id,
-            );
-            let ship_s = ic.migrate_kv_s(request.l_in) * self.link_factor;
-            self.recovery_reships += 1;
-            self.recovery_reshipped_bytes += request.l_in * ic.kv_bytes_per_token;
-            self.in_flight[dest] += 1;
-            self.in_flight_tokens[dest] += request.final_len();
-            self.q.push(
-                now + ship_s,
-                EventKind::Deliver { node: dest, arrival_s, request, warm: true },
-            );
-        } else {
-            let front = self.prefill_pool.as_mut().unwrap_or(&mut self.decode_pool);
-            let (node, migrated) = route_in_pool(
-                front,
-                &self.engines,
-                &self.in_flight,
-                &self.in_flight_tokens,
-                &mut loads,
-                &mut mask,
-                &mut self.first_route_s,
-                Some(&self.up),
-                now,
-                request.id,
-            );
-            let delay = if self.cfg.fleet.policy == RouterPolicy::PassThrough {
-                0.0
-            } else {
-                let mut d = ic.ship_prompt_s(request.l_in);
-                if migrated {
-                    d += ic.migrate_kv_s(request.l_in);
-                }
-                d * self.link_factor
-            };
-            self.in_flight[node] += 1;
-            self.in_flight_tokens[node] += request.final_len();
-            self.q.push(now + delay, EventKind::Deliver { node, arrival_s, request, warm: false });
-        }
-        self.loads_scratch = loads;
-        self.mask_scratch = mask;
-    }
-
-    fn on_node_down(&mut self, now: f64, node: usize) {
-        self.crashes += 1;
-        if self.up[node] {
-            self.up[node] = false;
-            self.down_since[node] = Some(now);
-            // A down node is not billed: close its activation meter now
-            // and let NodeUp reopen it. The pool keeps it active (the
-            // autoscaler sees lost capacity through the availability
-            // view, not through a phantom deactivation).
-            let (pool, i) = self.pool_of(node);
-            let warm_at = pool.warm_at[i];
-            if let Some(since) = pool.active_since[i].take() {
-                self.node_seconds += now - since;
-                self.node_active_s[node] += now - since;
-                self.cold_start_node_s += (warm_at.min(now) - since).max(0.0);
-            }
-        }
-        let wreck = self.engines[node].crash(now);
-        self.lost_tokens += wreck.lost_tokens;
-        for (k, d) in wreck.displaced.into_iter().enumerate() {
-            // Tokens whose KV state existed somewhere when the node died:
-            // the whole context for admitted requests, the shipped image
-            // for warm-queued ones, nothing for cold-queued ones.
-            let kv_built = if d.progress > 0 {
-                d.request.l_in + d.progress
-            } else if d.warm {
-                d.request.l_in
-            } else {
-                0
-            };
-            let folded = if d.progress > 0 {
-                Request::new(d.request.id, d.request.l_in + d.progress, d.request.l_out - d.progress)
-            } else {
-                d.request
-            };
-            let warm = self.cfg.recovery == RecoveryMode::KvMigrate && kv_built > 0;
-            if warm {
-                self.migrated_kv_tokens += kv_built;
-            } else {
-                self.recomputed_tokens += kv_built;
-            }
-            match self.cfg.degrade.storm_guard {
-                Some(g) if k >= g.burst => {
-                    // Stagger the recovery wave: everything past the
-                    // burst window re-dispatches on a timer.
-                    self.deferred_redispatches += 1;
-                    let id = self.deferred.len() as u64;
-                    self.deferred.push(Some(Deferred { arrival_s: d.arrival_s, request: folded, warm }));
-                    self.q.push(
-                        now + g.stagger_s * (k - g.burst + 1) as f64,
-                        EventKind::Timer { id, attempt: 0, hedge: false },
-                    );
-                }
-                _ => self.dispatch_recovery(now, d.arrival_s, folded, warm),
-            }
-        }
-    }
-
-    fn on_node_up(&mut self, now: f64, node: usize) {
-        if self.up[node] {
-            return;
-        }
-        self.up[node] = true;
-        if let Some(since) = self.down_since[node].take() {
-            self.downtime.push((node, since, now));
-        }
-        // Reopen the billing meter iff the node is still pool-active
-        // (the autoscaler may have drained it while it was down).
-        let (pool, i) = self.pool_of(node);
-        if pool.active[i] && pool.active_since[i].is_none() {
-            pool.active_since[i] = Some(now);
-        }
-        if !self.engines[node].is_drained() && !self.ready_scheduled[node] {
-            self.ready_scheduled[node] = true;
-            self.q.push(now.max(self.busy_until[node]), EventKind::NodeReady { node });
-        }
-    }
-
-    fn on_timer(&mut self, now: f64, id: u64) {
-        let Some(d) = self.deferred.get_mut(id as usize).and_then(|slot| slot.take()) else {
-            return;
-        };
-        // A deferred re-dispatch that actually fires is real work.
-        self.makespan = self.makespan.max(now);
-        self.dispatch_recovery(now, d.arrival_s, d.request, d.warm);
-    }
-
-    fn on_scale_tick(&mut self, t: f64) {
-        let scaler = self.autoscaler.as_mut().expect("ScaleTick implies an autoscaler");
-        let fleet = &self.cfg.fleet;
-        let pools: [Option<&mut Pool>; 2] =
-            [self.prefill_pool.as_mut(), Some(&mut self.decode_pool)];
-        for pool in pools.into_iter().flatten() {
-            let (base, k) = (pool.base, pool.cfg.max_nodes);
-            let active_nodes = pool.active_count();
-            // The scaler observes *available* capacity: a crashed node
-            // contributes nothing, so losing one reads as lost capacity
-            // and provisions a replacement. Fault-free this equals the
-            // plain active view bit for bit.
-            let available = pool.available_count(&self.up);
-            let mut backlog = 0u64;
-            let mut reserved = 0u64;
-            for g in base..base + k {
-                backlog += self.in_flight[g]
-                    + self.engines[g].queued_len() as u64
-                    + self.engines[g].active_len() as u64;
-                reserved += self.engines[g].reserved_tokens();
-            }
-            let kv_frac = if fleet.scheduler.kv_bytes_per_token == 0 || available == 0 {
-                0.0
-            } else {
-                let cap = match &pool.kv_caps {
-                    Some(caps) => (0..k)
-                        .filter(|&i| pool.active[i] && self.up[base + i])
-                        .map(|i| caps[i] as f64)
-                        .sum(),
-                    None => available as f64 * fleet.scheduler.kv_capacity_bytes as f64,
-                };
-                (reserved as f64 * fleet.scheduler.kv_bytes_per_token as f64) / cap
-            };
-            let obs = PoolObservation {
-                active_nodes: available,
-                active_weight: pool.available_weight(&self.up),
-                backlog,
-                kv_frac,
-                arrivals_since_tick: pool.arrivals_since_tick,
-            };
-            pool.arrivals_since_tick = 0;
-            let action = scaler.decide(t, pool.kind, &obs, pool.cfg.min_nodes, pool.cfg.max_nodes);
-            match action {
-                Some(ScaleDirection::Out) => {
-                    // Provision an *up* spare; if every spare is down
-                    // (or the pool is fully active but partially down,
-                    // so available < max with no spare at all), skip —
-                    // there is no hardware to add.
-                    let Some(i) = (0..k).find(|&i| !pool.active[i] && self.up[base + i]) else {
-                        continue;
-                    };
-                    pool.active[i] = true;
-                    pool.warm_at[i] = t + scaler.config().cold_start_s;
-                    pool.active_since[i] = Some(t);
-                    pool.peak_active = pool.peak_active.max(active_nodes + 1);
-                    self.scale_events.push(ScaleEvent {
-                        t_s: t,
-                        pool: pool.kind,
-                        direction: ScaleDirection::Out,
-                        from_nodes: active_nodes,
-                        to_nodes: active_nodes + 1,
-                        node: base + i,
-                        warm_at_s: pool.warm_at[i],
-                    });
-                }
-                Some(ScaleDirection::In) => {
-                    let i = pool
-                        .active
-                        .iter()
-                        .rposition(|&a| a)
-                        .expect("decide() only scales in above min >= 1");
-                    // Never deactivate the last warm *up* node: the
-                    // router must always have somewhere eligible to
-                    // send an arrival. Draining a down node is free.
-                    let warm_actives = (0..k)
-                        .filter(|&j| pool.active[j] && pool.warm_at[j] <= t && self.up[base + j])
-                        .count();
-                    if pool.warm_at[i] <= t && self.up[base + i] && warm_actives <= 1 {
-                        continue;
-                    }
-                    pool.active[i] = false;
-                    if let Some(since) = pool.active_since[i].take() {
-                        self.node_seconds += t - since;
-                        self.node_active_s[base + i] += t - since;
-                        self.cold_start_node_s += (pool.warm_at[i].min(t) - since).max(0.0);
-                    }
-                    self.scale_events.push(ScaleEvent {
-                        t_s: t,
-                        pool: pool.kind,
-                        direction: ScaleDirection::In,
-                        from_nodes: active_nodes,
-                        to_nodes: active_nodes - 1,
-                        node: base + i,
-                        warm_at_s: t,
-                    });
-                }
-                None => {}
-            }
-        }
-        if !self.q.is_empty() {
-            self.q.push(t + scaler.config().interval_s, EventKind::ScaleTick);
-        }
-    }
-
-    fn run(&mut self, workload: &ArrivalWorkload) {
-        self.ids = RequestIndex::build(workload);
-        self.trackers = vec![None; self.ids.len];
-        let stride = kv_stride_for(workload.arrivals.len());
-        let hint = workload.arrivals.len() / self.n + 1;
-        for e in &mut self.engines {
-            e.set_kv_stride(stride);
-            e.reserve_metrics(hint);
-        }
-        for &(t, request) in &workload.arrivals {
-            self.q.push(t, EventKind::Arrival { request });
-        }
-        if let Some(a) = &self.autoscaler {
-            self.q.push(a.config().interval_s, EventKind::ScaleTick);
-        }
-        while let Some(ev) = self.q.pop() {
-            match ev.kind {
-                // Work events advance the makespan exactly as in the
-                // fleet loop; fault transitions, moot timers, and scale
-                // ticks do not.
-                EventKind::Arrival { request } => {
-                    self.makespan = self.makespan.max(ev.time_s);
-                    self.on_arrival(ev.time_s, request);
-                }
-                EventKind::Deliver { node, arrival_s, request, warm } => {
-                    self.makespan = self.makespan.max(ev.time_s);
-                    self.on_deliver(ev.time_s, node, arrival_s, request, warm);
-                }
-                EventKind::NodeReady { node } => {
-                    self.makespan = self.makespan.max(ev.time_s);
-                    self.on_node_ready(ev.time_s, node);
-                }
-                EventKind::ScaleTick => self.on_scale_tick(ev.time_s),
-                EventKind::NodeDown { node } => self.on_node_down(ev.time_s, node),
-                EventKind::NodeUp { node } => self.on_node_up(ev.time_s, node),
-                EventKind::Slowdown { node, factor } => self.engines[node].set_slowdown(factor),
-                EventKind::LinkFactor { factor } => self.link_factor = factor,
-                EventKind::Timer { id, .. } => self.on_timer(ev.time_s, id),
-            }
-        }
-    }
-
-    fn into_report(mut self, faults_injected: u64) -> FleetChaosReport {
-        let makespan = self.makespan;
-        // Close the node-second meter on everything still active (a node
-        // down at the end has its meter already closed). The duration is
-        // clamped at zero: a node repaired *after* the last completion
-        // reopens its meter past the makespan and must bill nothing, not
-        // negative seconds. Fault-free the clamp is the identity.
-        for pool in [self.prefill_pool.as_ref(), Some(&self.decode_pool)].into_iter().flatten() {
-            for (i, since) in pool.active_since.iter().enumerate() {
-                let Some(since) = since else { continue };
-                let dur = (makespan - since).max(0.0);
-                self.node_seconds += dur;
-                self.node_active_s[pool.base + i] += dur;
-                self.cold_start_node_s += (pool.warm_at[i].min(makespan) - since).max(0.0).min(dur);
-            }
-        }
-        let prefill_peak = self.prefill_pool.as_ref().map_or(0, |p| p.peak_active);
-        let cluster = ClusterReport::from_engines(
-            self.cfg.fleet.policy.name(),
-            &mut self.engines,
-            makespan,
-            &self.cfg.fleet.slo,
-        );
-        let fleet = FleetReport {
-            cluster,
-            disaggregated: self.cfg.fleet.prefill.is_some(),
-            node_seconds: self.node_seconds,
-            node_active_s: self.node_active_s,
-            cold_start_node_s: self.cold_start_node_s,
-            prefill_peak_nodes: prefill_peak,
-            decode_peak_nodes: self.decode_pool.peak_active,
-            kv_ships: self.kv_ships,
-            kv_shipped_bytes: self.kv_shipped_bytes,
-            scale_events: self.scale_events,
-            first_route_s: self.first_route_s,
-        };
-
-        // Unfinished windows (a schedule ending mid-outage) run to the
-        // makespan; every window is clamped to it for availability.
-        for (node, since) in self.down_since.iter().enumerate() {
-            if let Some(s) = since {
-                self.downtime.push((node, *s, makespan));
-            }
-        }
-        let mut node_downtime_s = vec![0.0f64; self.n];
-        for &(node, d, u) in &self.downtime {
-            let clamped = u.min(makespan) - d.min(makespan);
-            if clamped > 0.0 {
-                node_downtime_s[node] += clamped;
-            }
-        }
-        let total_down: f64 = node_downtime_s.iter().sum();
-        let availability =
-            if makespan > 0.0 { 1.0 - total_down / (self.n as f64 * makespan) } else { 1.0 };
-
-        let mut unique_completed = 0u64;
-        let mut requests_in_slo = 0u64;
-        let mut goodput_tokens = 0u64;
-        for slot in self.trackers.iter().flatten() {
-            if slot.shed || slot.completed_s.is_none() {
-                continue;
-            }
-            unique_completed += 1;
-            let in_slo =
-                slot.first_token_s.is_some_and(|ft| ft - slot.arrival_s <= slot.ttft_slo_s);
-            if in_slo {
-                requests_in_slo += 1;
-                goodput_tokens += slot.l_out;
-            }
-        }
-
-        FleetChaosReport {
-            fleet,
-            recovery: self.cfg.recovery.name().to_string(),
-            degrade: self.cfg.degrade.name(),
-            faults_injected,
-            crashes: self.crashes,
-            availability,
-            node_downtime_s,
-            lost_tokens: self.lost_tokens,
-            recomputed_tokens: self.recomputed_tokens,
-            migrated_kv_tokens: self.migrated_kv_tokens,
-            recovery_reships: self.recovery_reships,
-            recovery_reshipped_bytes: self.recovery_reshipped_bytes,
-            shed_requests: self.shed_requests,
-            shed_tokens: self.shed_tokens,
-            browned_out_requests: self.browned_out,
-            deferred_redispatches: self.deferred_redispatches,
-            unique_completed,
-            requests_in_slo,
-            goodput_under_failure_tokens_per_s: if makespan > 0.0 {
-                goodput_tokens as f64 / makespan
-            } else {
-                0.0
-            },
-        }
-    }
-}
-
 /// Runs `workload` through a disaggregated (or monolithic), possibly
 /// autoscaled fleet under fault timeline `faults`, the recovery mode and
 /// degradation policy in `cfg`.
@@ -833,38 +91,41 @@ pub fn simulate_fleet_chaos(
     cfg: &FleetChaosConfig,
     faults: &FaultSchedule,
 ) -> FleetChaosReport {
-    let fleet = &cfg.fleet;
-    fleet.decode.validate("decode");
-    mix.decode.validate("decode", fleet.decode.max_nodes, &fleet.scheduler);
-    if let Some(p) = &fleet.prefill {
-        p.validate("prefill");
-        mix.prefill.validate("prefill", p.max_nodes, &fleet.scheduler);
-        assert_eq!(
-            prefill_nodes.len(),
-            p.max_nodes,
-            "prefill pool needs one executor per potential node"
-        );
-    } else {
-        assert!(prefill_nodes.is_empty(), "monolithic fleet takes no prefill executors");
+    let mut sim =
+        ServingLoop::fleet(prefill_nodes, decode_nodes, mix, &cfg.fleet, cfg.recovery, cfg.degrade);
+    let faults_injected = faults.inject(sim.queue(), prefill_nodes.len() + decode_nodes.len());
+    let out = sim.run(workload);
+    let c = out.counters;
+    FleetChaosReport {
+        fleet: out.fleet,
+        recovery: cfg.recovery.name().to_string(),
+        degrade: cfg.degrade.name(),
+        faults_injected,
+        crashes: c.crashes,
+        availability: out.availability,
+        node_downtime_s: out.node_downtime_s,
+        lost_tokens: c.lost_tokens,
+        recomputed_tokens: c.recomputed_tokens,
+        migrated_kv_tokens: c.migrated_kv_tokens,
+        recovery_reships: c.recovery_reships,
+        recovery_reshipped_bytes: c.recovery_reshipped_bytes,
+        shed_requests: c.shed_requests,
+        shed_tokens: c.shed_tokens,
+        browned_out_requests: c.browned_out,
+        deferred_redispatches: c.deferred_redispatches,
+        unique_completed: out.unique_completed,
+        requests_in_slo: out.requests_in_slo,
+        goodput_under_failure_tokens_per_s: out.goodput_under_failure_tokens_per_s,
     }
-    assert_eq!(
-        decode_nodes.len(),
-        fleet.decode.max_nodes,
-        "decode pool needs one executor per potential node"
-    );
-    cfg.degrade.validate();
-
-    let mut sim = FleetChaosSim::new(prefill_nodes, decode_nodes, mix, cfg);
-    let faults_injected = faults.inject(&mut sim.q, sim.n);
-    sim.run(workload);
-    sim.into_report(faults_injected)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use attacc_cluster::{simulate_fleet_mix, AutoscalerConfig, InterconnectModel, PoolConfig,
-        SloSpec};
+    use attacc_cluster::{
+        simulate_fleet_mix, AutoscalerConfig, InterconnectModel, PoolConfig, ScaleDirection,
+        SloSpec,
+    };
     use attacc_serving::{SchedulerConfig, StageCost};
 
     struct Toy;

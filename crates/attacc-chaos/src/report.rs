@@ -8,24 +8,11 @@
 //! tokens lost to crashes, recomputed by re-prefill, or re-shipped by KV
 //! migration.
 
+pub use attacc_cluster::RequestOutcome;
 use attacc_cluster::{ClusterReport, FleetReport};
 use attacc_sim::Table;
 #[cfg(feature = "serde")]
 use serde::{Deserialize, Serialize};
-
-/// Per-request outcome of a chaos run — the request-level view the
-/// integrity layer folds corruption events into (a corrupted token can
-/// demote an otherwise-good request without re-running the event loop).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub struct RequestOutcome {
-    /// Logical request id (arrival order).
-    pub id: u64,
-    /// Output tokens the request generated.
-    pub l_out: u64,
-    /// Whether its earliest first token met the TTFT SLO.
-    pub in_slo: bool,
-}
 
 /// Outcome of a chaos simulation.
 #[derive(Debug, Clone, PartialEq)]

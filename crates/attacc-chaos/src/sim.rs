@@ -1,25 +1,19 @@
-//! The chaos simulation driver: the cluster event loop plus fault
-//! transitions and a resilience layer in front of the router.
+//! The cluster chaos entry point: a static cluster under a fault timeline
+//! and a resilience policy in front of the router.
 //!
-//! [`simulate_chaos`] is a strict superset of
-//! [`attacc_cluster::simulate_cluster`]: the Arrival → Deliver →
-//! NodeReady machinery is replicated operation-for-operation (same load
-//! snapshots, same float expressions, same makespan accounting), and the
-//! fault/resilience paths are written to be *exactly* inert when unused —
-//! an all-`true` eligibility mask routes identically, a link factor of
-//! `1.0` multiplies delays by exactly `1.0`, and no timers exist under
-//! [`ResiliencePolicy::off`]. That is what makes the zero-fault
-//! equivalence contract (pinned in `tests/cluster_equivalence.rs`)
+//! [`simulate_chaos`] runs the one serving loop
+//! ([`attacc_cluster::ServingLoop::cluster`]) with the fault transitions
+//! pre-loaded. Under a zero-fault schedule and [`ResiliencePolicy::off`]
+//! every fault and policy path is inert — an all-up cluster routes
+//! exactly as `simulate_cluster`, a link factor of `1.0` multiplies
+//! delays by exactly `1.0`, and no timers exist — so the zero-fault
+//! equivalence contract (pinned in `tests/cluster_equivalence.rs`) is
 //! bit-exact rather than merely close.
 
 use crate::fault::FaultSchedule;
-use crate::policy::{RecoveryMode, ResiliencePolicy};
+use crate::policy::ResiliencePolicy;
 use crate::report::ChaosReport;
-use attacc_cluster::{
-    splitmix64, ClusterConfig, ClusterReport, EventKind, EventQueue, NodeEngine, NodeLoad, Router,
-    RouterPolicy,
-};
-use attacc_model::Request;
+use attacc_cluster::{ClusterConfig, ServingLoop};
 use attacc_serving::{ArrivalWorkload, StageExecutor};
 #[cfg(feature = "serde")]
 use serde::{Deserialize, Serialize};
@@ -47,521 +41,6 @@ impl ChaosConfig {
     }
 }
 
-/// Request ids interned to dense indices so per-request state lives in a
-/// flat `Vec` instead of a `BTreeMap`. The workload generators assign
-/// dense ids `0..n` (detected at build time), making a lookup a plain
-/// index; arbitrary id sets fall back to binary search over the sorted
-/// unique ids. Either way index order equals ascending id order, which
-/// keeps report iteration byte-identical to the old `BTreeMap` walk.
-#[derive(Debug, Default)]
-pub(crate) struct RequestIndex {
-    /// Number of distinct ids.
-    pub(crate) len: usize,
-    /// Sorted unique ids; empty when ids are exactly `0..len`.
-    sparse: Vec<u64>,
-}
-
-impl RequestIndex {
-    pub(crate) fn build(workload: &ArrivalWorkload) -> RequestIndex {
-        let mut ids: Vec<u64> = workload.arrivals.iter().map(|&(_, r)| r.id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        let dense = ids.iter().enumerate().all(|(i, &id)| id == i as u64);
-        RequestIndex { len: ids.len(), sparse: if dense { Vec::new() } else { ids } }
-    }
-
-    pub(crate) fn index_of(&self, id: u64) -> usize {
-        if self.sparse.is_empty() {
-            id as usize
-        } else {
-            self.sparse.binary_search(&id).expect("tracked request id")
-        }
-    }
-
-    pub(crate) fn id_at(&self, idx: usize) -> u64 {
-        if self.sparse.is_empty() {
-            idx as u64
-        } else {
-            self.sparse[idx]
-        }
-    }
-}
-
-/// Per-logical-request bookkeeping, stored in a flat `Vec` indexed by the
-/// interned request id (see [`RequestIndex`]) so iteration order — and
-/// therefore every derived statistic — is deterministic.
-#[derive(Debug, Clone, Copy)]
-struct Track {
-    /// Front-door arrival time.
-    arrival_s: f64,
-    /// The original request (re-dispatches and hedges duplicate this).
-    request: Request,
-    /// Dispatch attempts so far (initial dispatch = 1).
-    attempts: u32,
-    /// Whether the hedged duplicate has been issued.
-    hedged: bool,
-    /// Earliest first token across all copies.
-    first_token_s: Option<f64>,
-    /// Earliest completion across all copies.
-    completed_s: Option<f64>,
-    /// Copies that ran to completion (> 1 means duplicated work).
-    completions: u64,
-}
-
-struct ChaosSim<'a, 'b> {
-    cfg: &'b ChaosConfig,
-    engines: Vec<NodeEngine<'a>>,
-    router: Router,
-    n: usize,
-    q: EventQueue,
-    in_flight: Vec<u64>,
-    in_flight_tokens: Vec<u64>,
-    ready_scheduled: Vec<bool>,
-    busy_until: Vec<f64>,
-    up: Vec<bool>,
-    link_factor: f64,
-    /// EWMA of per-token round latency, the health signal.
-    ewma: Vec<Option<f64>>,
-    makespan: f64,
-    ids: RequestIndex,
-    trackers: Vec<Option<Track>>,
-    /// Load-snapshot scratch reused across dispatches.
-    loads_scratch: Vec<NodeLoad>,
-    /// Eligibility-mask scratch reused across dispatches.
-    mask_scratch: Vec<bool>,
-    crashes: u64,
-    retries: u64,
-    hedges: u64,
-    timeouts_exhausted: u64,
-    lost_tokens: u64,
-    recomputed_tokens: u64,
-    migrated_kv_tokens: u64,
-    /// `(node, down_s, up_s)` windows, clamped to the makespan at report
-    /// time.
-    downtime: Vec<(usize, f64, f64)>,
-    down_since: Vec<Option<f64>>,
-}
-
-impl<'a, 'b> ChaosSim<'a, 'b> {
-    fn new(nodes: &[&'a dyn StageExecutor], cfg: &'b ChaosConfig) -> ChaosSim<'a, 'b> {
-        let n = nodes.len();
-        ChaosSim {
-            cfg,
-            engines: nodes.iter().map(|e| NodeEngine::new(*e, cfg.cluster.scheduler)).collect(),
-            router: Router::new(cfg.cluster.policy),
-            n,
-            q: EventQueue::new(),
-            in_flight: vec![0; n],
-            in_flight_tokens: vec![0; n],
-            ready_scheduled: vec![false; n],
-            busy_until: vec![0.0; n],
-            up: vec![true; n],
-            link_factor: 1.0,
-            ewma: vec![None; n],
-            makespan: 0.0,
-            ids: RequestIndex::default(),
-            trackers: Vec::new(),
-            loads_scratch: Vec::with_capacity(n),
-            mask_scratch: Vec::with_capacity(n),
-            crashes: 0,
-            retries: 0,
-            hedges: 0,
-            timeouts_exhausted: 0,
-            lost_tokens: 0,
-            recomputed_tokens: 0,
-            migrated_kv_tokens: 0,
-            downtime: Vec::new(),
-            down_since: vec![None; n],
-        }
-    }
-
-    /// The routing mask: all nodes when routing is failure-blind;
-    /// otherwise up-and-not-degraded, falling back to up, falling back to
-    /// everyone (so a dispatch always has a destination — at worst it
-    /// parks at a dead node's door until recovery).
-    fn fill_eligibility(&self, mask: &mut Vec<bool>) {
-        mask.clear();
-        if !self.cfg.policy.health.enabled {
-            mask.resize(self.n, true);
-            return;
-        }
-        mask.extend_from_slice(&self.up);
-        let best = (0..self.n)
-            .filter(|&i| self.up[i])
-            .filter_map(|i| self.ewma[i])
-            .fold(f64::INFINITY, f64::min);
-        if best.is_finite() {
-            let cut = self.cfg.policy.health.degraded_factor * best;
-            for (i, m) in mask.iter_mut().enumerate() {
-                if *m && self.ewma[i].is_some_and(|e| e > cut) {
-                    *m = false;
-                }
-            }
-        }
-        if !mask.iter().any(|&m| m) {
-            mask.copy_from_slice(&self.up);
-        }
-        if !mask.iter().any(|&m| m) {
-            mask.fill(true);
-        }
-    }
-
-    /// Routes and ships one copy of `request`, warm or cold. Mirrors the
-    /// Arrival arm of `simulate_cluster` exactly when the mask is
-    /// all-`true`, `warm` is false, and the link factor is 1.
-    fn dispatch(&mut self, now: f64, arrival_s: f64, request: Request, warm: bool) {
-        let mut loads = std::mem::take(&mut self.loads_scratch);
-        loads.clear();
-        loads.extend((0..self.n).map(|i| NodeLoad {
-            backlog: self.in_flight[i]
-                + self.engines[i].queued_len() as u64
-                + self.engines[i].active_len() as u64,
-            kv_tokens: self.in_flight_tokens[i] + self.engines[i].pledged_tokens(),
-        }));
-        let mut mask = std::mem::take(&mut self.mask_scratch);
-        self.fill_eligibility(&mut mask);
-        let decision = self.router.route_among(request.id, &loads, &mask);
-        self.loads_scratch = loads;
-        self.mask_scratch = mask;
-        let delay = if self.cfg.cluster.policy == RouterPolicy::PassThrough {
-            0.0
-        } else {
-            let ic = &self.cfg.cluster.interconnect;
-            let mut d = ic.ship_prompt_s(request.l_in);
-            if warm || decision.migrated {
-                d += ic.migrate_kv_s(request.l_in);
-            }
-            d * self.link_factor
-        };
-        self.in_flight[decision.node] += 1;
-        self.in_flight_tokens[decision.node] += request.final_len();
-        self.q.push(
-            now + delay,
-            EventKind::Deliver { node: decision.node, arrival_s, request, warm },
-        );
-    }
-
-    /// Deterministic retry jitter: a seeded fraction of the backoff for
-    /// this (request, attempt) pair.
-    fn jitter(&self, id: u64, attempt: u32) -> f64 {
-        let p = &self.cfg.policy.retry;
-        let backoff = p.backoff_s(attempt);
-        if backoff <= 0.0 || p.jitter_frac <= 0.0 {
-            return 0.0;
-        }
-        let bits = splitmix64(self.cfg.seed ^ (id << 8) ^ u64::from(attempt));
-        let frac = (bits >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0);
-        backoff * p.jitter_frac * frac
-    }
-
-    /// Arms the retry timer for dispatch attempt `attempt`, measured from
-    /// `dispatched_s`.
-    fn arm_retry_timer(&mut self, id: u64, attempt: u32, dispatched_s: f64) {
-        let p = &self.cfg.policy.retry;
-        if !p.timeouts_enabled() {
-            return;
-        }
-        let at = dispatched_s + p.timeout_s + p.backoff_s(attempt) + self.jitter(id, attempt);
-        self.q.push(at, EventKind::Timer { id, attempt, hedge: false });
-    }
-
-    fn on_arrival(&mut self, now: f64, request: Request) {
-        self.trackers[self.ids.index_of(request.id)] = Some(Track {
-            arrival_s: now,
-            request,
-            attempts: 1,
-            hedged: false,
-            first_token_s: None,
-            completed_s: None,
-            completions: 0,
-        });
-        self.dispatch(now, now, request, false);
-        self.arm_retry_timer(request.id, 1, now);
-        if let Some(h) = self.cfg.policy.retry.hedge_after_s {
-            self.q.push(now + h, EventKind::Timer { id: request.id, attempt: 1, hedge: true });
-        }
-    }
-
-    fn on_deliver(&mut self, now: f64, node: usize, arrival_s: f64, request: Request, warm: bool) {
-        self.in_flight[node] -= 1;
-        self.in_flight_tokens[node] -= request.final_len();
-        if warm {
-            self.engines[node].deliver_warm(arrival_s, request);
-        } else {
-            self.engines[node].deliver(arrival_s, request);
-        }
-        // A down node's door still accepts the package, but nobody is
-        // home to run rounds: the NodeUp handler pokes it on recovery.
-        if self.up[node] && !self.ready_scheduled[node] {
-            self.ready_scheduled[node] = true;
-            self.q.push(now.max(self.busy_until[node]), EventKind::NodeReady { node });
-        }
-    }
-
-    fn on_node_ready(&mut self, now: f64, node: usize) {
-        self.ready_scheduled[node] = false;
-        let mut now = now;
-        loop {
-            if !self.up[node] || self.engines[node].is_drained() {
-                return;
-            }
-            let out = self.engines[node].run_round(now);
-            self.busy_until[node] = out.end_s;
-            self.makespan = self.makespan.max(out.end_s);
-            for &(id, ts) in self.engines[node].first_tokens() {
-                let tr = self.trackers[self.ids.index_of(id)]
-                    .as_mut()
-                    .expect("first token for tracked request");
-                tr.first_token_s = Some(tr.first_token_s.map_or(ts, |p| p.min(ts)));
-            }
-            for &(id, ts) in self.engines[node].retired_log() {
-                let tr = self.trackers[self.ids.index_of(id)]
-                    .as_mut()
-                    .expect("retirement for tracked request");
-                tr.completions += 1;
-                tr.completed_s = Some(tr.completed_s.map_or(ts, |p| p.min(ts)));
-            }
-            self.engines[node].clear_round_logs();
-            if out.tokens > 0 {
-                let sample = (out.end_s - now) / out.tokens as f64;
-                let alpha = self.cfg.policy.health.ewma_alpha;
-                self.ewma[node] =
-                    Some(self.ewma[node].map_or(sample, |e| alpha * sample + (1.0 - alpha) * e));
-            }
-            if self.engines[node].is_drained() {
-                return;
-            }
-            // The wake-up we would push at `out.end_s` carries the
-            // maximum kind rank and sequence number, so it pops next iff
-            // every pending event is strictly later (by `total_cmp`, the
-            // queue's time order) — in that case the pop would re-enter
-            // this handler immediately: run the next round inline
-            // instead. A pending fault transition, arrival, or timer at
-            // or before `out.end_s` must run first (it could take this
-            // node down), so fall back to the queue round-trip.
-            let next_round_pops_first = self
-                .q
-                .next_time()
-                .is_none_or(|nt| nt.total_cmp(&out.end_s) == std::cmp::Ordering::Greater);
-            if !next_round_pops_first {
-                self.ready_scheduled[node] = true;
-                self.q.push(out.end_s, EventKind::NodeReady { node });
-                return;
-            }
-            now = out.end_s;
-        }
-    }
-
-    fn on_node_down(&mut self, now: f64, node: usize) {
-        self.crashes += 1;
-        if self.up[node] {
-            self.up[node] = false;
-            self.down_since[node] = Some(now);
-        }
-        let wreck = self.engines[node].crash(now);
-        self.lost_tokens += wreck.lost_tokens;
-        for d in wreck.displaced {
-            // Tokens whose KV state existed somewhere when the node died:
-            // the whole context for admitted requests, the migrated image
-            // for warm-queued ones, nothing for cold-queued ones.
-            let kv_built = if d.progress > 0 {
-                d.request.l_in + d.progress
-            } else if d.warm {
-                d.request.l_in
-            } else {
-                0
-            };
-            let folded = if d.progress > 0 {
-                Request::new(
-                    d.request.id,
-                    d.request.l_in + d.progress,
-                    d.request.l_out - d.progress,
-                )
-            } else {
-                d.request
-            };
-            match self.cfg.policy.recovery {
-                RecoveryMode::KvMigrate if kv_built > 0 => {
-                    self.migrated_kv_tokens += kv_built;
-                    self.dispatch(now, d.arrival_s, folded, true);
-                }
-                _ => {
-                    self.recomputed_tokens += kv_built;
-                    self.dispatch(now, d.arrival_s, folded, false);
-                }
-            }
-        }
-    }
-
-    fn on_node_up(&mut self, now: f64, node: usize) {
-        if self.up[node] {
-            return;
-        }
-        self.up[node] = true;
-        if let Some(since) = self.down_since[node].take() {
-            self.downtime.push((node, since, now));
-        }
-        if !self.engines[node].is_drained() && !self.ready_scheduled[node] {
-            self.ready_scheduled[node] = true;
-            self.q.push(now.max(self.busy_until[node]), EventKind::NodeReady { node });
-        }
-    }
-
-    fn on_timer(&mut self, now: f64, id: u64, hedge: bool) {
-        let idx = self.ids.index_of(id);
-        let tr = self.trackers[idx].expect("timer for tracked request");
-        if tr.first_token_s.is_some() {
-            return; // the request is making progress; the timer is moot
-        }
-        if hedge {
-            if tr.hedged {
-                return;
-            }
-            self.trackers[idx].as_mut().expect("tracked").hedged = true;
-            self.hedges += 1;
-            self.makespan = self.makespan.max(now);
-            self.dispatch(now, tr.arrival_s, tr.request, false);
-        } else {
-            if tr.attempts > self.cfg.policy.retry.max_retries {
-                self.timeouts_exhausted += 1;
-                return;
-            }
-            let attempt = tr.attempts + 1;
-            self.trackers[idx].as_mut().expect("tracked").attempts = attempt;
-            self.retries += 1;
-            self.makespan = self.makespan.max(now);
-            self.dispatch(now, tr.arrival_s, tr.request, false);
-            self.arm_retry_timer(id, attempt, now);
-        }
-    }
-
-    fn run(&mut self, workload: &ArrivalWorkload) {
-        self.ids = RequestIndex::build(workload);
-        self.trackers = vec![None; self.ids.len];
-        // Same deterministic KV-timeline stride and metric pre-sizing as
-        // simulate_cluster, so the zero-fault parity pin stays bit-exact.
-        let stride = attacc_cluster::kv_stride_for(workload.arrivals.len());
-        let hint = workload.arrivals.len() / self.n + 1;
-        for e in &mut self.engines {
-            e.set_kv_stride(stride);
-            e.reserve_metrics(hint);
-        }
-        for &(t, request) in &workload.arrivals {
-            self.q.push(t, EventKind::Arrival { request });
-        }
-        while let Some(ev) = self.q.pop() {
-            match ev.kind {
-                // Work events advance the makespan exactly as in
-                // simulate_cluster; fault transitions and moot timers do
-                // not (a recovery long after the drain is not "work").
-                EventKind::Arrival { request } => {
-                    self.makespan = self.makespan.max(ev.time_s);
-                    self.on_arrival(ev.time_s, request);
-                }
-                EventKind::Deliver { node, arrival_s, request, warm } => {
-                    self.makespan = self.makespan.max(ev.time_s);
-                    self.on_deliver(ev.time_s, node, arrival_s, request, warm);
-                }
-                EventKind::NodeReady { node } => {
-                    self.makespan = self.makespan.max(ev.time_s);
-                    self.on_node_ready(ev.time_s, node);
-                }
-                EventKind::NodeDown { node } => self.on_node_down(ev.time_s, node),
-                EventKind::NodeUp { node } => self.on_node_up(ev.time_s, node),
-                EventKind::Slowdown { node, factor } => self.engines[node].set_slowdown(factor),
-                EventKind::LinkFactor { factor } => self.link_factor = factor,
-                EventKind::Timer { id, attempt: _, hedge } => self.on_timer(ev.time_s, id, hedge),
-                EventKind::ScaleTick => {
-                    unreachable!("fleet autoscaler events cannot appear in the chaos loop")
-                }
-            }
-        }
-    }
-
-    fn into_report(mut self, faults_injected: u64) -> ChaosReport {
-        let slo = self.cfg.cluster.slo;
-        let cluster = ClusterReport::from_engines(
-            self.cfg.cluster.policy.name(),
-            &mut self.engines,
-            self.makespan,
-            &slo,
-        );
-
-        let mut unique_completed = 0u64;
-        let mut requests_in_slo = 0u64;
-        let mut goodput_tokens = 0u64;
-        let mut duplicate_completions = 0u64;
-        // Interned-index iteration gives ascending request-id order —
-        // part of the byte-identical determinism contract.
-        let mut request_outcomes = Vec::new();
-        for (idx, slot) in self.trackers.iter().enumerate() {
-            let Some(tr) = slot else { continue };
-            let id = self.ids.id_at(idx);
-            if tr.completed_s.is_none() {
-                continue;
-            }
-            unique_completed += 1;
-            duplicate_completions += tr.completions.saturating_sub(1);
-            let in_slo = tr.first_token_s.is_some_and(|ft| ft - tr.arrival_s <= slo.ttft_s);
-            if in_slo {
-                requests_in_slo += 1;
-                goodput_tokens += tr.request.l_out;
-            }
-            request_outcomes.push(crate::report::RequestOutcome {
-                id,
-                l_out: tr.request.l_out,
-                in_slo,
-            });
-        }
-
-        // Unfinished windows (a schedule ending mid-outage) run to the
-        // makespan; every window is clamped to it for availability.
-        for (node, since) in self.down_since.iter().enumerate() {
-            if let Some(s) = since {
-                self.downtime.push((node, *s, self.makespan));
-            }
-        }
-        let mut node_downtime_s = vec![0.0f64; self.n];
-        for &(node, d, u) in &self.downtime {
-            let clamped = u.min(self.makespan) - d.min(self.makespan);
-            if clamped > 0.0 {
-                node_downtime_s[node] += clamped;
-            }
-        }
-        let total_down: f64 = node_downtime_s.iter().sum();
-        let availability = if self.makespan > 0.0 {
-            1.0 - total_down / (self.n as f64 * self.makespan)
-        } else {
-            1.0
-        };
-
-        ChaosReport {
-            policy: self.cfg.policy.name(),
-            recovery: self.cfg.policy.recovery.name().to_string(),
-            cluster,
-            faults_injected,
-            crashes: self.crashes,
-            availability,
-            node_downtime_s,
-            retries: self.retries,
-            hedges: self.hedges,
-            timeouts_exhausted: self.timeouts_exhausted,
-            lost_tokens: self.lost_tokens,
-            recomputed_tokens: self.recomputed_tokens,
-            migrated_kv_tokens: self.migrated_kv_tokens,
-            unique_completed,
-            duplicate_completions,
-            requests_in_slo,
-            goodput_under_failure_tokens_per_s: if self.makespan > 0.0 {
-                goodput_tokens as f64 / self.makespan
-            } else {
-                0.0
-            },
-            request_outcomes,
-        }
-    }
-}
-
 /// Runs `workload` through a cluster of one node per executor in `nodes`,
 /// under fault timeline `faults` and the resilience policy in `cfg`.
 ///
@@ -581,17 +60,37 @@ pub fn simulate_chaos(
     cfg: &ChaosConfig,
     faults: &FaultSchedule,
 ) -> ChaosReport {
-    assert!(!nodes.is_empty(), "cluster needs at least one node");
-    let mut sim = ChaosSim::new(nodes, cfg);
-    let faults_injected = faults.inject(&mut sim.q, nodes.len());
-    sim.run(workload);
-    sim.into_report(faults_injected)
+    let mut sim = ServingLoop::cluster(nodes, &cfg.cluster, cfg.policy, cfg.seed);
+    let faults_injected = faults.inject(sim.queue(), nodes.len());
+    let out = sim.run(workload);
+    let c = out.counters;
+    ChaosReport {
+        policy: cfg.policy.name(),
+        recovery: cfg.policy.recovery.name().to_string(),
+        cluster: out.fleet.cluster,
+        faults_injected,
+        crashes: c.crashes,
+        availability: out.availability,
+        node_downtime_s: out.node_downtime_s,
+        retries: c.retries,
+        hedges: c.hedges,
+        timeouts_exhausted: c.timeouts_exhausted,
+        lost_tokens: c.lost_tokens,
+        recomputed_tokens: c.recomputed_tokens,
+        migrated_kv_tokens: c.migrated_kv_tokens,
+        unique_completed: out.unique_completed,
+        duplicate_completions: out.duplicate_completions,
+        requests_in_slo: out.requests_in_slo,
+        goodput_under_failure_tokens_per_s: out.goodput_under_failure_tokens_per_s,
+        request_outcomes: out.request_outcomes,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use attacc_cluster::simulate_cluster;
+    use crate::policy::RecoveryMode;
+    use attacc_cluster::{simulate_cluster, RouterPolicy};
     use attacc_serving::{SchedulerConfig, StageCost};
 
     struct Toy;

@@ -11,9 +11,9 @@
 //! interleaving — which is what makes the whole simulator replayable.
 //!
 //! The fault-transition kinds (`NodeDown`, `NodeUp`, `Slowdown`,
-//! `LinkFactor`) and the resilience `Timer` are pushed only by the
-//! `attacc-chaos` fault-injection layer; `simulate_cluster` never emits
-//! them, so adding them cannot perturb a fault-free run.
+//! `LinkFactor`) enter the queue only when a run pre-loads a fault
+//! schedule, and a `Timer` only when a policy arms one; a fault-free run
+//! never emits them, so they cannot perturb it.
 
 use attacc_model::Request;
 use std::cmp::Ordering;
@@ -23,19 +23,19 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventKind {
     /// A node crashes: its queued and active requests lose their KV state
-    /// and return to the front door (chaos layer only).
+    /// and return to the front door (fault runs only).
     NodeDown {
         /// The crashing node.
         node: usize,
     },
     /// A crashed node recovers: capacity is restored, state is not
-    /// (chaos layer only).
+    /// (fault runs only).
     NodeUp {
         /// The recovering node.
         node: usize,
     },
     /// A node's execution slows down by a multiplicative factor
-    /// (straggler start at `factor > 1`, end at `factor = 1`; chaos layer
+    /// (straggler start at `factor > 1`, end at `factor = 1`; fault runs
     /// only).
     Slowdown {
         /// The straggling node.
@@ -45,7 +45,7 @@ pub enum EventKind {
     },
     /// The front-door interconnect degrades: every transfer delay is
     /// multiplied by `factor` (degradation start at `factor > 1`, end at
-    /// `factor = 1`; chaos layer only).
+    /// `factor = 1`; fault runs only).
     LinkFactor {
         /// Multiplier applied to every interconnect transfer from now on.
         factor: f64,
@@ -65,17 +65,19 @@ pub enum EventKind {
         arrival_s: f64,
         /// The delivered request.
         request: Request,
-        /// Whether the request arrives with a migrated KV image and skips
-        /// its Sum stage (chaos KV-migration recovery only; always
-        /// `false` in `simulate_cluster`).
+        /// Whether the request arrives with a shipped KV image and skips
+        /// its Sum stage (prefill hand-offs and KV-migration recovery;
+        /// always `false` in a fault-free monolithic run).
         warm: bool,
     },
-    /// A resilience-policy timer (retry timeout or hedge delay) for one
-    /// logical request fires (chaos layer only).
+    /// A policy timer fires: a retry timeout or hedge delay for one
+    /// logical request, or (attempt 0) a storm-guard re-dispatch of
+    /// crash-displaced work.
     Timer {
-        /// The logical request id the timer watches.
+        /// The logical request id the timer watches; for attempt 0, the
+        /// parked re-dispatch's slot.
         id: u64,
-        /// The dispatch attempt that armed the timer.
+        /// The dispatch attempt that armed the timer (0 = storm guard).
         attempt: u32,
         /// `true` for a hedge timer, `false` for a retry timeout.
         hedge: bool,
@@ -86,11 +88,10 @@ pub enum EventKind {
         /// The node to wake.
         node: usize,
     },
-    /// The autoscaler's periodic evaluation point (fleet layer only;
-    /// `simulate_cluster` never emits it). Ranked after `NodeReady` so a
-    /// tick at the same virtual time observes the fleet *after* every
-    /// round that completes at that instant — adding the variant cannot
-    /// perturb any existing event ordering.
+    /// The autoscaler's periodic evaluation point (autoscaled fleets
+    /// only). Ranked after `NodeReady` so a tick at the same virtual time
+    /// observes the fleet *after* every round that completes at that
+    /// instant — ticks cannot perturb any other event ordering.
     ScaleTick,
 }
 

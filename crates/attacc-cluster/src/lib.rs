@@ -8,6 +8,12 @@
 //! AttAcc boxes does a workload need, which routing policy holds the
 //! p99.9 tail, and what goodput survives a latency SLO.
 //!
+//! One event loop, [`ServingLoop`], serves every shape: a static cluster
+//! ([`simulate_cluster`]), an autoscaled and possibly disaggregated fleet
+//! ([`simulate_fleet`], [`simulate_fleet_mix`]), and the fault runs of
+//! `attacc-chaos`, which pre-load fault transitions and read the
+//! [`ResiliencePolicy`] / [`DegradePolicy`] defined here.
+//!
 //! The design invariants, in order of importance:
 //!
 //! 1. **Determinism.** The event queue orders by
@@ -25,7 +31,9 @@
 //!    platforms all plug in unchanged.
 //!
 //! ```
-//! use attacc_cluster::{simulate_cluster, ClusterConfig, RouterPolicy};
+//! use attacc_cluster::{
+//!     simulate_cluster, ClusterConfig, EventKind, ResiliencePolicy, RouterPolicy, ServingLoop,
+//! };
 //! use attacc_serving::{ArrivalWorkload, SchedulerConfig, StageCost, StageExecutor};
 //!
 //! struct Toy;
@@ -44,9 +52,19 @@
 //!     policy: RouterPolicy::JoinShortestQueue,
 //!     ..ClusterConfig::pass_through(SchedulerConfig::unlimited(8))
 //! };
-//! let report = simulate_cluster(&[&Toy, &Toy, &Toy, &Toy], &workload, &cfg);
+//! let nodes: [&dyn StageExecutor; 4] = [&Toy, &Toy, &Toy, &Toy];
+//! let report = simulate_cluster(&nodes, &workload, &cfg);
 //! assert_eq!(report.completed, 100);
 //! println!("{}", report.summary_table());
+//!
+//! // The same cluster through the loop itself, with node 0 down for 50 ms
+//! // and crash-aware routing sending work around it.
+//! let mut sim = ServingLoop::cluster(&nodes, &cfg, ResiliencePolicy::health_aware(), 0);
+//! sim.queue().push(0.1, EventKind::NodeDown { node: 0 });
+//! sim.queue().push(0.15, EventKind::NodeUp { node: 0 });
+//! let out = sim.run(&workload);
+//! assert_eq!((out.counters.crashes, out.unique_completed), (1, 100));
+//! assert!(out.availability < 1.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -55,6 +73,7 @@
 pub mod event;
 pub mod interconnect;
 pub mod node;
+pub mod policy;
 pub mod pools;
 pub mod report;
 pub mod router;
@@ -64,9 +83,12 @@ pub mod sim;
 pub use event::{Event, EventKind, EventQueue};
 pub use interconnect::InterconnectModel;
 pub use node::{kv_stride_for, CrashedWork, DisplacedRequest, NodeEngine, NodeRole, RoundOutcome};
+pub use policy::{
+    BrownoutConfig, DegradePolicy, HealthConfig, RecoveryMode, ResiliencePolicy, ShedConfig,
+    StormGuard,
+};
 pub use pools::{
-    route_in_pool, simulate_fleet, simulate_fleet_mix, FleetConfig, FleetMix, FleetReport, Pool,
-    PoolConfig, PoolMix,
+    simulate_fleet, simulate_fleet_mix, FleetConfig, FleetMix, FleetReport, PoolConfig, PoolMix,
 };
 pub use report::{ClusterReport, GoodputReport, NodeReport, SloSpec};
 pub use router::{splitmix64, NodeLoad, RouteDecision, Router, RouterPolicy};
@@ -74,7 +96,9 @@ pub use scale::{
     Autoscaler, AutoscalerConfig, PoolKind, PoolObservation, ScaleDirection, ScaleEvent,
     ScaleSignal,
 };
-pub use sim::{simulate_cluster, ClusterConfig};
+pub use sim::{
+    simulate_cluster, ClusterConfig, FaultCounters, LoopOutcome, RequestOutcome, ServingLoop,
+};
 
 // Re-exported so downstream callers need only this crate for a full run.
 pub use attacc_serving::StageExecutor;

@@ -13,15 +13,15 @@
 //! router reproduce the single-node report *bit-exactly* (pinned by
 //! `tests/cluster_equivalence.rs` at the workspace root).
 //!
-//! For the `attacc-chaos` fault layer the engine additionally supports
-//! failure semantics: [`NodeEngine::crash`] evicts all queued and active
-//! work (KV state is lost; the displaced requests return to the front
-//! door), [`NodeEngine::set_slowdown`] applies a straggler's
-//! multiplicative latency factor, and [`NodeEngine::deliver_warm`] admits
-//! a request whose KV image was re-migrated so it skips its Sum stage.
-//! All three are float-neutral when unused: a slowdown factor of `1.0`
-//! multiplies latencies by exactly `1.0` (an IEEE identity), and warm
-//! delivery / crash never occur in `simulate_cluster`.
+//! For fault runs the engine additionally supports failure semantics:
+//! [`NodeEngine::crash`] evicts all queued and active work (KV state is
+//! lost; the displaced requests return to the front door),
+//! [`NodeEngine::set_slowdown`] applies a straggler's multiplicative
+//! latency factor, and [`NodeEngine::deliver_warm`] admits a request
+//! whose KV image was shipped in so it skips its Sum stage. All three are
+//! float-neutral when unused: a slowdown factor of `1.0` multiplies
+//! latencies by exactly `1.0` (an IEEE identity), and crashes never occur
+//! in a fault-free run.
 
 use attacc_model::{Request, RequestState, SequenceStatus};
 use attacc_serving::{SchedulerConfig, StageExecutor};
@@ -57,7 +57,7 @@ pub struct RoundOutcome {
     /// never fit the KV capacity — the open-loop livelock guard).
     pub abandoned: bool,
     /// Output tokens produced this round (Sum first-tokens + Gen tokens) —
-    /// the chaos layer's EWMA health signal normalizes round latency by
+    /// the serving loop's EWMA health signal normalizes round latency by
     /// this.
     pub tokens: u64,
 }
@@ -96,9 +96,8 @@ pub struct CrashedWork {
 /// golden table and equivalence pin lives), then thin linearly with the
 /// request count so the timeline holds on the order of a thousand
 /// samples per node however long the trace — report memory stays
-/// O(nodes · samples), not O(requests). Shared by `simulate_cluster`,
-/// the fleet layer, and the chaos layer so identical workloads always
-/// sample identically.
+/// O(nodes · samples), not O(requests). The serving loop applies it on
+/// every entry point, so identical workloads always sample identically.
 #[must_use]
 pub fn kv_stride_for(n_requests: usize) -> u64 {
     ((n_requests as u64 * 2) / 1024).max(1)
@@ -159,12 +158,12 @@ pub struct NodeEngine<'a> {
     /// generated tokens into its context: `l_in' = l_in + generated`,
     /// `l_out' = l_out - generated`.
     prefilled: Vec<(f64, f64, Request)>,
-    /// `(request id, time)` of every first token emitted, for the chaos
-    /// layer's per-request TTFT tracking (drained via
-    /// [`NodeEngine::take_first_tokens`]).
+    /// `(request id, time)` of every first token emitted this round, for
+    /// the serving loop's per-request TTFT tracking (cleared after every
+    /// round via [`NodeEngine::clear_round_logs`]).
     first_tokens: Vec<(u64, f64)>,
-    /// `(request id, time)` of every retirement, for the chaos layer's
-    /// completion tracking (drained via [`NodeEngine::take_retired`]).
+    /// `(request id, time)` of every retirement this round, for the
+    /// serving loop's completion tracking (cleared likewise).
     retired: Vec<(u64, f64)>,
     /// Per-round `(count, l_in)` admission-group scratch, reused so a
     /// round allocates nothing in steady state.
@@ -351,35 +350,23 @@ impl<'a> NodeEngine<'a> {
         self.tokens
     }
 
-    /// Drains the `(request id, time)` log of first tokens emitted since
-    /// the last call.
-    pub fn take_first_tokens(&mut self) -> Vec<(u64, f64)> {
-        std::mem::take(&mut self.first_tokens)
-    }
-
-    /// Drains the `(request id, time)` log of retirements since the last
-    /// call.
-    pub fn take_retired(&mut self) -> Vec<(u64, f64)> {
-        std::mem::take(&mut self.retired)
-    }
-
     /// The `(request id, time)` first-token log accumulated since the
-    /// last drain.
+    /// last [`NodeEngine::clear_round_logs`].
     #[must_use]
     pub fn first_tokens(&self) -> &[(u64, f64)] {
         &self.first_tokens
     }
 
     /// The `(request id, time)` retirement log accumulated since the last
-    /// drain.
+    /// [`NodeEngine::clear_round_logs`].
     #[must_use]
     pub fn retired_log(&self) -> &[(u64, f64)] {
         &self.retired
     }
 
-    /// Clears both per-round logs without releasing their buffers — the
-    /// allocation-free counterpart of the `take_*` drains for a caller
-    /// that consumes the logs by reference after every round.
+    /// Clears both per-round logs without releasing their buffers. The
+    /// serving loop calls it after every round, so the logs stay one
+    /// round long instead of growing by an entry per request.
     pub fn clear_round_logs(&mut self) {
         self.first_tokens.clear();
         self.retired.clear();
@@ -680,9 +667,10 @@ mod tests {
         assert_eq!(node.tbt.len(), 2);
         assert!(node.busy_s > 0.0);
         assert_eq!(node.reserved_tokens(), 0);
-        assert_eq!(node.take_first_tokens().len(), 1);
-        assert_eq!(node.take_retired(), vec![(0, t)]);
-        assert!(node.take_retired().is_empty(), "drained log stays drained");
+        assert_eq!(node.first_tokens().len(), 1);
+        assert_eq!(node.retired_log(), [(0, t)]);
+        node.clear_round_logs();
+        assert!(node.first_tokens().is_empty() && node.retired_log().is_empty());
     }
 
     #[test]
@@ -764,7 +752,7 @@ mod tests {
         // No Sum ran: no TTFT sample, no first-token record, and the
         // round produced exactly one Gen token.
         assert!(node.ttft.is_empty());
-        assert!(node.take_first_tokens().is_empty());
+        assert!(node.first_tokens().is_empty());
         assert_eq!(out.tokens, 1);
         let mut t = out.end_s;
         while !node.is_drained() {
@@ -772,7 +760,7 @@ mod tests {
         }
         assert_eq!(node.tokens, 3);
         assert_eq!(node.completed, 1);
-        assert_eq!(node.take_retired(), vec![(7, t)]);
+        assert_eq!(node.retired_log(), [(7, t)]);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Disaggregated fleet simulation: prefill pool + decode pool +
-//! autoscaler.
+//! Fleet configuration: prefill pool + decode pool + autoscaler.
 //!
 //! [`simulate_fleet`] generalizes [`crate::simulate_cluster`] along two
 //! axes while preserving its determinism contract:
@@ -10,29 +9,23 @@
 //!   image over the [`InterconnectModel`] (charged bytes + latency) to a
 //!   PIM-heavy *decode pool* node, which resumes generation warm — no
 //!   second Sum. Single-token requests finish at prefill and never ship.
-//! - **Autoscaling**: an optional [`Autoscaler`] evaluates each pool on a
-//!   periodic `ScaleTick`, activating nodes (which accept work only after
-//!   the cold-start delay) or deactivating them (they drain; the router
-//!   stops considering them) within per-pool `[min, max]` bounds, with a
-//!   hysteresis window forbidding out→in flapping.
+//! - **Autoscaling**: an optional [`crate::Autoscaler`] evaluates each
+//!   pool on a periodic `ScaleTick`, activating nodes (which accept work
+//!   only after the cold-start delay) or deactivating them (they drain;
+//!   the router stops considering them) within per-pool `[min, max]`
+//!   bounds, with a hysteresis window forbidding out→in flapping.
 //!
-//! **Equivalence pin:** with no prefill pool, a static decode pool, and no
-//! autoscaler, the event sequence below is line-for-line the
-//! `simulate_cluster` loop — `tests/cluster_equivalence.rs` pins the
-//! resulting [`ClusterReport`] bit-exact against it. Everything the fleet
-//! layer adds is gated so the monolithic path executes the identical
-//! float operations in the identical order.
+//! Both run in the one serving loop ([`crate::ServingLoop`]); a monolithic
+//! static fleet is exactly the `simulate_cluster` shape, and
+//! `tests/cluster_equivalence.rs` pins the resulting [`ClusterReport`]
+//! bit-exact against it.
 
-use crate::event::{EventKind, EventQueue};
-use crate::node::{kv_stride_for, NodeEngine, NodeRole};
+use crate::policy::{DegradePolicy, RecoveryMode};
 use crate::report::{ClusterReport, SloSpec};
-use crate::router::{NodeLoad, Router, RouterPolicy};
-use crate::scale::{
-    Autoscaler, AutoscalerConfig, PoolKind, PoolObservation, ScaleDirection, ScaleEvent,
-};
-use crate::sim::ClusterConfig;
+use crate::router::{Router, RouterPolicy};
+use crate::scale::{AutoscalerConfig, PoolKind, ScaleEvent};
+use crate::sim::{ClusterConfig, ServingLoop};
 use crate::InterconnectModel;
-use attacc_model::Request;
 use attacc_serving::{ArrivalWorkload, SchedulerConfig, StageExecutor};
 #[cfg(feature = "serde")]
 use serde::{Deserialize, Serialize};
@@ -141,8 +134,7 @@ pub struct PoolMix {
 }
 
 impl PoolMix {
-    /// Checks lengths against the pool bounds and weight sanity. Public
-    /// so strict-superset drivers validate with the same messages.
+    /// Checks lengths against the pool bounds and weight sanity.
     ///
     /// # Panics
     /// Panics when a length or weight is inconsistent.
@@ -235,12 +227,9 @@ pub struct FleetReport {
     pub first_route_s: Vec<Option<f64>>,
 }
 
-/// Per-pool bookkeeping for a fleet event loop.
-///
-/// Public so strict-superset drivers (the fleet-chaos loop in
-/// `attacc-chaos`) reuse the exact routing/eligibility/billing state —
-/// and its float-op order — instead of replicating it and drifting.
-pub struct Pool {
+/// Per-pool bookkeeping of the serving loop: routing, eligibility and
+/// billing state for one pool's slice of the global node indices.
+pub(crate) struct Pool {
     /// Which pool this is (prefill or decode).
     pub kind: PoolKind,
     /// Global node-index range `[base, base + cfg.max_nodes)`.
@@ -251,10 +240,11 @@ pub struct Pool {
     pub router: Router,
     /// Routable flag per pool-local node.
     pub active: Vec<bool>,
-    /// Earliest time each pool-local node may accept work.
+    /// Earliest time each pool-local node may accept work (−∞ until a
+    /// scale-out stamps a cold start).
     pub warm_at: Vec<f64>,
     /// Activation time of each currently active node (for node-second
-    /// billing), `None` when inactive.
+    /// billing), `None` when inactive or down.
     pub active_since: Vec<Option<f64>>,
     /// Relative throughput weight per pool-local node (all 1.0 for a
     /// homogeneous pool).
@@ -270,17 +260,21 @@ pub struct Pool {
 }
 
 impl Pool {
-    /// A pool at its initial size with a pass-through router; callers
-    /// install the real policy afterwards.
-    #[must_use]
-    pub fn new(kind: PoolKind, base: usize, cfg: PoolConfig, mix: &PoolMix) -> Pool {
+    /// A pool at its initial size routing under `policy`.
+    pub fn new(
+        kind: PoolKind,
+        base: usize,
+        cfg: PoolConfig,
+        mix: &PoolMix,
+        policy: RouterPolicy,
+    ) -> Pool {
         Pool {
             kind,
             base,
             cfg,
-            router: Router::new(RouterPolicy::PassThrough), // replaced by caller
+            router: Router::new(policy),
             active: (0..cfg.max_nodes).map(|i| i < cfg.initial_nodes).collect(),
-            warm_at: vec![0.0; cfg.max_nodes],
+            warm_at: vec![f64::NEG_INFINITY; cfg.max_nodes],
             active_since: (0..cfg.max_nodes)
                 .map(|i| if i < cfg.initial_nodes { Some(0.0) } else { None })
                 .collect(),
@@ -300,13 +294,11 @@ impl Pool {
     }
 
     /// Number of active (routable) nodes.
-    #[must_use]
     pub fn active_count(&self) -> usize {
         self.active.iter().filter(|&&a| a).count()
     }
 
     /// Summed throughput weight of the active nodes.
-    #[must_use]
     pub fn active_weight(&self) -> f64 {
         self.active
             .iter()
@@ -316,9 +308,8 @@ impl Pool {
     }
 
     /// Number of active nodes that are also up under the global crash
-    /// mask — what a failure-aware autoscaler should count as capacity.
-    /// With an all-`true` mask this equals [`Pool::active_count`].
-    #[must_use]
+    /// mask — what a failure-aware autoscaler counts as capacity. With an
+    /// all-`true` mask this equals [`Pool::active_count`].
     pub fn available_count(&self, up: &[bool]) -> usize {
         (0..self.cfg.max_nodes).filter(|&i| self.active[i] && up[self.base + i]).count()
     }
@@ -326,83 +317,12 @@ impl Pool {
     /// Summed throughput weight of the active-and-up nodes. Iterates in
     /// the same index order as [`Pool::active_weight`], so with an
     /// all-`true` mask the float sum is bit-identical.
-    #[must_use]
     pub fn available_weight(&self, up: &[bool]) -> f64 {
         (0..self.cfg.max_nodes)
             .filter(|&i| self.active[i] && up[self.base + i])
             .map(|i| self.weights[i])
             .sum()
     }
-}
-
-/// Routes `request` (arrived/ready at `t`) to a warm active node of
-/// `pool`, returning `(global node, migrated flag)`. Shared by
-/// front-door arrivals, prefill→decode handoffs, and the chaos layer's
-/// recovery re-dispatches, so the eligibility and cold-start rules live
-/// in exactly one place.
-///
-/// `up` is an optional global-indexed crash mask. `None` (the
-/// fault-free fleet) and an all-`true` mask produce bit-identical
-/// decisions; with crashed nodes masked out, routing falls back to the
-/// plain active-and-warm mask only when *every* up node of the pool is
-/// down — the request then parks at a dead node's door until repair,
-/// the same semantics as `simulate_chaos`.
-///
-/// # Panics
-/// Panics if the router picks a cold node (the cold-start contract) or
-/// a crashed node while an up node was eligible (the chaos contract).
-#[allow(clippy::too_many_arguments)]
-pub fn route_in_pool(
-    pool: &mut Pool,
-    engines: &[NodeEngine],
-    in_flight: &[u64],
-    in_flight_tokens: &[u64],
-    loads: &mut Vec<NodeLoad>,
-    eligible: &mut Vec<bool>,
-    first_route_s: &mut [Option<f64>],
-    up: Option<&[bool]>,
-    t: f64,
-    id: u64,
-) -> (usize, bool) {
-    let (base, k) = (pool.base, pool.cfg.max_nodes);
-    loads.clear();
-    loads.extend((base..base + k).map(|g| NodeLoad {
-        backlog: in_flight[g] + engines[g].queued_len() as u64 + engines[g].active_len() as u64,
-        kv_tokens: in_flight_tokens[g] + engines[g].pledged_tokens(),
-    }));
-    eligible.clear();
-    eligible.extend((0..k).map(|i| pool.active[i] && pool.warm_at[i] <= t));
-    // Crash-awareness: restrict to up nodes unless the whole pool is
-    // down, in which case the plain mask stays (park at a dead door).
-    let mut pool_all_down = false;
-    if let Some(up) = up {
-        pool_all_down = !(0..k).any(|i| eligible[i] && up[base + i]);
-        if !pool_all_down {
-            for (i, e) in eligible.iter_mut().enumerate() {
-                *e = *e && up[base + i];
-            }
-        }
-    }
-    let decision = pool.router.route_weighted(id, loads, eligible, &pool.weights);
-    let g = base + decision.node;
-    // The cold-start contract: a node never sees work before its
-    // warm-up completes. The eligibility mask enforces it; this
-    // assert keeps the contract load-bearing even if the mask logic
-    // regresses.
-    assert!(
-        pool.warm_at[decision.node] <= t,
-        "routed to node {g} before its cold start completed"
-    );
-    if let Some(up) = up {
-        // The chaos contract: crashed nodes are never routed work while
-        // any up node in the pool could take it.
-        assert!(up[g] || pool_all_down, "routed to crashed node {g} while an up node was eligible");
-    }
-    pool.arrivals_since_tick += 1;
-    if first_route_s[g].is_none() {
-        first_route_s[g] = Some(t);
-    }
-    (g, decision.migrated)
 }
 
 /// Runs `workload` through a disaggregated (or monolithic) fleet.
@@ -450,339 +370,22 @@ pub fn simulate_fleet_mix(
     workload: &ArrivalWorkload,
     cfg: &FleetConfig,
 ) -> FleetReport {
-    cfg.decode.validate("decode");
-    mix.decode.validate("decode", cfg.decode.max_nodes, &cfg.scheduler);
-    if let Some(p) = &cfg.prefill {
-        p.validate("prefill");
-        mix.prefill.validate("prefill", p.max_nodes, &cfg.scheduler);
-        assert_eq!(
-            prefill_nodes.len(),
-            p.max_nodes,
-            "prefill pool needs one executor per potential node"
-        );
-    } else {
-        assert!(prefill_nodes.is_empty(), "monolithic fleet takes no prefill executors");
-    }
-    assert_eq!(
-        decode_nodes.len(),
-        cfg.decode.max_nodes,
-        "decode pool needs one executor per potential node"
+    let mut sim = ServingLoop::fleet(
+        prefill_nodes,
+        decode_nodes,
+        mix,
+        cfg,
+        RecoveryMode::Reprefill,
+        DegradePolicy::off(),
     );
-
-    let p_max = cfg.prefill.map_or(0, |p| p.max_nodes);
-    let n = p_max + cfg.decode.max_nodes;
-    let sched_of = |mix_pool: &PoolMix, i: usize| {
-        mix_pool.schedulers.get(i).copied().unwrap_or(cfg.scheduler)
-    };
-    let mut engines: Vec<NodeEngine> = prefill_nodes
-        .iter()
-        .enumerate()
-        .map(|(i, e)| NodeEngine::with_role(*e, sched_of(&mix.prefill, i), NodeRole::Prefill))
-        .chain(decode_nodes.iter().enumerate().map(|(i, e)| {
-            NodeEngine::with_role(*e, sched_of(&mix.decode, i), NodeRole::Monolithic)
-        }))
-        .collect();
-    let stride = kv_stride_for(workload.arrivals.len());
-    let hint = workload.arrivals.len() / n + 1;
-    for e in &mut engines {
-        e.set_kv_stride(stride);
-        e.reserve_metrics(hint);
-    }
-
-    let mut prefill_pool = cfg.prefill.map(|p| {
-        let mut pool = Pool::new(PoolKind::Prefill, 0, p, &mix.prefill);
-        pool.router = Router::new(cfg.policy);
-        pool
-    });
-    let mut decode_pool = Pool::new(PoolKind::Decode, p_max, cfg.decode, &mix.decode);
-    decode_pool.router = Router::new(cfg.policy);
-    let mut autoscaler = cfg.autoscaler.map(Autoscaler::new);
-
-    // Same per-node transit state as simulate_cluster, indexed globally.
-    let mut in_flight = vec![0u64; n];
-    let mut in_flight_tokens = vec![0u64; n];
-    let mut ready_scheduled = vec![false; n];
-    let mut busy_until = vec![0.0f64; n];
-    let mut first_route_s: Vec<Option<f64>> = vec![None; n];
-
-    let mut q = EventQueue::new();
-    for &(t, request) in &workload.arrivals {
-        q.push(t, EventKind::Arrival { request });
-    }
-    if let Some(a) = &autoscaler {
-        q.push(a.config().interval_s, EventKind::ScaleTick);
-    }
-
-    let mut loads: Vec<NodeLoad> = Vec::with_capacity(n);
-    let mut eligible: Vec<bool> = Vec::with_capacity(n);
-    let mut handoffs: Vec<(f64, f64, Request)> = Vec::new();
-    let mut scale_events: Vec<ScaleEvent> = Vec::new();
-    let mut node_seconds = 0.0f64;
-    let mut node_active_s = vec![0.0f64; n];
-    let mut cold_start_node_s = 0.0f64;
-    let mut kv_ships = 0u64;
-    let mut kv_shipped_bytes = 0u64;
-    let mut makespan = 0.0f64;
-
-    while let Some(ev) = q.pop() {
-        if ev.kind != EventKind::ScaleTick {
-            // Scale ticks are bookkeeping, not work: they never extend
-            // the first-arrival-to-last-completion makespan.
-            makespan = makespan.max(ev.time_s);
-        }
-        match ev.kind {
-            EventKind::Arrival { request } => {
-                let front_pool = prefill_pool.as_mut().unwrap_or(&mut decode_pool);
-                let (node, migrated) = route_in_pool(
-                    front_pool,
-                    &engines,
-                    &in_flight,
-                    &in_flight_tokens,
-                    &mut loads,
-                    &mut eligible,
-                    &mut first_route_s,
-                    None,
-                    ev.time_s,
-                    request.id,
-                );
-                // Identical to simulate_cluster's front-door charge:
-                // pass-through bypasses the link, otherwise the prompt
-                // ships (plus a KV-migration charge on an affinity spill).
-                let delay = if cfg.policy == RouterPolicy::PassThrough {
-                    0.0
-                } else {
-                    let mut d = cfg.interconnect.ship_prompt_s(request.l_in);
-                    if migrated {
-                        d += cfg.interconnect.migrate_kv_s(request.l_in);
-                    }
-                    d
-                };
-                in_flight[node] += 1;
-                in_flight_tokens[node] += request.final_len();
-                q.push(
-                    ev.time_s + delay,
-                    EventKind::Deliver { node, arrival_s: ev.time_s, request, warm: false },
-                );
-            }
-            EventKind::Deliver { node, arrival_s, request, warm } => {
-                in_flight[node] -= 1;
-                in_flight_tokens[node] -= request.final_len();
-                if warm {
-                    engines[node].deliver_warm(arrival_s, request);
-                } else {
-                    engines[node].deliver(arrival_s, request);
-                }
-                if !ready_scheduled[node] {
-                    ready_scheduled[node] = true;
-                    q.push(ev.time_s.max(busy_until[node]), EventKind::NodeReady { node });
-                }
-            }
-            EventKind::NodeReady { node } => {
-                ready_scheduled[node] = false;
-                let mut t = ev.time_s;
-                while !engines[node].is_drained() {
-                    let out = engines[node].run_round(t);
-                    busy_until[node] = out.end_s;
-                    makespan = makespan.max(out.end_s);
-                    t = out.end_s;
-                    // A prefill node hands its finished Sums off for
-                    // decode: route each, charge the KV shipment, and
-                    // deliver it warm. (Monolithic and decode nodes never
-                    // log handoffs, so this is a no-op branch for them.)
-                    engines[node].drain_prefilled_into(&mut handoffs);
-                    if !handoffs.is_empty() {
-                        for &(ready_s, _arrival_s, rest) in &handoffs {
-                            let (dest, _) = route_in_pool(
-                                &mut decode_pool,
-                                &engines,
-                                &in_flight,
-                                &in_flight_tokens,
-                                &mut loads,
-                                &mut eligible,
-                                &mut first_route_s,
-                                None,
-                                ready_s,
-                                rest.id,
-                            );
-                            let ship_s = cfg.interconnect.migrate_kv_s(rest.l_in);
-                            kv_ships += 1;
-                            kv_shipped_bytes += rest.l_in * cfg.interconnect.kv_bytes_per_token;
-                            in_flight[dest] += 1;
-                            in_flight_tokens[dest] += rest.final_len();
-                            let at = ready_s + ship_s;
-                            q.push(
-                                at,
-                                EventKind::Deliver {
-                                    node: dest,
-                                    arrival_s: at,
-                                    request: rest,
-                                    warm: true,
-                                },
-                            );
-                        }
-                        handoffs.clear();
-                    }
-                    let next_round_pops_first = q
-                        .next_time()
-                        .is_none_or(|nt| nt.total_cmp(&t) == std::cmp::Ordering::Greater);
-                    if !next_round_pops_first {
-                        if !engines[node].is_drained() {
-                            ready_scheduled[node] = true;
-                            q.push(t, EventKind::NodeReady { node });
-                        }
-                        break;
-                    }
-                }
-            }
-            EventKind::ScaleTick => {
-                let scaler = autoscaler.as_mut().expect("ScaleTick implies an autoscaler");
-                let t = ev.time_s;
-                let pools: [Option<&mut Pool>; 2] =
-                    [prefill_pool.as_mut(), Some(&mut decode_pool)];
-                for pool in pools.into_iter().flatten() {
-                    let (base, k) = (pool.base, pool.cfg.max_nodes);
-                    let active_nodes = pool.active_count();
-                    let mut backlog = 0u64;
-                    let mut reserved = 0u64;
-                    for g in base..base + k {
-                        backlog += in_flight[g]
-                            + engines[g].queued_len() as u64
-                            + engines[g].active_len() as u64;
-                        reserved += engines[g].reserved_tokens();
-                    }
-                    let kv_frac = if cfg.scheduler.kv_bytes_per_token == 0 || active_nodes == 0 {
-                        0.0
-                    } else {
-                        // A heterogeneous pool sums its active nodes'
-                        // individual capacities; the homogeneous path
-                        // keeps the single-multiply formula so its float
-                        // rounding (and hence every downstream decision)
-                        // is unchanged.
-                        let cap = match &pool.kv_caps {
-                            Some(caps) => (0..k)
-                                .filter(|&i| pool.active[i])
-                                .map(|i| caps[i] as f64)
-                                .sum(),
-                            None => active_nodes as f64 * cfg.scheduler.kv_capacity_bytes as f64,
-                        };
-                        (reserved as f64 * cfg.scheduler.kv_bytes_per_token as f64) / cap
-                    };
-                    let obs = PoolObservation {
-                        active_nodes,
-                        active_weight: pool.active_weight(),
-                        backlog,
-                        kv_frac,
-                        arrivals_since_tick: pool.arrivals_since_tick,
-                    };
-                    pool.arrivals_since_tick = 0;
-                    let action =
-                        scaler.decide(t, pool.kind, &obs, pool.cfg.min_nodes, pool.cfg.max_nodes);
-                    match action {
-                        Some(ScaleDirection::Out) => {
-                            let i = pool
-                                .active
-                                .iter()
-                                .position(|&a| !a)
-                                .expect("decide() only scales out below max");
-                            pool.active[i] = true;
-                            pool.warm_at[i] = t + scaler.config().cold_start_s;
-                            pool.active_since[i] = Some(t);
-                            pool.peak_active = pool.peak_active.max(active_nodes + 1);
-                            scale_events.push(ScaleEvent {
-                                t_s: t,
-                                pool: pool.kind,
-                                direction: ScaleDirection::Out,
-                                from_nodes: active_nodes,
-                                to_nodes: active_nodes + 1,
-                                node: base + i,
-                                warm_at_s: pool.warm_at[i],
-                            });
-                        }
-                        Some(ScaleDirection::In) => {
-                            let i = pool
-                                .active
-                                .iter()
-                                .rposition(|&a| a)
-                                .expect("decide() only scales in above min >= 1");
-                            // Never deactivate the last warm node: the
-                            // router must always have somewhere eligible
-                            // to send an arrival.
-                            let warm_actives = (0..k)
-                                .filter(|&j| pool.active[j] && pool.warm_at[j] <= t)
-                                .count();
-                            if pool.warm_at[i] <= t && warm_actives <= 1 {
-                                continue;
-                            }
-                            pool.active[i] = false;
-                            if let Some(since) = pool.active_since[i].take() {
-                                node_seconds += t - since;
-                                node_active_s[base + i] += t - since;
-                                // Time this activation spent spinning up
-                                // (warm_at > since iff the node was
-                                // scaled out with a cold start).
-                                cold_start_node_s +=
-                                    (pool.warm_at[i].min(t) - since).max(0.0);
-                            }
-                            scale_events.push(ScaleEvent {
-                                t_s: t,
-                                pool: pool.kind,
-                                direction: ScaleDirection::In,
-                                from_nodes: active_nodes,
-                                to_nodes: active_nodes - 1,
-                                node: base + i,
-                                warm_at_s: t,
-                            });
-                        }
-                        None => {}
-                    }
-                }
-                // Keep ticking only while work remains; the queue holds
-                // at most one pending tick, so a non-empty queue here
-                // means real pending work.
-                if !q.is_empty() {
-                    q.push(t + scaler.config().interval_s, EventKind::ScaleTick);
-                }
-            }
-            EventKind::NodeDown { .. }
-            | EventKind::NodeUp { .. }
-            | EventKind::Slowdown { .. }
-            | EventKind::LinkFactor { .. }
-            | EventKind::Timer { .. } => {
-                unreachable!("chaos events cannot appear in simulate_fleet")
-            }
-        }
-    }
-
-    // Close the node-second meter on everything still active.
-    for pool in [prefill_pool.as_ref(), Some(&decode_pool)].into_iter().flatten() {
-        for (i, since) in pool.active_since.iter().enumerate() {
-            let Some(since) = since else { continue };
-            node_seconds += makespan - since;
-            node_active_s[pool.base + i] += makespan - since;
-            cold_start_node_s += (pool.warm_at[i].min(makespan) - since).max(0.0);
-        }
-    }
-    let prefill_peak = prefill_pool.as_ref().map_or(0, |p| p.peak_active);
-    let cluster = ClusterReport::from_engines(cfg.policy.name(), &mut engines, makespan, &cfg.slo);
-    FleetReport {
-        cluster,
-        disaggregated: cfg.prefill.is_some(),
-        node_seconds,
-        node_active_s,
-        cold_start_node_s,
-        prefill_peak_nodes: prefill_peak,
-        decode_peak_nodes: decode_pool.peak_active,
-        kv_ships,
-        kv_shipped_bytes,
-        scale_events,
-        first_route_s,
-    }
+    sim.track = false;
+    sim.run(workload).fleet
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulate_cluster;
+    use crate::{simulate_cluster, ScaleDirection};
     use attacc_serving::StageCost;
 
     struct Toy;

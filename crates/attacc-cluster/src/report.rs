@@ -99,10 +99,10 @@ pub struct ClusterReport {
 
 impl ClusterReport {
     /// Aggregates per-node engine state into the cluster report, in node
-    /// order so the 1-node projection is the identity. This is the single
-    /// aggregation path shared by `simulate_cluster` and the chaos layer:
-    /// identical inputs produce bit-identical reports because the float
-    /// accumulation order is fixed here, once.
+    /// order so the 1-node projection is the identity. The serving loop
+    /// aggregates every entry point's run here, so identical inputs
+    /// produce bit-identical reports: the float accumulation order is
+    /// fixed here, once.
     #[must_use]
     pub fn from_engines(
         policy_name: &str,

@@ -143,8 +143,8 @@ impl Router {
     }
 
     /// Picks a destination for request `id` among the nodes whose
-    /// `eligible` flag is `true` (health-aware routing: down and degraded
-    /// nodes are masked out by the chaos layer). With an all-`true` mask
+    /// `eligible` flag is `true` (health-aware routing: the serving loop
+    /// masks out cold, down and degraded nodes). With an all-`true` mask
     /// this is exactly [`Router::route`].
     ///
     /// Eligible-set semantics per policy:

@@ -12,6 +12,9 @@
 //!    cooldown window — no scale-out immediately chased by a scale-in.
 //! 4. **Determinism**: the whole `FleetReport` is a pure function of the
 //!    inputs — two runs over the same executors agree on every field.
+//!
+//! Node-second billing is never negative on any node, even when a scale
+//! tick after the last work event opens an activation past the makespan.
 
 use attacc::cluster::{
     simulate_fleet, AutoscalerConfig, FleetConfig, InterconnectModel, PoolConfig, PoolKind,
@@ -194,5 +197,41 @@ proptest! {
         let total = (p_max + decode.max_nodes) as f64;
         prop_assert!(r.node_seconds >= 0.0);
         prop_assert!(r.node_seconds <= total * r.cluster.makespan_s + 1e-9);
+        for (g, &s) in r.node_active_s.iter().enumerate() {
+            prop_assert!(s >= 0.0, "node {} billed {} s", g, s);
+        }
+    }
+}
+
+/// Regression: a predicted-load scale-out at a tick after the last work
+/// event opens node 3's activation past the makespan. Closing it as
+/// `makespan - since` would bill about -5.5 ms; the close clamps at zero.
+#[test]
+fn late_scale_out_bills_no_negative_node_seconds() {
+    let cfg = FleetConfig {
+        prefill: None,
+        decode: PoolConfig::elastic(1, 1, 4),
+        scheduler: SchedulerConfig::unlimited(6),
+        policy: RouterPolicy::JoinShortestQueue,
+        interconnect: InterconnectModel::ethernet_400g().with_kv_bytes_per_token(64),
+        slo: SloSpec::chatbot(),
+        autoscaler: Some(AutoscalerConfig {
+            interval_s: 19e-3,
+            cold_start_s: 9.5e-3,
+            cooldown_s: 0.0,
+            signal: signal_of(2),
+        }),
+    };
+    let w = ArrivalWorkload::poisson(60, 900.0, 48, (1, 24), 0);
+    let toys = [Toy, Toy, Toy, Toy];
+    let refs: Vec<&dyn StageExecutor> = toys.iter().map(|t| t as &dyn StageExecutor).collect();
+    let r = simulate_fleet(&[], &refs, &w, &cfg);
+    let makespan = r.cluster.makespan_s;
+    assert!(
+        r.scale_events.iter().any(|e| e.node == 3 && e.t_s > makespan),
+        "the reproducer scales node 3 out after the last work event"
+    );
+    for (g, &s) in r.node_active_s.iter().enumerate() {
+        assert!(s >= 0.0, "node {g} billed {s} s");
     }
 }

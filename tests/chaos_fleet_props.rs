@@ -9,9 +9,10 @@
 //!    its envelope.
 //! 2. **Routing**: cold-starting nodes are never routed work before
 //!    warm-up, and crashed nodes are never routed work while an up node
-//!    is eligible. Both are hard-asserted inside `route_in_pool` on
-//!    every decision, so any violation panics the run; the cold-start
-//!    half is additionally re-checked here against `first_route_s`.
+//!    is eligible. Both are hard-asserted inside the serving loop's
+//!    routing on every decision, so any violation panics the run; the
+//!    cold-start half is additionally re-checked here against
+//!    `first_route_s`.
 //! 3. **Billing**: node-second billing never charges a down node — per
 //!    node, billed active time plus measured downtime fits inside the
 //!    makespan.
@@ -160,8 +161,8 @@ proptest! {
 
         // 2. Cold start: a node first activated by scale-out is never
         // routed to before its warm-up completes. (The crashed-node half
-        // of the routing contract is a hard assert inside route_in_pool:
-        // reaching this line means no run violated it.)
+        // of the routing contract is a hard assert inside the loop's
+        // routing: reaching this line means no run violated it.)
         let initially_active = |g: usize| {
             if g < p_max { g < 1 } else { g - p_max < decode.initial_nodes }
         };

@@ -499,3 +499,75 @@ fn integrity_report_is_byte_identical_cold_and_warm_cache() {
     let warm = attacc_bench::integrity_frontier(24).to_string();
     assert_eq!(cold, warm, "cache hits changed the integrity frontier");
 }
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+    /// Cross-pin of the two chaos shapes on the same faults: a cluster
+    /// chaos run whose health routing is crash-aware only (a degraded
+    /// factor of ∞ never masks an up node) with retries off and
+    /// re-prefill recovery must agree with an inert fleet-chaos run over
+    /// the same nodes as a monolithic fleet. This is what lets one
+    /// routing-mask rule serve both entry points.
+    #[test]
+    fn crash_aware_chaos_matches_inert_fleet_chaos(
+        seed in 0u64..1_000_000,
+        pol in 0usize..5,
+        n_nodes in 2usize..5,
+        rate in 60.0f64..400.0,
+        mtbf in 0.15f64..1.0,
+        mttr in 0.02f64..0.3,
+    ) {
+        use attacc::chaos::{
+            simulate_chaos, simulate_fleet_chaos, ChaosConfig, FaultSchedule, FaultSpec,
+            FleetChaosConfig, HealthConfig, ResiliencePolicy,
+        };
+        use attacc::cluster::{FleetConfig, FleetMix, InterconnectModel, RouterPolicy};
+
+        let policy = [
+            RouterPolicy::PassThrough,
+            RouterPolicy::RoundRobin,
+            RouterPolicy::JoinShortestQueue,
+            RouterPolicy::LeastKvBytes,
+            RouterPolicy::SessionAffinity { spill_backlog: 4 },
+        ][pol];
+        let cluster = ClusterConfig {
+            policy,
+            interconnect: InterconnectModel::ethernet_400g().with_kv_bytes_per_token(64),
+            ..ClusterConfig::pass_through(SchedulerConfig::unlimited(8))
+        };
+        let w = ArrivalWorkload::poisson(60, rate, 48, (4, 24), seed);
+        let faults =
+            FaultSchedule::generate(n_nodes, 2.0, &FaultSpec::crashes_only(mtbf, mttr), seed);
+        let toys: Vec<Toy> = (0..n_nodes).map(|_| Toy).collect();
+        let nodes: Vec<&dyn StageExecutor> = toys.iter().map(|t| t as &dyn StageExecutor).collect();
+
+        let health = HealthConfig { enabled: true, ewma_alpha: 0.3, degraded_factor: f64::INFINITY };
+        let cfg = ChaosConfig {
+            cluster,
+            policy: ResiliencePolicy { health, ..ResiliencePolicy::off() },
+            seed: 0,
+        };
+        let chaos = simulate_chaos(&nodes, &w, &cfg, &faults);
+        let fleet = simulate_fleet_chaos(
+            &[],
+            &nodes,
+            &FleetMix::uniform(),
+            &w,
+            &FleetChaosConfig::inert(FleetConfig::monolithic(&cluster, n_nodes)),
+            &faults,
+        );
+        proptest::prop_assert_eq!(&chaos.cluster, &fleet.fleet.cluster);
+        proptest::prop_assert_eq!(chaos.crashes, fleet.crashes);
+        proptest::prop_assert_eq!(chaos.availability.to_bits(), fleet.availability.to_bits());
+        proptest::prop_assert_eq!(&chaos.node_downtime_s, &fleet.node_downtime_s);
+        proptest::prop_assert_eq!(chaos.lost_tokens, fleet.lost_tokens);
+        proptest::prop_assert_eq!(chaos.recomputed_tokens, fleet.recomputed_tokens);
+        proptest::prop_assert_eq!(chaos.unique_completed, fleet.unique_completed);
+        proptest::prop_assert_eq!(chaos.requests_in_slo, fleet.requests_in_slo);
+        proptest::prop_assert_eq!(
+            chaos.goodput_under_failure_tokens_per_s.to_bits(),
+            fleet.goodput_under_failure_tokens_per_s.to_bits()
+        );
+    }
+}
