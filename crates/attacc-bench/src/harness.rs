@@ -1,11 +1,17 @@
-//! Shared CLI plumbing for the figure binaries.
+//! Command-line plumbing of the `attacc-bench` binary.
 //!
-//! Every `bin/` driver funnels through [`run`]: flags are parsed
-//! (`--serial` forces single-threaded sweeps, `--quiet` suppresses the
-//! stats footer, `--budget <BENCH_*.json>` enforces a wall-time
-//! budget), the driver runs as a named phase on the sweep engine,
-//! tables go to stdout, and a run report — thread count, per-phase wall
-//! time, timing-cache hit rate — goes to stderr.
+//! `attacc-bench <experiment> [flags]` looks the experiment up in the
+//! binary's name → [`Driver`] table and runs it. [`parse_args`] reads
+//! the flags: `--serial` forces single-threaded sweeps, `--quiet`
+//! suppresses the stats footer, `--budget <BENCH_*.json>` enforces a
+//! wall-time budget, `--json` (for `all` only) dumps JSON, and
+//! `--users N` (for `provision` only) sets the session count. A bad
+//! command line is an error, never a silent default. A [`Driver::Tables`]
+//! driver runs through [`run`] as a named phase on the sweep engine and
+//! its tables go to stdout; after any experiment, the run report —
+//! thread count, per-phase wall time, timing-cache hit rate — goes to
+//! stderr ([`print_stats`]) and the budget is enforced
+//! ([`enforce_budget`]).
 //!
 //! # Budget mode
 //!
@@ -13,8 +19,9 @@
 //! times against the `phase_wall_s` entries recorded in the blessed
 //! baseline file and exits non-zero when any phase runs more than
 //! [`BUDGET_HEADROOM`] over its baseline (or a baselined phase did not
-//! run at all). CI runs each `*_sim` bench this way so a performance
-//! regression fails the build instead of rotting silently.
+//! run at all). CI runs each `*_sim` experiment and `provision` this
+//! way so a performance regression fails the build instead of rotting
+//! silently.
 
 use attacc_sim::engine::{self, TimingCache};
 use attacc_sim::Table;
@@ -24,43 +31,78 @@ use attacc_sim::Table;
 /// run-to-run noise while still catching real regressions.
 pub const BUDGET_HEADROOM: f64 = 1.25;
 
-/// Flags shared by every bench driver.
-#[derive(Debug, Clone, Default)]
+/// How an experiment produces its output.
+#[derive(Debug, Clone, Copy)]
+pub enum Driver {
+    /// Returns tables that [`run`] times as a phase named after the
+    /// experiment and prints.
+    Tables(fn(&BenchArgs) -> Vec<Table>),
+    /// Prints its own output.
+    Custom(fn(&BenchArgs)),
+}
+
+/// One entry of the binary's experiment table: its name on the command
+/// line and its driver.
+pub type Experiment = (&'static str, Driver);
+
+/// A parsed command line.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BenchArgs {
+    /// `--serial`: pin the sweep engine to one thread (equivalent to
+    /// `ATTACC_THREADS=1`).
+    pub serial: bool,
     /// `--quiet`: suppress the stderr stats footer.
     pub quiet: bool,
     /// `--budget <path>`: blessed `BENCH_*.json` to enforce wall-time
     /// budgets against.
     pub budget: Option<String>,
+    /// `--json` (`all` only): print the tables as one JSON array.
+    pub json: bool,
+    /// `--users N` (`provision` only): sessions to provision for.
+    pub users: Option<u64>,
 }
 
-/// Parses the shared flags and applies the engine-relevant ones:
-/// `--serial` pins the sweep engine to one thread (equivalent to
-/// `ATTACC_THREADS=1`).
+/// The usage line, listing every experiment name.
 #[must_use]
-pub fn parse_args() -> BenchArgs {
+pub fn usage(experiments: &[Experiment]) -> String {
+    let names: Vec<&str> = experiments.iter().map(|(name, _)| *name).collect();
+    format!(
+        "usage: attacc-bench <experiment> [--serial] [--quiet] [--budget BENCH_*.json] \
+         [--json (all)] [--users N (provision)]\nexperiments: {}",
+        names.join(" ")
+    )
+}
+
+/// Parses `argv` (without the program name): the experiment name, then
+/// its flags. Rejects an unknown experiment, an unknown flag, a flag the
+/// experiment does not read, and a missing or malformed flag value.
+pub fn parse_args(
+    argv: &[String],
+    experiments: &[Experiment],
+) -> Result<(Experiment, BenchArgs), String> {
+    let (name, flags) = argv.split_first().ok_or("no experiment given")?;
+    let experiment = *experiments
+        .iter()
+        .find(|(n, _)| *n == name.as_str())
+        .ok_or_else(|| format!("unknown experiment {name:?}"))?;
+    let name = experiment.0;
     let mut args = BenchArgs::default();
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--serial" => engine::set_threads(1),
+    let mut it = flags.iter();
+    while let Some(flag) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--serial" => args.serial = true,
             "--quiet" => args.quiet = true,
-            "--budget" => {
-                args.budget = Some(argv.next().unwrap_or_else(|| {
-                    eprintln!("[attacc] --budget requires a BENCH_*.json path");
-                    std::process::exit(2);
-                }));
+            "--budget" => args.budget = Some(value()?.clone()),
+            "--json" if name == "all" => args.json = true,
+            "--users" if name == "provision" => {
+                let users = value()?.parse().ok().filter(|&n: &u64| n > 0);
+                args.users = Some(users.ok_or("--users takes a positive integer")?);
             }
-            _ => {}
+            other => return Err(format!("{name} does not take {other:?}")),
         }
     }
-    args
-}
-
-/// Applies engine-relevant CLI flags (see [`parse_args`]). Returns
-/// `true` when `--quiet` was passed.
-pub fn init_from_args() -> bool {
-    parse_args().quiet
+    Ok((experiment, args))
 }
 
 /// Prints the engine run report (threads, per-phase wall time, cache
@@ -145,7 +187,7 @@ pub fn budget_violations(
 /// Enforces the `--budget` baseline at `path` against this process's
 /// phase report, printing a verdict per phase. Exits non-zero on any
 /// violation or unreadable/malformed baseline.
-fn enforce_budget(path: &str) {
+pub fn enforce_budget(path: &str) {
     let json = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("[attacc] budget: cannot read {path}: {e}");
         std::process::exit(2);
@@ -174,31 +216,68 @@ fn enforce_budget(path: &str) {
     }
 }
 
-/// Runs a driver producing several tables: parse flags, time it as phase
-/// `name`, print the tables, then the stats footer (unless `--quiet`),
-/// then enforce the wall-time budget (when `--budget` was passed).
-pub fn run(name: &str, driver: impl FnOnce() -> Vec<Table>) {
-    let args = parse_args();
-    let tables = engine::time_phase(name, driver);
-    for t in &tables {
-        println!("{t}");
-    }
-    if !args.quiet {
-        print_stats();
-    }
-    if let Some(path) = &args.budget {
-        enforce_budget(path);
-    }
+/// Renders tables the way every experiment prints them: each table
+/// followed by one blank line.
+#[must_use]
+pub fn render(tables: &[Table]) -> String {
+    tables.iter().map(|t| format!("{t}\n")).collect()
 }
 
-/// [`run`] for a driver producing a single table.
-pub fn run_one(name: &str, driver: impl FnOnce() -> Table) {
-    run(name, || vec![driver()]);
+/// Runs a [`Driver::Tables`] driver as phase `name` and prints its
+/// tables.
+pub fn run(name: &str, driver: impl FnOnce() -> Vec<Table>) {
+    print!("{}", render(&engine::time_phase(name, driver)));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const EXPERIMENTS: &[Experiment] = &[
+        ("fig13", Driver::Custom(|_| {})),
+        ("all", Driver::Custom(|_| {})),
+        ("provision", Driver::Custom(|_| {})),
+    ];
+
+    fn parse(command_line: &str) -> Result<BenchArgs, String> {
+        let argv: Vec<String> = command_line.split_whitespace().map(String::from).collect();
+        parse_args(&argv, EXPERIMENTS).map(|(_, args)| args)
+    }
+
+    #[test]
+    fn parses_shared_and_experiment_flags() {
+        let args = parse("fig13 --serial --quiet --budget BENCH_x.json").unwrap();
+        assert!(args.serial && args.quiet && args.budget.as_deref() == Some("BENCH_x.json"));
+        assert!(parse("all --json").unwrap().json);
+        assert_eq!(parse("provision --users 96").unwrap().users, Some(96));
+        assert_eq!(parse("provision").unwrap(), BenchArgs::default());
+    }
+
+    #[test]
+    fn rejects_bad_command_lines() {
+        for line in [
+            "",
+            "fig99",
+            "--serial fig13",
+            "fig13 --seriall",
+            "fig13 extra",
+            "fig13 --json",
+            "fig13 --users 4",
+            "all --users 4",
+            "provision --json",
+            "fig13 --budget",
+            "provision --users",
+            "provision --users abc",
+            "provision --users 0",
+        ] {
+            assert!(parse(line).is_err(), "{line:?} parsed");
+        }
+    }
+
+    #[test]
+    fn usage_lists_every_experiment() {
+        assert!(usage(EXPERIMENTS).ends_with("experiments: fig13 all provision"));
+    }
 
     #[test]
     fn parses_phase_wall_s_from_a_blessed_bench_file() {

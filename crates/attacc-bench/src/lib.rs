@@ -2,11 +2,12 @@
 //! paper's evaluation.
 //!
 //! Each `figNN()` function runs the corresponding experiment at the
-//! paper's parameters and renders the rows as a [`Table`]. The `bin/`
-//! binaries print single figures (`cargo run --release -p attacc-bench
-//! --bin fig13`); `bin/all` prints the full evaluation and is the source
-//! of `EXPERIMENTS.md`. The Criterion benches (`cargo bench`) time both
-//! the figure drivers and the core simulator kernels.
+//! paper's parameters and renders the rows as a [`Table`]. The
+//! `attacc-bench` binary prints one experiment by name (`cargo run
+//! --release -p attacc-bench -- fig13`): `all` prints the full
+//! evaluation, the source of `results_all_tables.txt` and
+//! `EXPERIMENTS.md`, and `hotpath` times the simulator's components and
+//! core kernels.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -15,8 +15,6 @@
 //! every arrival, delivery, and round at `t`.
 
 use attacc_cluster::{splitmix64, EventKind, EventQueue};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// A tiny deterministic RNG: a counter fed through SplitMix64. Good
 /// enough to space fault events; never used for anything security-like.
@@ -50,7 +48,6 @@ impl SeededRng {
 
 /// One fault in the timeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum Fault {
     /// Node `node` crashes at `at_s` and recovers `mttr_s` later. Its
     /// queued and active requests lose their KV state at the crash
@@ -90,7 +87,6 @@ pub enum Fault {
 /// Fault-process parameters for [`FaultSchedule::generate`]. Any process
 /// whose MTBF is infinite (or non-positive duration) is disabled.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct FaultSpec {
     /// Per-node mean time between crashes (s); `f64::INFINITY` disables
     /// crashes.
@@ -211,7 +207,6 @@ fn check_factor(factor: f64, what: &str) {
 
 /// A declarative fault timeline, replayed identically on every run.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct FaultSchedule {
     faults: Vec<Fault>,
 }

@@ -41,13 +41,10 @@ use crate::policy::{DegradePolicy, RecoveryMode};
 use crate::report::FleetChaosReport;
 use attacc_cluster::{FleetConfig, FleetMix, ServingLoop};
 use attacc_serving::{ArrivalWorkload, StageExecutor};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// Everything a fleet-chaos run needs besides executors, a workload and
 /// a fault schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct FleetChaosConfig {
     /// The underlying fleet configuration (pools, scheduler, policy,
     /// interconnect, SLO, autoscaler).

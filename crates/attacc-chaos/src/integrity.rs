@@ -27,12 +27,9 @@ use crate::FaultSchedule;
 use attacc_hbm::integrity::{splitmix64, word_error_probs, EccConfig, WordErrorProbs};
 use attacc_serving::{ArrivalWorkload, StageExecutor};
 use attacc_sim::Table;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// The protection ladder the integrity sweep walks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum Protection {
     /// Raw cells: any flipped word is delivered silently corrupt.
     Unprotected,
@@ -81,7 +78,6 @@ impl Protection {
 
 /// How corruption pressure is applied to a chaos run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct CorruptionSpec {
     /// Raw bit error rate per stored bit per read.
     pub ber: f64,
@@ -111,7 +107,6 @@ impl CorruptionSpec {
 
 /// Outcome of a chaos run under memory corruption.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct IntegrityReport {
     /// Protection rung name.
     pub protection: String,

@@ -11,12 +11,9 @@
 pub use attacc_cluster::RequestOutcome;
 use attacc_cluster::{ClusterReport, FleetReport};
 use attacc_sim::Table;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// Outcome of a chaos simulation.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ChaosReport {
     /// Resilience-policy name (e.g. `retry+hedge+health+kv-migrate`).
     pub policy: String,
@@ -127,7 +124,6 @@ impl ChaosReport {
 /// disaggregated [`FleetReport`] plus the failure economics layered on
 /// top of it.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct FleetChaosReport {
     /// The fleet-level report — identical in shape (and, under zero
     /// faults with the degrade policy off, identical in bytes) to

@@ -15,12 +15,9 @@ use crate::policy::ResiliencePolicy;
 use crate::report::ChaosReport;
 use attacc_cluster::{ClusterConfig, ServingLoop};
 use attacc_serving::{ArrivalWorkload, StageExecutor};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// Everything a chaos run needs besides executors, workload, and faults.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ChaosConfig {
     /// The underlying cluster configuration (scheduler, router policy,
     /// interconnect, SLO).

@@ -7,13 +7,9 @@
 //! link, deliberately simple: the cluster layer cares about *relative*
 //! routing costs, not packet-level fidelity.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 /// Cost model for moving request state between the front door and nodes
 /// (and between nodes, for KV migration).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct InterconnectModel {
     /// Link bandwidth in bytes per second (`f64::INFINITY` = free).
     pub link_bw_bytes_per_s: f64,

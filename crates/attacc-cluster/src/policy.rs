@@ -12,12 +12,9 @@
 //! fault-free run exactly.
 
 use attacc_serving::RetryPolicy;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// How a request displaced by a node crash gets its context back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum RecoveryMode {
     /// Re-dispatch cold: the new node recomputes the whole context in its
     /// Sum stage. Pays compute, no extra wire time.
@@ -42,7 +39,6 @@ impl RecoveryMode {
 
 /// EWMA-based node-health signal configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct HealthConfig {
     /// Whether routing masks out down and degraded nodes at all. Off
     /// means the front door is failure-blind (the pessimistic baseline).
@@ -72,7 +68,6 @@ impl HealthConfig {
 
 /// The full resilience policy wrapped around the router.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ResiliencePolicy {
     /// Per-request timeout / retry / hedging knobs.
     pub retry: RetryPolicy,
@@ -147,7 +142,6 @@ impl ResiliencePolicy {
 
 /// Admission-control (load-shedding) knobs for the fleet front door.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ShedConfig {
     /// An arrival is rejected outright when the front pool's backlog
     /// (queued + resident requests) per unit of *available* node weight
@@ -159,7 +153,6 @@ pub struct ShedConfig {
 /// Brownout knobs: degrade service instead of collapsing when a large
 /// fraction of a pool is down.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct BrownoutConfig {
     /// Brownout activates while any pool's available (up ∧ active)
     /// weight falls below this fraction of its active weight.
@@ -175,7 +168,6 @@ pub struct BrownoutConfig {
 
 /// Retry-storm guard: caps how fast crash-displaced work is re-dispatched.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct StormGuard {
     /// How many displaced requests per crash re-dispatch immediately.
     pub burst: usize,
@@ -189,7 +181,6 @@ pub struct StormGuard {
 /// fleet sacrifices — admission, answer length, or recovery haste — to
 /// stay up when capacity is lost.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct DegradePolicy {
     /// Load shedding at admission, or `None` to admit everything.
     pub shed: Option<ShedConfig>,

@@ -27,12 +27,9 @@ use crate::scale::{AutoscalerConfig, PoolKind, ScaleEvent};
 use crate::sim::{ClusterConfig, ServingLoop};
 use crate::InterconnectModel;
 use attacc_serving::{ArrivalWorkload, SchedulerConfig, StageExecutor};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// Size bounds for one node pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct PoolConfig {
     /// Nodes the pool never shrinks below (≥ 1).
     pub min_nodes: usize,
@@ -74,7 +71,6 @@ impl PoolConfig {
 
 /// Everything a fleet run needs besides executors and a workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct FleetConfig {
     /// The prefill pool; `None` = monolithic fleet (decode nodes run the
     /// full Sum + Gen lifecycle, exactly `simulate_cluster`).
@@ -119,7 +115,6 @@ impl FleetConfig {
 /// last-active-first, so callers should list always-on variants before
 /// burst variants.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct PoolMix {
     /// Relative decode-throughput weight per potential node (one entry
     /// per `max_nodes`, or empty = homogeneous, all 1.0). Consumed by
@@ -166,7 +161,6 @@ impl PoolMix {
 /// ([`FleetMix::uniform`]) is byte-identical to [`simulate_fleet`]
 /// without a mix.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct FleetMix {
     /// Prefill-pool heterogeneity (ignored for monolithic fleets).
     pub prefill: PoolMix,
@@ -185,7 +179,6 @@ impl FleetMix {
 /// Outcome of a fleet simulation: the cluster-shaped report plus the
 /// fleet-level accounting the frontier tables need.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct FleetReport {
     /// Aggregate report over *all* provisioned nodes (prefill pool first,
     /// then decode), in global node order.

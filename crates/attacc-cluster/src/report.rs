@@ -7,12 +7,9 @@
 
 use attacc_serving::{LatencyStats, OpenLoopReport};
 use attacc_sim::Table;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// Latency service-level objectives for goodput accounting.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct SloSpec {
     /// Time-to-first-token bound (s).
     pub ttft_s: f64,
@@ -31,7 +28,6 @@ impl SloSpec {
 
 /// SLO attainment of one run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct GoodputReport {
     /// Completed requests whose TTFT met the SLO.
     pub requests_in_slo: u64,
@@ -44,7 +40,6 @@ pub struct GoodputReport {
 
 /// Per-node outcome.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct NodeReport {
     /// Node index.
     pub node: usize,
@@ -71,7 +66,6 @@ pub struct NodeReport {
 
 /// Outcome of a cluster simulation.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ClusterReport {
     /// Router policy name.
     pub policy: String,

@@ -7,12 +7,8 @@
 //! retired). Ties always break toward the lowest node index, so routing
 //! is a pure function of the arrival sequence — no randomness, no clock.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 /// Which node an arriving request is dispatched to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum RouterPolicy {
     /// Everything to node 0 — the single-node equivalence configuration;
     /// bypasses the interconnect entirely.

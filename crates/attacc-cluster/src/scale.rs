@@ -27,13 +27,9 @@
 //! (model weights load, caches warm); the driver enforces this via the
 //! `warm_at` time the decision carries.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 /// Which pool a decision concerns (monolithic fleets only use
 /// [`PoolKind::Decode`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum PoolKind {
     /// The xPU-heavy prefill pool (Sum stages only).
     Prefill,
@@ -63,7 +59,6 @@ impl PoolKind {
 
 /// Which way a scale action moves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum ScaleDirection {
     /// Activate one node (it accepts work after the cold-start delay).
     Out,
@@ -73,7 +68,6 @@ pub enum ScaleDirection {
 
 /// The load signal the autoscaler watches.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum ScaleSignal {
     /// Backlog (in-flight + queued + active requests) per active node.
     QueueDepth {
@@ -117,7 +111,6 @@ impl ScaleSignal {
 
 /// Autoscaler tuning knobs, shared by both pools.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct AutoscalerConfig {
     /// Seconds between scale evaluations (the `ScaleTick` period).
     pub interval_s: f64,
@@ -215,7 +208,6 @@ pub struct PoolObservation {
 
 /// One applied scale action, logged for reports and the property tests.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ScaleEvent {
     /// Virtual time of the decision.
     pub t_s: f64,

@@ -39,12 +39,9 @@ use crate::router::{splitmix64, NodeLoad, RouterPolicy};
 use crate::scale::{Autoscaler, PoolKind, PoolObservation, ScaleDirection, ScaleEvent};
 use attacc_model::Request;
 use attacc_serving::{ArrivalWorkload, RetryPolicy, SchedulerConfig, StageExecutor};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// Everything a cluster run needs besides executors and a workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ClusterConfig {
     /// Per-node scheduler limits (batch cap, KV capacity).
     pub scheduler: SchedulerConfig,
@@ -96,7 +93,6 @@ pub fn simulate_cluster(
 /// integrity layer folds corruption events into (a corrupted token can
 /// demote an otherwise-good request without re-running the event loop).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct RequestOutcome {
     /// Logical request id (arrival order).
     pub id: u64,

@@ -12,12 +12,9 @@
 //!   layout a conventional controller uses).
 
 use crate::{BankAddr, StackGeometry};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// Full physical coordinates of one prefetch-sized beat.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct PhysicalAddr {
     /// Pseudo-channel index.
     pub pch: u32,
@@ -31,7 +28,6 @@ pub struct PhysicalAddr {
 
 /// Address-interleaving policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum Interleave {
     /// Row-sized blocks rotate over (bank, pCH); rows stay contiguous
     /// within a bank.
@@ -42,7 +38,6 @@ pub enum Interleave {
 
 /// An address mapper for one stack.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct AddressMap {
     geom: StackGeometry,
     policy: Interleave,

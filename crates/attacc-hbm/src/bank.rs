@@ -1,12 +1,9 @@
 //! Per-bank DRAM state machine with timing legality checks.
 
 use crate::TimingParams;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// The operational phase of one DRAM bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum BankPhase {
     /// No row open; ready to activate once tRP has elapsed.
     Idle,
@@ -22,7 +19,6 @@ pub enum BankPhase {
 /// (tCCDL — one beat per column command to the same bank group, which a
 /// single bank trivially is a member of).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct BankState {
     /// Current phase.
     pub phase: BankPhase,

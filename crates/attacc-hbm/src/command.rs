@@ -1,12 +1,9 @@
 //! DRAM and PIM command vocabularies.
 
 use crate::BankAddr;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// A conventional per-bank DRAM command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum DramCommand {
     /// Open `row` in `bank`.
     Activate {
@@ -36,7 +33,6 @@ pub enum DramCommand {
 /// the standard HBM command path; the simulator gives each its timing and
 /// energy semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum PimCommand {
     /// `PIM_SET_CONFIG`: write KV-partitioning metadata to the GEMV units.
     SetConfig,

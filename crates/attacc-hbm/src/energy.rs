@@ -16,12 +16,8 @@
 //! concurrency limits (18 bank-level / 6 BG-level GEMV units per pCH,
 //! §4.1), which pin the *ratios* between the segment energies.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 /// Where in the stack hierarchy an access terminates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum AccessDepth {
     /// Data consumed at the bank (bank-level PIM).
     Bank,
@@ -35,7 +31,6 @@ pub enum AccessDepth {
 
 /// Per-bit energy constants of the HBM datapath.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct EnergyModel {
     /// Row-activation energy, amortized per bit of the row (pJ/bit).
     pub act_pj_per_bit: f64,
@@ -115,7 +110,6 @@ impl EnergyModel {
 
 /// Accumulated energy by category, in picojoules.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct EnergyCounter {
     /// Row activations.
     pub activation_pj: f64,

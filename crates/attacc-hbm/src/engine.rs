@@ -22,8 +22,6 @@ use crate::stats::ChannelStats;
 use crate::{
     AccessDepth, BankAddr, BankState, DramCommand, EnergyCounter, HbmConfig, StackGeometry,
 };
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
@@ -281,7 +279,6 @@ impl ChannelEngine {
 
 /// Outcome of issuing one PIM command through [`ChannelEngine::issue_pim`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct PimIssueOutcome {
     /// Earliest start across the touched banks (ps).
     pub start_ps: u64,
@@ -388,7 +385,6 @@ impl ChannelEngine {
 /// A PIM streaming job over one pseudo-channel: how many bytes each bank
 /// must deliver to its GEMV unit.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct StreamSpec {
     /// Bytes to stream per bank (index = dense bank index; zero = unused).
     pub bytes_per_bank: Vec<u64>,
@@ -429,7 +425,6 @@ impl StreamSpec {
 
 /// Result of a streaming simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct StreamOutcome {
     /// Wall-clock picoseconds from first activate to last beat.
     pub elapsed_ps: u64,

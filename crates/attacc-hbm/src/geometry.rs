@@ -5,12 +5,8 @@
 //! 2 ranks × 4 bank groups × 4 banks = 32 banks, for 1,024 banks per stack
 //! (40 stacks → the paper's 40,960 parallel banks).
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 /// Organization of one HBM stack.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct StackGeometry {
     /// Number of DRAM dies (the buffer die is separate).
     pub dram_dies: u32,
@@ -94,7 +90,6 @@ impl StackGeometry {
 
 /// Address of a bank within one pseudo-channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct BankAddr {
     /// Rank index.
     pub rank: u32,

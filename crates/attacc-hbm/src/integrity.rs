@@ -29,8 +29,6 @@
 use crate::energy::EnergyModel;
 use crate::engine::StreamSpec;
 use crate::geometry::StackGeometry;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// SplitMix64 — the same generator `attacc-cluster` uses (duplicated here
 /// because the dependency arrow points the other way: the cluster crates
@@ -71,7 +69,6 @@ impl Stream {
 /// Whether a fault site produces fresh flips on every read or the same
 /// flips on every read of the same word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum FaultKind {
     /// Soft errors: independent draws per *read*. Callers pass a
     /// monotonically increasing read sequence number as the word index.
@@ -89,7 +86,6 @@ pub enum FaultKind {
 /// replacement — all from the `(seed, index)` stream, so the model is a
 /// pure function of its inputs.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct BitFaultModel {
     /// Raw bit error rate (probability per stored bit per read).
     pub ber: f64,
@@ -178,7 +174,6 @@ impl BitFaultModel {
 
 /// What the on-die decoder concluded about one word read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum EccOutcome {
     /// No flips: the word is delivered as stored.
     Clean,
@@ -196,7 +191,6 @@ pub enum EccOutcome {
 /// An on-die SEC-DED code: `data_bits` of payload carry `check_bits` of
 /// redundancy per code word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct EccConfig {
     /// Payload bits per code word.
     pub data_bits: u32,
@@ -301,7 +295,6 @@ impl EccConfig {
 
 /// Exact per-word outcome probabilities under a raw bit error rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct WordErrorProbs {
     /// P(word delivered clean, no event).
     pub clean: f64,
@@ -393,7 +386,6 @@ pub fn word_error_probs(ber: f64, data_bits: u32, ecc: Option<&EccConfig>) -> Wo
 
 /// Running outcome counts for a stream of decoded words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct IntegrityCounters {
     /// Words read.
     pub words: u64,

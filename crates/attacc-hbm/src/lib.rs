@@ -60,13 +60,9 @@ pub use stack::{simulate_stack, StackOutcome, StackStreamSpec};
 pub use stats::ChannelStats;
 pub use timing::TimingParams;
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 /// A complete HBM stack configuration: geometry, timing, energy constants
 /// and the derived power constraint.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct HbmConfig {
     /// Physical organization of the stack.
     pub geometry: StackGeometry,

@@ -9,12 +9,9 @@
 //! versus 6 bank-group readers, reproducing the paper's figures.
 
 use crate::{AccessDepth, EnergyModel, StackGeometry, TimingParams};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// Concurrency limits derived from the IDD7 power budget.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct PowerConstraint {
     /// Power budget per pseudo-channel in watts.
     pub budget_per_pch_w: f64,

@@ -9,12 +9,9 @@
 
 use crate::engine::{simulate_stream, StreamOutcome, StreamSpec};
 use crate::{EnergyCounter, HbmConfig};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// A stack-level streaming job: one [`StreamSpec`] per pseudo-channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct StackStreamSpec {
     /// Per-channel specs (length must equal the stack's channel count).
     pub channels: Vec<StreamSpec>,
@@ -47,7 +44,6 @@ impl StackStreamSpec {
 
 /// Outcome of a stack-level stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct StackOutcome {
     /// Stack completion time: the slowest channel (ps).
     pub elapsed_ps: u64,

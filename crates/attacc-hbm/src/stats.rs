@@ -2,12 +2,9 @@
 //! bus occupancy.
 
 use crate::StackGeometry;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// Counters one [`crate::ChannelEngine`] maintains while executing.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ChannelStats {
     /// Activates per bank (dense bank index).
     pub acts: Vec<u64>,

@@ -1,8 +1,5 @@
 //! DRAM timing parameters (picosecond granularity).
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 /// One nanosecond in picoseconds.
 pub const NS: u64 = 1_000;
 
@@ -12,7 +9,6 @@ pub const NS: u64 = 1_000;
 /// per pin, tCCDS = 1.5 ns (the GEMV unit's 666 MHz clock is derived from
 /// it, §7.1), tCCDL = 3 ns (§8's "every tCCDL (3 ns)").
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct TimingParams {
     /// Per-pin data rate in Gbit/s.
     pub data_rate_gbps: f64,

@@ -1,7 +1,5 @@
 //! Attention sharing variants: multi-head, grouped-query, multi-query.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How query heads share key/value matrices.
@@ -19,9 +17,7 @@ use std::fmt;
 /// assert_eq!(AttentionVariant::Gqa { group_size: 8 }.kv_heads(96), 12);
 /// assert_eq!(AttentionVariant::Mqa.kv_heads(96), 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AttentionVariant {
     /// Multi-head attention: one KV pair per query head (the paper default).
     #[default]

@@ -1,13 +1,10 @@
 //! Model architecture configurations and the presets used by the paper.
 
 use crate::{AttentionVariant, DataType};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Shape of a decoder's feedforward block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum FeedForwardKind {
     /// Classic GPT feedforward: `FF1 (d → d_ff)`, GELU, `FF2 (d_ff → d)`.
     Gelu,
@@ -82,7 +79,6 @@ impl std::error::Error for ModelConfigError {}
 /// assert!((m.n_params() as f64 - 175e9).abs() < 5e9);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ModelConfig {
     /// Human-readable model name (e.g. `"GPT-3 175B"`).
     pub name: String,

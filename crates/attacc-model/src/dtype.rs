@@ -1,7 +1,5 @@
 //! Numeric data types used by model weights, activations and KV caches.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A numeric element type.
@@ -18,7 +16,6 @@ use std::fmt;
 /// assert_eq!(DataType::Int8.bits(), 8);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum DataType {
     /// 32-bit IEEE-754 floating point.
     Fp32,

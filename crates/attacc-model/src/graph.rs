@@ -1,8 +1,6 @@
 //! Decoder-stage operation graphs for the Sum and Gen phases.
 
 use crate::{AttnShape, FcLayer, ModelConfig, Op, OpClass, Traffic};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// Which inference phase a stage belongs to.
 ///
@@ -11,7 +9,6 @@ use serde::{Deserialize, Serialize};
 /// * `Gen` — a generation (decode) stage: every request presents one token
 ///   against a growing context; the dominant operations are GEMVs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum Phase {
     /// Summarization over an `l_in`-token prompt.
     Sum {
@@ -74,7 +71,6 @@ impl Phase {
 /// assert!(sum.flops() > gen.flops()); // prefill does ~L× the compute
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct StageWorkload {
     /// Ops of one decoder block, in execution order.
     pub decoder_ops: Vec<Op>,

@@ -1,13 +1,10 @@
 //! Per-model resource inventories ("model cards" for capacity planning).
 
 use crate::{KvCacheSpec, ModelConfig, Phase, StageWorkload, GIB};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A resource summary of one model at a reference operating point.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ModelSummary {
     /// Model name.
     pub name: String,

@@ -1,8 +1,6 @@
 //! KV-cache sizing — the capacity pressure at the heart of §3.2.
 
 use crate::ModelConfig;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// KV-cache geometry of a model: how many bytes the key/value matrices of
 /// a request occupy as its context grows.
@@ -16,7 +14,6 @@ use serde::{Deserialize, Serialize};
 /// assert!((gb - 18.0).abs() < 0.2);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct KvCacheSpec {
     /// Bytes appended to the cache per token (K and V, all decoders).
     pub bytes_per_token: u64,

@@ -14,14 +14,11 @@
 //! attention at op/B ≈ L/2.
 
 use crate::DataType;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Coarse operation class used for execution-time breakdowns (Fig. 4(c))
 /// and device assignment in the heterogeneous system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum OpClass {
     /// Batched FC layers (QKV generation, projection, feedforward, LM head).
     FullyConnected,
@@ -50,7 +47,6 @@ impl fmt::Display for OpClass {
 /// co-processing models, which treat QKV/projection differently from the
 /// feedforward block (§6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum FcLayer {
     /// Q/K/V generation (`d_emb → d_emb + 2·kv`).
     QkvGen,
@@ -77,7 +73,6 @@ impl FcLayer {
 
 /// Off-chip traffic of an operation in bytes, by class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Traffic {
     /// Weight bytes, shared by every request in the batch.
     pub weight_bytes: u64,
@@ -110,7 +105,6 @@ impl Traffic {
 /// `n_requests` requests, each presenting `q_rows` query tokens (1 in a Gen
 /// stage, `L_in` in the Sum stage) against a context of length `l`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct AttnShape {
     /// Number of requests with this shape.
     pub n_requests: u64,
@@ -134,7 +128,6 @@ impl AttnShape {
 
 /// One logical operation of a decoder stage.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum Op {
     /// Layer normalization over `rows` embedding vectors of width `d`.
     LayerNorm {

@@ -1,12 +1,8 @@
 //! Inference requests and their progress through Sum and Gen stages.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 /// An inference request: an `l_in`-token prompt that will generate
 /// `l_out` tokens (the last Gen stage emits the end-of-sequence token).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Request {
     /// Unique request id.
     pub id: u64,
@@ -37,7 +33,6 @@ impl Request {
 
 /// Where a request currently is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum SequenceStatus {
     /// Waiting to be admitted into a batch.
     Queued,
@@ -51,7 +46,6 @@ pub enum SequenceStatus {
 
 /// Mutable progress state of an admitted request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct RequestState {
     /// The immutable request description.
     pub request: Request,

@@ -1,8 +1,6 @@
 //! Roofline-model helpers (Fig. 3 of the paper).
 
 use crate::{Op, OpClass};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// Arithmetic intensity (FLOPs per off-chip byte) of an op, or `None` for
 /// pure data movement.
@@ -14,7 +12,6 @@ pub fn arithmetic_intensity(op: &Op) -> Option<f64> {
 /// A point on the roofline: an operation's intensity and the performance a
 /// machine with the given peaks would attain on it.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct RooflinePoint {
     /// Operation class (FC, attention, …).
     pub class: OpClass,

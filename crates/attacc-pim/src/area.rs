@@ -9,12 +9,9 @@
 
 use crate::GemvPlacement;
 use attacc_hbm::HbmConfig;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// Fabrication process of a unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum ProcessNode {
     /// 7 nm logic (buffer die).
     Logic7nm,
@@ -56,7 +53,6 @@ pub const SYSTOLIC_AREA_FACTOR: f64 = 1.77;
 
 /// Area overhead of one design point.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct AreaReport {
     /// Added area per DRAM die (mm²).
     pub per_dram_die_mm2: f64,

@@ -8,8 +8,6 @@
 
 use crate::{GemvPlacement, SoftmaxUnit};
 use attacc_hbm::{AccessDepth, HbmConfig};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// One KV-head's Gen-stage attention work: a GEMV_score over
 /// `Kᵀ (d_head×l)`, softmax over `l` scores, and a GEMV_context over
@@ -20,7 +18,6 @@ use serde::{Deserialize, Serialize};
 /// beat, so the KV stream is paid once per *KV* head while softmax (and
 /// host traffic) scale with the *query* heads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct HeadJob {
     /// Context length of the owning request.
     pub l: u64,
@@ -58,7 +55,6 @@ impl HeadJob {
 
 /// Timing and energy of one decoder's attention layer on the device.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct AttentionTiming {
     /// GEMV_score time on the critical stack (seconds).
     pub score_s: f64,

@@ -7,12 +7,8 @@
 //! element), whereas bank-level PIM performs 32 INT8 MACs every tCCDL —
 //! about 200,000 in the same window.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 /// Analytical model of Ambit/SIMDRAM-style bulk bitwise arithmetic.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct BulkBitwiseModel {
     /// Duration of one AAP triple in nanoseconds (≈ tRC).
     pub aap_ns: f64,
@@ -65,7 +61,6 @@ impl BulkBitwiseModel {
 
 /// Analytical model of the bank-level PIM MAC datapath for the comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct BankPimModel {
     /// INT8 MACs per tCCDL beat (32 B prefetch of INT8 operands).
     pub macs_per_beat: u64,

@@ -4,14 +4,11 @@ use crate::attention::{AttentionTiming, HeadJob, HEAD_OVERHEAD_S};
 use crate::{GemvPlacement, SoftmaxUnit};
 use attacc_hbm::{AccessDepth, HbmConfig};
 use attacc_model::ModelConfig;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// An AttAcc device: `n_stacks` PIM-enabled HBM stacks behind one
 /// controller, as deployed in the paper's `DGX+AttAccs` platform (40
 /// stacks, 640 GB, 242 TB/s internal bandwidth at bank placement).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct AttAccDevice {
     /// Per-stack configuration.
     pub hbm: HbmConfig,

@@ -11,12 +11,9 @@
 
 use crate::integrity::FaultPlan;
 use crate::numeric::{f16_round, Matrix};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// Numeric behaviour of the functional datapath.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum Precision {
     /// Accumulate in `f64` (order-insensitive reference behaviour).
     Exact,
@@ -26,7 +23,6 @@ pub enum Precision {
 
 /// How the lanes partition the matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum GemvMode {
     /// Row-wise lane partitioning (reduction split): adders form a tree.
     AdderTree,
@@ -36,7 +32,6 @@ pub enum GemvMode {
 
 /// A functional GEMV unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct GemvUnit {
     /// Number of multiply lanes (16 in AttAcc).
     pub lanes: usize,

@@ -10,12 +10,9 @@
 use crate::attention::{HeadJob, HEAD_OVERHEAD_S};
 use crate::{GemvPlacement, SoftmaxUnit};
 use attacc_hbm::HbmConfig;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// Which pipeline stage a segment occupies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum HeadPhase {
     /// `GEMV_score` on the GEMV units.
     Score,
@@ -27,7 +24,6 @@ pub enum HeadPhase {
 
 /// One scheduled segment of the timeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Segment {
     /// Index of the head in the stack's queue.
     pub head: usize,
@@ -41,7 +37,6 @@ pub struct Segment {
 
 /// The complete timeline of a stack's head queue.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct HeadTimeline {
     /// Segments in schedule order.
     pub segments: Vec<Segment>,

@@ -28,12 +28,9 @@ use crate::gemv_unit::{GemvMode, GemvUnit};
 use crate::numeric::{f16_from_bits, f16_to_bits, Matrix};
 use crate::softmax_unit::SoftmaxUnit;
 use attacc_hbm::integrity::splitmix64;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// Which phase of the attention pipeline a fault strikes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum Stage {
     /// The score GEMV (`q · Kᵀ`).
     Score,
@@ -45,7 +42,6 @@ pub enum Stage {
 
 /// A register-level fault site inside one pipeline stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum Site {
     /// A stored KV cell `(r, c)`: the flip lands in the *binary16 bit
     /// pattern* the DRAM array holds (`bit < 16`).
@@ -95,7 +91,6 @@ pub enum Site {
 
 /// One planned bit flip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct BitFlip {
     /// The pipeline stage the flip strikes.
     pub stage: Stage,
@@ -121,7 +116,6 @@ pub fn flip_f16_cell(v: f32, bit: u8) -> f32 {
 /// exactly inert: every hook lookup returns `None` and the hooked
 /// datapaths reduce to their unhooked arithmetic.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct FaultPlan {
     /// The planned flips.
     pub flips: Vec<BitFlip>,
@@ -265,7 +259,6 @@ pub fn sample_single_fault(seed: u64, d: usize, l: usize) -> BitFlip {
 
 /// ABFT column checksums over the mapped GEMV partitions.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct AbftGemv {
     /// Column partitions checked independently — aligned with the §4.2
     /// ColWise mapping fanout, so "partition" here is the same unit of
@@ -391,7 +384,6 @@ pub struct AbftOutcome {
 
 /// What the protected pipeline detected and repaired in one head.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct AttentionIntegrity {
     /// Input-register words repaired by input-buffer parity (both GEMVs).
     pub input_repaired: usize,

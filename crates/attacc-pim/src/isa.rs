@@ -21,13 +21,10 @@
 //! payloads are finite (the parser rejects NaN/Inf, so `PartialEq` is
 //! total on codec-legal traces).
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An instruction delivered to the AttAcc controller.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum AttInst {
     /// `AttAcc::SetModel`: configure head geometry. The config memory
     /// stores `N_head`, `d_head` and the maximum context length (§5.1),

@@ -12,8 +12,6 @@
 
 use crate::mapping::HeadId;
 use attacc_hbm::{AddressMap, Interleave, PhysicalAddr, StackGeometry};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -40,7 +38,6 @@ impl std::error::Error for KvStoreFull {}
 
 /// Which of a head's two matrices a region belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum KvHalf {
     /// The transposed key matrix.
     Key,
@@ -49,7 +46,6 @@ pub enum KvHalf {
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 struct Extent {
     /// First beat of the extent in the stack's linear beat space.
     start_beat: u64,
@@ -61,7 +57,6 @@ struct Extent {
 
 /// A per-stack KV placement manager.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct KvStore {
     geom: StackGeometry,
     map: AddressMap,

@@ -18,13 +18,10 @@ use crate::accumulator::Accumulator;
 use crate::gemv_unit::{GemvMode, GemvUnit};
 use crate::numeric::Matrix;
 use attacc_hbm::StackGeometry;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// How one hierarchy level splits a `k × n` GEMV operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum Partitioning {
     /// Split the reduction dimension `k`; partial results are summed by an
     /// accumulator at this level.
@@ -36,7 +33,6 @@ pub enum Partitioning {
 
 /// Fanout and partitioning of one hierarchy level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct LevelSpec {
     /// Number of children (pCHs per stack, BGs per pCH, banks per BG).
     pub fanout: usize,
@@ -46,7 +42,6 @@ pub struct LevelSpec {
 
 /// A full mapping policy: per-level splits plus the multiplier-lane mode.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct MappingPolicy {
     /// Levels from outermost (pCH) to innermost (bank).
     pub levels: Vec<LevelSpec>,
@@ -166,7 +161,6 @@ fn gemv_level(
 
 /// Identifier of one attention head of one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct HeadId {
     /// Owning request.
     pub request: u64,
@@ -181,7 +175,6 @@ pub struct HeadId {
 /// within one head's footprint of optimal. Gen stages grow every resident
 /// head by one KV vector; completed requests release their heads.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct HeadAllocator {
     loads: Vec<u64>,
     assignments: HashMap<u64, Vec<(u32, usize, u64)>>,

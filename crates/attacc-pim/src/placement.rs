@@ -1,13 +1,10 @@
 //! The §4.1 design space: where to put the GEMV units.
 
 use attacc_hbm::{AccessDepth, HbmConfig};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// GEMV-unit placement within the HBM hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum GemvPlacement {
     /// One unit per pseudo-channel on the buffer die (`AttAcc_buffer`):
     /// logic-process units, but no bandwidth gain over external I/O.

@@ -22,12 +22,9 @@ use crate::attention::HeadJob;
 use crate::{GemvPlacement, SoftmaxUnit};
 use attacc_hbm::engine::stream_time_estimate_ps;
 use attacc_hbm::{HbmConfig, PimCommand, StreamSpec};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// One entry of a head's command schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ScheduledCommand {
     /// The PIM command.
     pub command: PimCommand,
@@ -40,7 +37,6 @@ pub struct ScheduledCommand {
 
 /// A head's complete schedule with roll-up totals.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct HeadSchedule {
     /// Commands in issue order.
     pub commands: Vec<ScheduledCommand>,

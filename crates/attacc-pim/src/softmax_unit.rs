@@ -7,8 +7,6 @@
 
 use crate::integrity::{flip_f32, FaultPlan};
 use crate::numeric::{guard_finite, guard_normalized, GuardError};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// Normalization tolerance of the output guard: an f32 adder-tree sum of
 /// up to `max_vector_len` probabilities stays within ~1e-5 of 1, so 1e-3
@@ -18,7 +16,6 @@ pub const SOFTMAX_GUARD_TOL: f64 = 1e-3;
 
 /// Functional and timing model of one softmax unit.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct SoftmaxUnit {
     /// Parallel FP32 lanes (256 in AttAcc).
     pub lanes: u64,

@@ -15,13 +15,10 @@
 
 use crate::gemv_unit::{GemvMode, GemvUnit};
 use crate::numeric::Matrix;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// A GEMV unit reconfigured as a systolic array over `g` resident query
 /// vectors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct SystolicGemvUnit {
     /// The underlying lane datapath.
     pub base: GemvUnit,

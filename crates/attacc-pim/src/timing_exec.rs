@@ -12,12 +12,9 @@ use crate::attention::{HeadJob, HEAD_OVERHEAD_S};
 use crate::{GemvPlacement, SoftmaxUnit};
 use attacc_hbm::engine::simulate_stream;
 use attacc_hbm::{HbmConfig, StreamSpec};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// Engine-level timing of one head on one stack.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct HeadTrace {
     /// GEMV_score stream time (s).
     pub score_s: f64,

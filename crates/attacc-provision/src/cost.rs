@@ -12,8 +12,6 @@ use crate::variant::NodeVariant;
 use attacc_cluster::FleetReport;
 use attacc_pim::AreaReport;
 use attacc_xpu::XpuEnergyModel;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// List price of one DGX-class chassis (8 GPUs + host), USD.
 pub const DGX_CAPEX_USD: f64 = 200_000.0;
@@ -34,7 +32,6 @@ pub const AMORTIZATION_S: f64 = 3.0 * 365.0 * 86_400.0;
 
 /// Procurement and electrical profile of one node variant.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct NodeCost {
     /// Purchase price, USD.
     pub capex_usd: f64,
@@ -50,7 +47,6 @@ pub struct NodeCost {
 /// Prices and electrical constants for every [`NodeVariant`], plus the
 /// tariff that turns joules and node-seconds into dollars.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct CostBook {
     /// Electricity price, USD/kWh.
     pub usd_per_kwh: f64,
@@ -194,7 +190,6 @@ impl NodeCost {
 
 /// Dollar attribution of one fleet run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct FleetCost {
     /// Amortized CapEx over the consumed node-seconds, USD.
     pub capex_usd: f64,

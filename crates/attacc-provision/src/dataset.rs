@@ -5,8 +5,6 @@ use crate::fleet::{simulate_cell, CellResult, FleetSpec, TrafficSpec};
 use attacc_cluster::SloSpec;
 use attacc_model::ModelConfig;
 use attacc_sim::SweepRunner;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// Feature names, in row order: the five variant counts, the traffic
 /// shape, then the derived aggregate-fleet features — the derived block
@@ -109,7 +107,6 @@ pub fn tail_monotone() -> Vec<i8> {
 /// A labelled provisioning dataset: features plus the three surrogate
 /// targets, row-aligned with the exact results that produced them.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Dataset {
     /// Feature rows ([`FEATURE_NAMES`] order).
     pub xs: Vec<Vec<f64>>,

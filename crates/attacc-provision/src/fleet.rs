@@ -16,13 +16,10 @@ use attacc_cluster::{
 };
 use attacc_model::{KvCacheSpec, ModelConfig};
 use attacc_serving::ArrivalWorkload;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// How many nodes of each [`NodeVariant`] the fleet buys, indexed by
 /// [`NodeVariant::index`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct FleetSpec {
     /// Node count per variant, in [`NodeVariant::ALL`] order.
     pub counts: [usize; 5],
@@ -75,7 +72,6 @@ impl FleetSpec {
 
 /// The offered traffic of one provisioning query.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct TrafficSpec {
     /// Concurrent users ≈ requests in the arrival trace.
     pub users: u64,
@@ -106,7 +102,6 @@ impl TrafficSpec {
 
 /// Exact evaluation of one cell, with its bill.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct CellResult {
     /// The evaluated composition.
     pub spec: FleetSpec,

@@ -15,8 +15,6 @@ use crate::fleet::{CellResult, FleetSpec, TrafficSpec};
 use crate::surrogate::{Gbt, GbtParams};
 use attacc_cluster::SloSpec;
 use attacc_model::ModelConfig;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Enumerates every fleet mix with per-variant counts bounded by
@@ -84,7 +82,6 @@ impl Default for SearchConfig {
 
 /// One shortlisted candidate: predicted vs exact.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct VerifiedPick {
     /// Grid index of the candidate.
     pub grid_index: usize,
@@ -98,7 +95,6 @@ pub struct VerifiedPick {
 
 /// Outcome of one provisioning search.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct SearchOutcome {
     /// Grid size before pruning.
     pub grid_size: usize,

@@ -25,12 +25,8 @@
 //! non-decreasing. The monotonicity proptest leans on this structure,
 //! not on luck.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 /// Training hyperparameters.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct GbtParams {
     /// Boosting rounds (trees).
     pub rounds: usize,
@@ -60,7 +56,6 @@ impl Default for GbtParams {
 
 /// One node of a fitted tree: an internal split or a leaf.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 enum TreeNode {
     Split {
         feature: usize,
@@ -75,7 +70,6 @@ enum TreeNode {
 
 /// A fitted regression tree (arena-allocated nodes, root at 0).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 struct Tree {
     nodes: Vec<TreeNode>,
 }
@@ -101,7 +95,6 @@ impl Tree {
 
 /// A fitted gradient-boosted surrogate for one target.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Gbt {
     base: f64,
     shrinkage: f64,

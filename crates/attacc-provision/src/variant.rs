@@ -5,8 +5,6 @@ use attacc_model::{KvCacheSpec, ModelConfig};
 use attacc_pim::GemvPlacement;
 use attacc_serving::{SchedulerConfig, StageExecutor};
 use attacc_sim::{System, SystemExecutor};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// A procurable node type: the unit the fleet-mix search composes.
 ///
@@ -15,7 +13,6 @@ use serde::{Deserialize, Serialize};
 /// performance modeling — only the question of *how many of which* to
 /// buy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum NodeVariant {
     /// `DGX_Base`: the homogeneous GPU baseline.
     DgxBase,

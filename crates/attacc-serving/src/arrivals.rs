@@ -7,13 +7,10 @@ use crate::scheduler::{SchedulerConfig, StageExecutor};
 use attacc_model::{Request, RequestState, SequenceStatus};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A timed request population.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ArrivalWorkload {
     /// `(arrival_time_s, request)` pairs in arrival order.
     pub arrivals: Vec<(f64, Request)>,
@@ -72,7 +69,6 @@ impl ArrivalWorkload {
 
 /// Order statistics of a latency sample.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct LatencyStats {
     /// Arithmetic mean (s).
     pub mean_s: f64,
@@ -118,7 +114,6 @@ impl LatencyStats {
 
 /// Outcome of an open-loop serving run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct OpenLoopReport {
     /// Requests fully served.
     pub completed: u64,

@@ -1,11 +1,7 @@
 //! Serving-run metrics.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 /// Outcome of a serving simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ServingReport {
     /// Wall-clock seconds to drain the workload.
     pub total_time_s: f64,

@@ -5,12 +5,8 @@
 //! projection on the xPU, attention on AttAcc, feedforward on the xPU or
 //! co-processed) and composes them here.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 /// Per-phase times of one decoder on a heterogeneous platform (seconds).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct DecoderPhases {
     /// QKV-generation FC on the xPU.
     pub qkv_s: f64,

@@ -8,9 +8,6 @@
 //! the single-node serving stack and the cluster fault layer share one
 //! vocabulary for "how long do we wait, and what do we do then".
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 /// Per-request timeout / retry / hedging policy.
 ///
 /// Semantics (implemented by the dispatch layer, e.g. `attacc-chaos`):
@@ -29,7 +26,6 @@ use serde::{Deserialize, Serialize};
 ///   fraction of the backoff so synchronized failures don't re-dispatch in
 ///   lock-step. Zero disables jitter.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct RetryPolicy {
     /// Seconds from dispatch to declaring an attempt lost (before
     /// backoff). Non-finite or non-positive disables timeouts entirely.

@@ -2,13 +2,10 @@
 
 use crate::metrics::ServingReport;
 use attacc_model::{Request, RequestState, SequenceStatus};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Cost of executing one stage on some system.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct StageCost {
     /// Wall-clock seconds.
     pub latency_s: f64,
@@ -45,7 +42,6 @@ pub trait StageExecutor {
 
 /// Admission and capacity policy for the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct SchedulerConfig {
     /// Hard cap on concurrent requests (from SLO search or capacity).
     pub max_batch: u64,
@@ -80,7 +76,6 @@ impl SchedulerConfig {
 
 /// Which queued request is admitted when a batch slot frees.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum AdmissionPolicy {
     /// First come, first served (arrival order) — the default.
     #[default]

@@ -3,12 +3,9 @@
 use attacc_model::Request;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// A population of inference requests to serve.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Workload {
     requests: Vec<Request>,
 }

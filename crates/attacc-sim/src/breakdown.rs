@@ -8,12 +8,9 @@
 
 use crate::{SystemExecutor, SystemKind};
 use attacc_model::{OpClass, StageWorkload};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// Joules of one Gen iteration, by component.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct EnergyBreakdown {
     /// Reading FC weights from DRAM.
     pub weights_j: f64,

@@ -7,8 +7,6 @@ use attacc_serving::{
     ff_coprocess_speedup, head_level_pipelined_s, serial_s, DecoderPhases, StageCost,
     StageExecutor,
 };
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Idle power of the AttAcc board (controllers, PHYs), watts. Public so
@@ -22,7 +20,6 @@ pub const ATTACC_STATIC_W: f64 = 100.0;
 /// after pipelining, so components may sum to more than the total on
 /// optimized platforms.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct StageBreakdown {
     /// FC-layer time (QKV, projection, feedforward, LM head).
     pub fc_s: f64,
@@ -51,7 +48,6 @@ pub struct StageBreakdown {
 /// exact op-graph walk the first time each (system, model, rows) cell is
 /// seen.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct AttAccGenParts {
     qkv_s: f64,
     proj_s: f64,

@@ -1,6 +1,6 @@
 //! One driver per table/figure of the paper's evaluation (§7).
 //!
-//! Every driver returns typed rows; the `attacc-bench` binaries format
+//! Every driver returns typed rows; the `attacc-bench` experiments format
 //! them into the tables recorded in `EXPERIMENTS.md`. Large sweeps use a
 //! steady-state analytic model of iteration-level scheduling (validated
 //! against the discrete-event scheduler by integration tests): with a full
@@ -14,8 +14,6 @@ use attacc_model::{
 };
 use attacc_pim::{AreaReport, GemvPlacement};
 use attacc_serving::{max_batch_under_slo, StageExecutor};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// Hard cap on explored batch sizes (the paper never exceeds 256).
 pub const MAX_BATCH: u64 = 512;
@@ -125,7 +123,6 @@ pub fn gen_stage_fraction(system: &System, model: &ModelConfig, l_in: u64, l_out
 
 /// One labeled point of the Fig. 3 roofline.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct RooflineRow {
     /// Series label (e.g. `"Gen FC b=64"`).
     pub label: String,
@@ -185,7 +182,6 @@ pub fn roofline_rows(system: &System, model: &ModelConfig, l_in: u64, batches: &
 
 /// One batch-size row of the Fig. 4 batching study.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct BatchingRow {
     /// Batch size.
     pub batch: u64,
@@ -246,7 +242,6 @@ pub fn batching_study(
 
 /// One design point of the Fig. 7 placement study.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct PlacementRow {
     /// Design point name.
     pub placement: String,
@@ -304,7 +299,6 @@ pub fn placement_study(model: &ModelConfig, batch: u64, l: u64) -> Vec<Placement
 
 /// One bar of Fig. 13.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct EndToEndRow {
     /// Model name.
     pub model: String,
@@ -368,7 +362,6 @@ pub fn end_to_end(
 
 /// One bar of Fig. 14.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct SloRow {
     /// System label.
     pub system: String,
@@ -410,7 +403,6 @@ pub fn slo_study(model: &ModelConfig, l_in: u64, l_out: u64, slos: &[Option<f64>
 
 /// One group of Fig. 16.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct BitwidthRow {
     /// Data type evaluated.
     pub dtype: String,
@@ -455,7 +447,6 @@ pub fn bitwidth_study(model: &ModelConfig, seqs: &[(u64, u64)], n_requests: u64)
 
 /// One bar of Fig. 17.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct AlternativeRow {
     /// System label.
     pub system: String,
@@ -506,7 +497,6 @@ pub fn alternatives_study(model: &ModelConfig, seqs: &[(u64, u64)], n_requests: 
 
 /// One row of the GQA/MQA ablation (§8).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct GqaRow {
     /// Heads sharing one KV pair.
     pub group_size: u32,
@@ -557,7 +547,6 @@ pub fn gqa_ablation(model: &ModelConfig, batch: u64, l: u64, group_sizes: &[u32]
 
 /// One row of the batch-level pipelining ablation (§6.1, Fig. 11(c)).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct BatchPipeRow {
     /// Strategy label.
     pub strategy: String,
@@ -608,7 +597,6 @@ pub fn batch_pipelining_ablation(model: &ModelConfig, l_in: u64, l_out: u64) -> 
 
 /// One row of the interconnect-sensitivity sweep.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct BridgeRow {
     /// Bridge label.
     pub bridge: String,
@@ -659,7 +647,6 @@ pub fn bridge_sensitivity(
 
 /// One row of the model-scaling study (§7.2's interpretation).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ScalingRow {
     /// Model name.
     pub model: String,
@@ -718,7 +705,6 @@ pub fn model_scaling_study(
 
 /// One row of the training-implication ablation (§8).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct TrainingRow {
     /// Phase label.
     pub phase: String,

@@ -9,12 +9,9 @@ use crate::experiment::steady_state_groups;
 use crate::{SweepRunner, System, SystemExecutor};
 use attacc_model::{KvCacheSpec, ModelConfig};
 use attacc_serving::{max_batch_by_capacity, max_batch_under_slo, StageExecutor};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// One provisioning point.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ProvisionPoint {
     /// AttAcc stacks on the device.
     pub stacks: u32,

@@ -1,13 +1,10 @@
 //! Plain-text table rendering for the figure/table regenerators.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// A simple column-aligned text table with a title, used by the per-figure
-/// binaries to print the paper's rows.
+/// A simple column-aligned text table with a title, used by the
+/// `attacc-bench` experiments to print the paper's rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Table {
     /// Table title (e.g. `"Figure 13: normalized execution time"`).
     pub title: String,

@@ -4,12 +4,9 @@ use crate::experiment::{analytic_serve, max_feasible_batch};
 use crate::report::Table;
 use crate::{SweepRunner, System, SystemExecutor};
 use attacc_model::ModelConfig;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// One cell of the (L_in, L_out) speedup sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct SpeedupCell {
     /// Prompt length.
     pub l_in: u64,

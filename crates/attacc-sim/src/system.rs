@@ -3,13 +3,10 @@
 use attacc_model::ModelConfig;
 use attacc_pim::{AttAccDevice, GemvPlacement};
 use attacc_xpu::{CpuSystem, GpuSystem, Interconnect};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which platform a [`System`] models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum SystemKind {
     /// DGX A100 (HBM3) with 640 GB — the paper's baseline.
     DgxBase,
@@ -30,7 +27,6 @@ pub enum SystemKind {
 
 /// A complete evaluated platform.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct System {
     /// Platform variant.
     pub kind: SystemKind,

@@ -14,8 +14,6 @@
 use crate::{System, SystemExecutor};
 use attacc_model::ModelConfig;
 use attacc_serving::StageExecutor;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// Published anchor: OPT-66B per-token latency on a real 8×A100 box at
 /// small batch (seconds).
@@ -32,7 +30,6 @@ pub fn real_dgx_a100() -> System {
 
 /// Result of the validation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ValidationReport {
     /// Modeled per-token latency (s).
     pub modeled_s: f64,

@@ -34,7 +34,6 @@ const MIN_LINE_BYTES: usize = 12;
 
 /// A compiled instruction trace.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Trace {
     /// Instructions in execution order.
     pub insts: Vec<AttInst>,

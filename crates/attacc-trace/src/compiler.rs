@@ -33,7 +33,6 @@ use std::collections::BTreeSet;
 
 /// How a request's KV cache is managed across decode steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum KvPolicy {
     /// Every token stays resident (the paper's workloads).
     Full,
@@ -56,7 +55,6 @@ pub enum KvPolicy {
 
 /// One request's decode plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RequestPlan {
     /// Prompt length (KV resident before the first decode step).
     pub prompt_l: u64,
@@ -66,7 +64,6 @@ pub struct RequestPlan {
 
 /// What the lowered trace carries per instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TracePayload {
     /// Real seeded vectors + per-head `load_q`/`run`/`read`, for
     /// functional replay.
@@ -81,7 +78,6 @@ pub enum TracePayload {
 /// A batched decode schedule: the workload half of the compiler input
 /// (the model graph is the other half).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DecodeSchedule {
     /// One plan per request; request ids are the indices.
     pub requests: Vec<RequestPlan>,

@@ -6,12 +6,9 @@
 
 use crate::ComputeDevice;
 use attacc_model::{Op, GIB};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// A dual-socket server CPU subsystem holding the KV caches.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct CpuSystem {
     /// Roofline device for attention execution on the CPUs.
     pub device: ComputeDevice,

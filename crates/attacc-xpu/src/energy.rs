@@ -7,12 +7,8 @@
 //! move data at ~10 pJ/bit. Idle (static) power of a DGX-class box is
 //! charged against wall-clock time.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 /// Energy constants of an xPU system.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct XpuEnergyModel {
     /// Compute energy per floating-point (or INT8 MAC) operation, pJ.
     pub pj_per_flop: f64,

@@ -2,12 +2,9 @@
 
 use crate::{ComputeDevice, Interconnect, XpuEnergyModel};
 use attacc_model::{Op, OpClass, StageWorkload, GIB};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// A (possibly multi-node) GPU system executing full model stages.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct GpuSystem {
     /// The aggregate roofline device (all GPUs of all nodes).
     pub device: ComputeDevice,
@@ -27,7 +24,6 @@ pub struct GpuSystem {
 
 /// Execution time of one stage, broken down by op class (Fig. 4(c)).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct StageTime {
     /// Batched FC layers.
     pub fc_s: f64,

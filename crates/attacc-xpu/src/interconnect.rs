@@ -1,12 +1,8 @@
 //! Device-to-device interconnect models (NVLink, PCIe, inter-node).
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 /// A bidirectional interconnect with aggregate bandwidth and per-message
 /// latency.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Interconnect {
     /// Name for reports.
     pub name: String,

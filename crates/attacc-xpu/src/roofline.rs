@@ -1,8 +1,6 @@
 //! A roofline compute device executing model operations.
 
 use attacc_model::{DataType, Op};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// A roofline machine: peak compute, peak memory bandwidth, achievable
 /// efficiencies, and a per-kernel launch overhead.
@@ -11,7 +9,6 @@ use serde::{Deserialize, Serialize};
 /// `max(flops / (peak·eff_c), bytes / (bw·eff_m)) + launch`.
 /// INT8 ops run at twice the FP16 peak (tensor-core style).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ComputeDevice {
     /// Device name for reports.
     pub name: String,

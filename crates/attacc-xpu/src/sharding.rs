@@ -12,13 +12,10 @@
 //! and exposes the collective volume from first principles.
 
 use attacc_model::ModelConfig;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How one weight matrix is split across the tensor-parallel group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum ShardAxis {
     /// Output columns split: no collective needed afterwards, but every
     /// GPU needs the full input.
@@ -30,7 +27,6 @@ pub enum ShardAxis {
 
 /// Shard of one FC matrix on one GPU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Shard {
     /// Split direction.
     pub axis: ShardAxis,
@@ -73,7 +69,6 @@ impl std::error::Error for ShardingError {}
 
 /// The tensor-parallel plan of one decoder.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct DecoderSharding {
     /// Tensor-parallel degree.
     pub ways: u32,

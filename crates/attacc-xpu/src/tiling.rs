@@ -9,12 +9,9 @@
 //! the head-granularity stream the pipelining model consumes.
 
 use attacc_model::DataType;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// An output-stationary tiling plan of one GEMM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct TilingPlan {
     /// Batch rows per tile.
     pub tile_m: u64,

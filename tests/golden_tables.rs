@@ -1,10 +1,13 @@
 //! Golden-figure regression suite.
 //!
-//! Each test renders one evaluation driver from `attacc-bench` and diffs
-//! the result against a checked-in snapshot under `tests/golden/`. The
-//! snapshots are the same tables recorded in `results_all_tables.txt`, so
-//! any timing-model change that moves a published number fails here with
-//! a line-level diff.
+//! `golden_all` renders the whole evaluation exactly as `attacc-bench
+//! all` prints it and diffs it against `results_all_tables.txt`; the
+//! per-table tests check that their table is a verbatim slice of that
+//! record, so a moved number also names its table. The scenario tests
+//! render the experiments that file does not hold, at reduced sizes, and
+//! diff each against a checked-in snapshot under `tests/golden/`. Any
+//! timing-model change that moves a published number fails here with a
+//! line-level diff.
 //!
 //! To regenerate after an intentional model change:
 //!
@@ -12,32 +15,26 @@
 //! BLESS=1 cargo test --test golden_tables
 //! ```
 
+use attacc_bench::harness::render;
 use attacc_sim::Table;
-use std::fmt::Write as _;
 use std::path::PathBuf;
 
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
+/// `file`, relative to the repository root.
+fn repo_path(file: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(file)
 }
 
-fn render(tables: &[Table]) -> String {
-    let mut out = String::new();
-    for t in tables {
-        // Matches the figure binaries: one blank line between tables.
-        writeln!(out, "{t}").expect("string write cannot fail");
-    }
-    out
+fn blessing() -> bool {
+    std::env::var("BLESS").is_ok_and(|v| v == "1")
 }
 
-/// Diffs `tables` against `tests/golden/<name>.txt`, or rewrites the
+/// Diffs `tables`, rendered as the experiments print them, against the
+/// snapshot `file` (relative to the repository root), or rewrites the
 /// snapshot when `BLESS=1` is set.
-fn check(name: &str, tables: &[Table]) {
+fn check(file: &str, tables: &[Table]) {
+    let path = repo_path(file);
     let rendered = render(tables);
-    let path = golden_dir().join(format!("{name}.txt"));
-    if std::env::var("BLESS").is_ok_and(|v| v == "1") {
-        std::fs::create_dir_all(golden_dir()).expect("create tests/golden");
+    if blessing() {
         std::fs::write(&path, &rendered).expect("write snapshot");
         return;
     }
@@ -58,7 +55,7 @@ fn check(name: &str, tables: &[Table]) {
             .map(|(i, (e, r))| format!("  line {}:\n    golden: {e}\n    actual: {r}\n", i + 1))
             .collect();
         panic!(
-            "{name} diverged from golden snapshot {} \
+            "output diverged from golden snapshot {} \
              (golden {} lines, actual {} lines):\n{diff}\
              if the change is intentional, re-bless with \
              `BLESS=1 cargo test --test golden_tables`",
@@ -69,64 +66,50 @@ fn check(name: &str, tables: &[Table]) {
     }
 }
 
-#[test]
-fn golden_table1() {
-    check("table1", &[attacc_bench::table1()]);
+/// Asserts that `tables`, rendered as the experiments print them, are a
+/// verbatim slice of `results_all_tables.txt` (which `golden_all`
+/// rewrites under `BLESS=1`).
+fn check_in_all(name: &str, tables: &[Table]) {
+    if blessing() {
+        return;
+    }
+    let record =
+        std::fs::read_to_string(repo_path("results_all_tables.txt")).expect("read the record");
+    assert!(
+        record.contains(&render(tables)),
+        "{name} is not a verbatim slice of results_all_tables.txt; golden_all shows the diff"
+    );
 }
 
 #[test]
-fn golden_capacity() {
-    check("capacity", &[attacc_bench::capacity_table()]);
+fn golden_all() {
+    check("results_all_tables.txt", &attacc_bench::all_tables(attacc_bench::N_REQUESTS));
 }
 
-#[test]
-fn golden_fig02() {
-    check("fig02", &[attacc_bench::fig02()]);
+/// One test per table, each named `golden_<table>`, checking that table
+/// against its slice of `results_all_tables.txt`.
+macro_rules! slices_of_all {
+    ($($test:ident: $tables:expr;)*) => {$(
+        #[test]
+        fn $test() {
+            check_in_all(stringify!($test), &$tables);
+        }
+    )*};
 }
 
-#[test]
-fn golden_fig03() {
-    check("fig03", &[attacc_bench::fig03()]);
-}
-
-#[test]
-fn golden_fig04() {
-    check("fig04", &attacc_bench::fig04());
-}
-
-#[test]
-fn golden_fig07() {
-    check("fig07", &[attacc_bench::fig07()]);
-}
-
-#[test]
-fn golden_fig13() {
-    check("fig13", &[attacc_bench::fig13(attacc_bench::N_REQUESTS)]);
-}
-
-#[test]
-fn golden_fig14() {
-    check("fig14", &[attacc_bench::fig14()]);
-}
-
-#[test]
-fn golden_fig16() {
-    check("fig16", &[attacc_bench::fig16(attacc_bench::N_REQUESTS)]);
-}
-
-#[test]
-fn golden_area() {
-    check("area", &[attacc_bench::area_table()]);
-}
-
-#[test]
-fn golden_validation() {
-    check("validation", &[attacc_bench::validation_table()]);
-}
-
-#[test]
-fn golden_ablation_gqa() {
-    check("ablation_gqa", &[attacc_bench::ablation_gqa()]);
+slices_of_all! {
+    golden_table1: [attacc_bench::table1()];
+    golden_capacity: [attacc_bench::capacity_table()];
+    golden_fig02: [attacc_bench::fig02()];
+    golden_fig03: [attacc_bench::fig03()];
+    golden_fig04: attacc_bench::fig04();
+    golden_fig07: [attacc_bench::fig07()];
+    golden_fig13: [attacc_bench::fig13(attacc_bench::N_REQUESTS)];
+    golden_fig14: [attacc_bench::fig14()];
+    golden_fig16: [attacc_bench::fig16(attacc_bench::N_REQUESTS)];
+    golden_area: [attacc_bench::area_table()];
+    golden_validation: [attacc_bench::validation_table()];
+    golden_ablation_gqa: [attacc_bench::ablation_gqa()];
 }
 
 #[test]
@@ -134,7 +117,7 @@ fn golden_cluster() {
     // Smaller than the binary's CLUSTER_REQUESTS: the snapshot pins the
     // event loop, routing and percentile math, not steady-state numbers.
     check(
-        "cluster",
+        "tests/golden/cluster.txt",
         &[
             attacc_bench::cluster_frontier(48),
             attacc_bench::cluster_load_shapes(48),
@@ -148,7 +131,7 @@ fn golden_chaos() {
     // injection, recovery dispatch and retry/hedge bookkeeping, not the
     // headline goodput numbers (tests/chaos_resilience.rs pins those).
     check(
-        "chaos",
+        "tests/golden/chaos.txt",
         &[
             attacc_bench::chaos_goodput_frontier(48),
             attacc_bench::chaos_routing_matrix(48),
@@ -164,7 +147,7 @@ fn golden_chaos_fleet() {
     // not the headline frontier numbers
     // (tests/chaos_fleet_resilience.rs pins those).
     check(
-        "chaos_fleet",
+        "tests/golden/chaos_fleet.txt",
         &[
             attacc_bench::chaos_fleet_frontier(48),
             attacc_bench::chaos_fleet_redundancy(48),
@@ -178,7 +161,7 @@ fn golden_autoscale() {
     // stride-sampling threshold (1024): the snapshot pins pool routing,
     // scale decisions, cold-start accounting and node-second billing,
     // not the headline 10^5-session numbers.
-    check("autoscale", &[attacc_bench::autoscale_frontier(2048)]);
+    check("tests/golden/autoscale.txt", &[attacc_bench::autoscale_frontier(2048)]);
 }
 
 #[test]
@@ -188,7 +171,7 @@ fn golden_trace() {
     // rendered digits, for the paper workloads and both new trace-only
     // workloads (sliding window, paged KV).
     check(
-        "trace",
+        "tests/golden/trace.txt",
         &[
             attacc_bench::trace_paper_table(),
             attacc_bench::trace_workloads_table(),
@@ -204,7 +187,7 @@ fn golden_integrity() {
     // command-engine overheads (tests/data_integrity.rs pins the
     // zero-SDC acceptance contract).
     check(
-        "integrity",
+        "tests/golden/integrity.txt",
         &[attacc_bench::integrity_frontier(48), attacc_bench::ecc_overhead_table()],
     );
 }
@@ -216,7 +199,7 @@ fn golden_provision() {
     // choice, GBT splits, shortlist ranking and the exact re-verified
     // bills, down to the rendered digits.
     check(
-        "provision",
+        "tests/golden/provision.txt",
         &[
             attacc_bench::provision_cost_book_table(),
             attacc_bench::provision_frontier(attacc_bench::PROVISION_USERS),
