@@ -134,9 +134,10 @@ fn model_card() {
 /// Wall-time instrumentation for the simulation hot path.
 ///
 /// Times the per-call cost of each component the cluster/chaos event
-/// loops lean on — Gen-stage timing resolution (analytic fast path vs
-/// the exact command-level engine), the fused PIM attention model, and
-/// the time-wheel event queue — and of the simulator's core kernels
+/// loops lean on — Gen-stage timing resolution (the cached rows-keyed
+/// path, and the full op-graph walk of `gen_stage_detail_uncached` that
+/// a cache hit saves), the fused PIM attention model, and the
+/// time-wheel event queue — and of the simulator's core kernels
 /// below them, so a wall-clock regression can be localized to a
 /// component without an external profiler. Numbers are
 /// machine-dependent and printed for inspection only; the enforced
@@ -156,7 +157,6 @@ mod hotpath {
     use attacc_serving::{
         simulate, simulate_open_loop, ArrivalWorkload, SchedulerConfig, StageExecutor, Workload,
     };
-    use attacc_sim::engine;
     use attacc_sim::{System, SystemExecutor, TimingCache};
     use std::hint::black_box;
     use std::time::Instant;
@@ -179,24 +179,19 @@ mod hotpath {
         // Steady-state decode: rows constant, contexts advancing one token a
         // round — every call resolves through one GenParts probe plus the
         // analytic combine, exactly like the cluster/chaos inner loops.
-        engine::set_fastpath(Some(true));
         TimingCache::global().clear();
         exec.gen_stage(&[(8, 512)]);
-        time("gen_stage fast path (steady-state decode)", 100_000, |i| {
+        time("gen_stage cached (steady-state decode)", 100_000, |i| {
             exec.gen_stage(&[(8, 512 + (i % 512))])
         });
 
-        // The same shapes through the exact command-level engine: each
-        // advancing context is a fresh full-group cache key, so this is the
-        // cost the fast path removes.
-        engine::set_fastpath(Some(false));
-        TimingCache::global().clear();
-        time("gen_stage exact engine (advancing contexts)", 2_000, |i| {
-            exec.gen_stage(&[(8, 512 + (i % 512))])
+        // The same shapes through the uncached op-graph walk: the cost the
+        // rows-keyed cache entry saves on every call after the first.
+        time("gen_stage_detail_uncached (op-graph walk)", 2_000, |i| {
+            exec.gen_stage_detail_uncached(&[(8, 512 + (i % 512))])
         });
-        engine::set_fastpath(None);
 
-        // The fused PIM attention model alone (runs inside every fast-path
+        // The fused PIM attention model alone (runs inside every cached
         // combine).
         time("attention_decoder_time (one group)", 100_000, |i| {
             dev.attention_decoder_time(&model, &[(8, 512 + (i % 512))], true)
@@ -209,7 +204,6 @@ mod hotpath {
         // A full scheduling round in steady-state decode: 16 active
         // sequences, no admissions, contexts advancing one token per call —
         // the NodeReady handler's dominant work item.
-        engine::set_fastpath(None);
         TimingCache::global().clear();
         let mut node = attacc_cluster::NodeEngine::new(&exec, SchedulerConfig::unlimited(16));
         for i in 0..16u64 {

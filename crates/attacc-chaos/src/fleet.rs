@@ -70,8 +70,8 @@ impl FleetChaosConfig {
 /// degradation policy in `cfg`.
 ///
 /// Determinism contract: the result is a pure function of the arguments —
-/// same inputs give byte-identical reports at any thread count, cold or
-/// warm timing cache, fastpath on or off. With `faults` empty and
+/// same inputs give byte-identical reports at any thread count and with a
+/// cold or warm timing cache. With `faults` empty and
 /// [`DegradePolicy::off`], `report.fleet` is bit-exact with
 /// [`attacc_cluster::simulate_fleet_mix`] on the same inputs.
 ///

@@ -273,7 +273,6 @@ mod tests {
         let r = sample();
         let s = r.summary_table();
         assert!(s.to_string().contains("goodput under failure"));
-        assert!(Table::from_json(&s.to_json()).is_ok());
         let d = r.downtime_table();
         assert_eq!(d.rows.len(), 2);
         assert_eq!(d.rows[0][0], "0");

@@ -328,7 +328,7 @@ impl Pool {
 ///
 /// The run is strictly serial and a pure function of its inputs: same
 /// workload + config → byte-identical [`FleetReport`] at any thread
-/// count, cold or warm timing cache, fastpath on or off.
+/// count and with a cold or warm timing cache.
 ///
 /// # Panics
 /// Panics if the executor slices do not match the pool bounds, the pool

@@ -17,7 +17,6 @@
 //!
 //! Thread count resolves as: [`set_threads`] override (the `--serial`
 //! flag) → `ATTACC_THREADS` → `std::thread::available_parallelism()`.
-//! The cache can be disabled with `ATTACC_CACHE=0`.
 
 use crate::exec::{AttAccGenParts, StageBreakdown};
 use attacc_model::ModelConfig;
@@ -39,38 +38,6 @@ static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// and the determinism tests.
 pub fn set_threads(threads: usize) {
     THREAD_OVERRIDE.store(threads, Ordering::SeqCst);
-}
-
-/// Process-wide fast-path override: 0 = environment default, 1 = forced
-/// off, 2 = forced on.
-static FASTPATH_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Forces the analytic Gen-stage fast path on or off (`None` restores the
-/// `ATTACC_FASTPATH` environment default). The equivalence tests flip this
-/// to prove fast-path and exact-engine reports are byte-identical.
-pub fn set_fastpath(enabled: Option<bool>) {
-    let v = match enabled {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    FASTPATH_OVERRIDE.store(v, Ordering::SeqCst);
-}
-
-/// Whether the analytic Gen-stage fast path is enabled right now:
-/// [`set_fastpath`] override → `ATTACC_FASTPATH` (`0` disables) → on.
-#[must_use]
-pub fn fastpath_enabled() -> bool {
-    match FASTPATH_OVERRIDE.load(Ordering::SeqCst) {
-        1 => false,
-        2 => true,
-        _ => {
-            static ENV: OnceLock<bool> = OnceLock::new();
-            *ENV.get_or_init(|| {
-                !std::env::var("ATTACC_FASTPATH").is_ok_and(|v| v.trim() == "0")
-            })
-        }
-    }
 }
 
 /// The thread count [`SweepRunner::from_env`] resolves to right now.
@@ -168,16 +135,6 @@ impl SweepRunner {
             .map(|s| s.expect("every index computed exactly once"))
             .collect()
     }
-
-    /// [`SweepRunner::map`] over an owned item list.
-    pub fn map_vec<I, R, F>(&self, items: Vec<I>, f: F) -> Vec<R>
-    where
-        I: Sync,
-        R: Send,
-        F: Fn(&I) -> R + Sync,
-    {
-        self.map(&items, f)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -221,7 +178,7 @@ pub fn reset_phase_report() {
 
 /// A memoizable timing query against one (system, model) pair.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum TimingQuery {
+enum TimingQuery {
     /// One Gen iteration over `(count, context)` groups.
     Gen(Vec<(u64, u64)>),
     /// One Sum (prefill) stage.
@@ -243,7 +200,7 @@ pub enum TimingQuery {
 
 /// A memoized timing result.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TimingValue {
+enum TimingValue {
     /// Result of a [`TimingQuery::Gen`] query.
     Gen(StageBreakdown),
     /// Result of a [`TimingQuery::Sum`] query.
@@ -294,7 +251,6 @@ pub struct TimingCache {
     shards: Vec<Mutex<HashMap<CacheKey, TimingValue>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    enabled: bool,
     /// Distinguishes cache instances in the thread-local [`GenParts`]
     /// memo so a stale entry from another cache can never be returned.
     ///
@@ -326,35 +282,29 @@ impl std::fmt::Debug for TimingCache {
         f.debug_struct("TimingCache")
             .field("entries", &self.len())
             .field("stats", &self.stats())
-            .field("enabled", &self.enabled)
             .finish()
     }
 }
 
 impl TimingCache {
-    /// An empty cache. `enabled = false` makes every query compute.
+    /// An empty cache.
     #[must_use]
-    pub fn new(enabled: bool) -> TimingCache {
+    pub(crate) fn new() -> TimingCache {
         static NEXT_CACHE_ID: AtomicU64 = AtomicU64::new(0);
         TimingCache {
             shards: (0..CACHE_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            enabled,
             id: NEXT_CACHE_ID.fetch_add(1, Ordering::Relaxed),
             generation: AtomicU64::new(0),
         }
     }
 
     /// The process-wide cache every [`crate::SystemExecutor`] consults.
-    /// Enabled unless the process started with `ATTACC_CACHE=0`.
     #[must_use]
     pub fn global() -> &'static TimingCache {
         static GLOBAL: OnceLock<TimingCache> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let disabled = std::env::var("ATTACC_CACHE").is_ok_and(|v| v.trim() == "0");
-            TimingCache::new(!disabled)
-        })
+        GLOBAL.get_or_init(TimingCache::new)
     }
 
     fn shard_of(&self, key: &CacheKey) -> &Mutex<HashMap<CacheKey, TimingValue>> {
@@ -380,16 +330,13 @@ impl TimingCache {
     /// The memoized Gen-stage breakdown, computing on miss. The compute
     /// closure runs outside any shard lock; concurrent misses of the same
     /// key may compute redundantly but always store the same pure value.
-    pub fn gen_breakdown(
+    pub(crate) fn gen_breakdown(
         &self,
         system: u32,
         model: u32,
         groups: &[(u64, u64)],
         compute: impl FnOnce() -> StageBreakdown,
     ) -> StageBreakdown {
-        if !self.enabled {
-            return compute();
-        }
         let key = CacheKey { system, model, query: TimingQuery::Gen(groups.to_vec()) };
         if let Some(TimingValue::Gen(b)) = self.lookup(&key) {
             return b;
@@ -403,16 +350,13 @@ impl TimingCache {
     /// miss. Unlike [`TimingCache::gen_breakdown`] the key is a single
     /// `u64`, so no per-probe allocation and one entry covers every
     /// context mix with the same row total.
-    pub fn gen_parts(
+    pub(crate) fn gen_parts(
         &self,
         system: u32,
         model: u32,
         rows: u64,
         compute: impl FnOnce() -> AttAccGenParts,
     ) -> AttAccGenParts {
-        if !self.enabled {
-            return compute();
-        }
         let generation = self.generation.load(Ordering::Relaxed);
         if let Some((id, gen, sys, mdl, r, p)) = GEN_PARTS_MEMO.get() {
             if id == self.id && gen == generation && sys == system && mdl == model && r == rows {
@@ -432,15 +376,8 @@ impl TimingCache {
         value
     }
 
-    /// Whether this cache memoizes at all (`ATTACC_CACHE=0` disables the
-    /// global one).
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// The memoized Sum-stage cost, computing on miss.
-    pub fn sum_cost(
+    pub(crate) fn sum_cost(
         &self,
         system: u32,
         model: u32,
@@ -448,9 +385,6 @@ impl TimingCache {
         l_in: u64,
         compute: impl FnOnce() -> StageCost,
     ) -> StageCost {
-        if !self.enabled {
-            return compute();
-        }
         let key = CacheKey { system, model, query: TimingQuery::Sum { batch, l_in } };
         if let Some(TimingValue::Sum(c)) = self.lookup(&key) {
             return c;
@@ -559,7 +493,7 @@ mod tests {
 
     #[test]
     fn cache_hit_returns_stored_value_and_counts() {
-        let cache = TimingCache::new(true);
+        let cache = TimingCache::new();
         let groups = [(4u64, 128u64)];
         let mut computes = 0u32;
         let mut run = |v: f64| {
@@ -580,7 +514,7 @@ mod tests {
 
     #[test]
     fn distinct_keys_do_not_collide() {
-        let cache = TimingCache::new(true);
+        let cache = TimingCache::new();
         let a = cache.sum_cost(0, 0, 8, 128, || StageCost { latency_s: 1.0, energy_j: 0.0 });
         let b = cache.sum_cost(0, 0, 8, 256, || StageCost { latency_s: 2.0, energy_j: 0.0 });
         let c = cache.sum_cost(1, 0, 8, 128, || StageCost { latency_s: 3.0, energy_j: 0.0 });
@@ -589,23 +523,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_always_computes() {
-        let cache = TimingCache::new(false);
-        let mut computes = 0u32;
-        for _ in 0..3 {
-            cache.gen_breakdown(0, 0, &[(1, 1)], || {
-                computes += 1;
-                StageBreakdown::default()
-            });
-        }
-        assert_eq!(computes, 3);
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 0 });
-    }
-
-    #[test]
     fn clear_empties_but_keeps_functioning() {
-        let cache = TimingCache::new(true);
+        let cache = TimingCache::new();
         cache.sum_cost(0, 0, 1, 1, StageCost::default);
         assert_eq!(cache.len(), 1);
         cache.clear();

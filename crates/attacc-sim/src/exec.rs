@@ -7,6 +7,7 @@ use attacc_serving::{
     ff_coprocess_speedup, head_level_pipelined_s, serial_s, DecoderPhases, StageCost,
     StageExecutor,
 };
+use std::borrow::Cow;
 use std::sync::OnceLock;
 
 /// Idle power of the AttAcc board (controllers, PHYs), watts. Public so
@@ -44,9 +45,9 @@ pub struct StageBreakdown {
 /// their shapes from `rows` plus model constants), so these sums are
 /// memoizable keyed by `rows` alone — see `TimingQuery::GenParts`. The
 /// per-`(count, context)` attention term is folded back in by the shared
-/// combine step, and the decomposition is checked bitwise against the
-/// exact op-graph walk the first time each (system, model, rows) cell is
-/// seen.
+/// combine step. `tests/cache_props.rs` checks the decomposition: parts
+/// filled from one context mix must give the uncached walk's result for
+/// any other mix with the same row total.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AttAccGenParts {
     qkv_s: f64,
@@ -116,57 +117,34 @@ impl SystemExecutor {
     }
 
     /// Full detail of one Gen iteration over `(count, context)` groups,
-    /// memoized in the global [`TimingCache`].
+    /// memoized in the global [`TimingCache`]. On `DGX+AttAccs` the cache
+    /// holds the rows-keyed [`AttAccGenParts`] and the attention term is
+    /// added per group; other platforms memoize the whole breakdown.
     #[must_use]
     pub fn gen_stage_detail(&self, groups: &[(u64, u64)]) -> StageBreakdown {
-        if groups.iter().any(|&(n, _)| n == 0) {
-            let filtered: Vec<(u64, u64)> =
-                groups.iter().copied().filter(|&(n, _)| n > 0).collect();
-            return self.gen_stage_detail_normalized(&filtered);
-        }
-        self.gen_stage_detail_normalized(groups)
-    }
-
-    /// [`SystemExecutor::gen_stage_detail`] after zero-count groups have
-    /// been dropped.
-    fn gen_stage_detail_normalized(&self, groups: &[(u64, u64)]) -> StageBreakdown {
-        if groups.is_empty() {
+        let Some(groups) = nonzero_groups(groups) else {
             return StageBreakdown::default();
-        }
+        };
         let (system, model) = self.cache_ids();
         let cache = TimingCache::global();
         if let SystemKind::DgxAttAcc { head_level_pipelining, ff_coprocessing } = self.system.kind {
-            if cache.is_enabled() && engine::fastpath_enabled() {
-                let rows: u64 = groups.iter().map(|&(n, _)| n).sum();
-                let mut fresh = false;
-                let parts = cache.gen_parts(system, model, rows, || {
-                    fresh = true;
-                    self.attacc_gen_parts(&StageWorkload::gen_with_contexts(&self.model, groups))
-                });
-                let fast =
-                    self.attacc_combine(&parts, groups, head_level_pipelining, ff_coprocessing);
-                if fresh {
-                    // First sighting of this (system, model, rows) cell:
-                    // prove the rows-keyed decomposition against the exact
-                    // op-graph walk before trusting it on cache hits.
-                    let exact = self.gen_stage_detail_uncached(groups);
-                    assert_eq!(
-                        fast, exact,
-                        "analytic Gen fast path diverged from the exact engine at rows={rows}"
-                    );
-                }
-                return fast;
-            }
+            let rows = groups.iter().map(|&(n, _)| n).sum();
+            let parts = cache.gen_parts(system, model, rows, || {
+                self.attacc_gen_parts(&StageWorkload::gen_with_contexts(&self.model, &groups))
+            });
+            return self.attacc_combine(&parts, &groups, head_level_pipelining, ff_coprocessing);
         }
-        cache.gen_breakdown(system, model, groups, || self.gen_stage_detail_uncached(groups))
+        cache.gen_breakdown(system, model, &groups, || self.gen_stage_detail_uncached(&groups))
     }
 
-    /// [`SystemExecutor::gen_stage_detail`] bypassing the cache. Groups
-    /// must be non-empty with non-zero counts (the cached wrapper
-    /// normalizes them).
+    /// [`SystemExecutor::gen_stage_detail`] bypassing the cache: the full
+    /// op-graph walk, the exact reference every cached result equals.
     #[must_use]
     pub fn gen_stage_detail_uncached(&self, groups: &[(u64, u64)]) -> StageBreakdown {
-        let wl = StageWorkload::gen_with_contexts(&self.model, groups);
+        let Some(groups) = nonzero_groups(groups) else {
+            return StageBreakdown::default();
+        };
+        let wl = StageWorkload::gen_with_contexts(&self.model, &groups);
         match self.system.kind {
             SystemKind::DgxBase | SystemKind::DgxLarge | SystemKind::TwoDgx => {
                 let t = self.system.gpu.stage_time(&wl);
@@ -180,16 +158,16 @@ impl SystemExecutor {
                     utilization: t.utilization,
                 }
             }
-            SystemKind::DgxCpu => self.gen_stage_cpu(&wl, groups),
-            SystemKind::DgxAttAcc {
-                head_level_pipelining,
-                ff_coprocessing,
-            } => self.gen_stage_attacc(&wl, groups, head_level_pipelining, ff_coprocessing),
+            SystemKind::DgxCpu => self.gen_stage_cpu(&wl),
+            SystemKind::DgxAttAcc { head_level_pipelining, ff_coprocessing } => {
+                let parts = self.attacc_gen_parts(&wl);
+                self.attacc_combine(&parts, &groups, head_level_pipelining, ff_coprocessing)
+            }
         }
     }
 
     /// `DGX_CPU`: FC layers on the GPUs, attention against host DDR.
-    fn gen_stage_cpu(&self, wl: &StageWorkload, _groups: &[(u64, u64)]) -> StageBreakdown {
+    fn gen_stage_cpu(&self, wl: &StageWorkload) -> StageBreakdown {
         let cpu = self.system.cpu.as_ref().expect("DgxCpu has a CPU subsystem");
         let gpu = &self.system.gpu;
         let mut fc = 0.0;
@@ -240,19 +218,6 @@ impl SystemExecutor {
             energy_j,
             utilization: gpu_flops / (total * gpu.device.peak_flops_fp16),
         }
-    }
-
-    /// `DGX+AttAccs`: FC on the GPUs, attention on the PIM stacks, with
-    /// the §6 optimizations as configured.
-    fn gen_stage_attacc(
-        &self,
-        wl: &StageWorkload,
-        groups: &[(u64, u64)],
-        hl_pipe: bool,
-        ff_coproc: bool,
-    ) -> StageBreakdown {
-        let parts = self.attacc_gen_parts(wl);
-        self.attacc_combine(&parts, groups, hl_pipe, ff_coproc)
     }
 
     /// The rows-only op-graph sums of one `DGX+AttAccs` Gen iteration:
@@ -307,9 +272,10 @@ impl SystemExecutor {
         p
     }
 
-    /// Folds the per-group attention term into the rows-only aggregates.
-    /// Shared verbatim by the exact and fast paths, so both produce
-    /// bit-identical breakdowns by construction.
+    /// `DGX+AttAccs`: folds the per-group attention term on the PIM stacks
+    /// into the rows-only GPU aggregates, with the §6 optimizations as
+    /// configured. The cached and uncached paths share it, so they can
+    /// differ only if the parts depend on more than the row total.
     fn attacc_combine(
         &self,
         p: &AttAccGenParts,
@@ -376,9 +342,12 @@ impl SystemExecutor {
 
 impl SystemExecutor {
     /// The Sum-stage cost bypassing the cache (see
-    /// [`StageExecutor::sum_stage`]).
+    /// [`StageExecutor::sum_stage`]); an empty batch is free.
     #[must_use]
     pub fn sum_stage_uncached(&self, batch: u64, l_in: u64) -> StageCost {
+        if batch == 0 {
+            return StageCost::default();
+        }
         let wl = StageWorkload::uniform(&self.model, Phase::sum(l_in), batch);
         let t = self.system.gpu.stage_time(&wl);
         match self.system.kind {
@@ -404,6 +373,18 @@ impl SystemExecutor {
             },
         }
     }
+}
+
+/// `groups` without its zero-count entries, or `None` when no rows are
+/// left (an empty Gen iteration is free). Both Gen-stage paths normalize
+/// through here, so they accept exactly the same inputs.
+fn nonzero_groups(groups: &[(u64, u64)]) -> Option<Cow<'_, [(u64, u64)]>> {
+    let groups = if groups.iter().any(|&(n, _)| n == 0) {
+        Cow::Owned(groups.iter().copied().filter(|&(n, _)| n > 0).collect())
+    } else {
+        Cow::Borrowed(groups)
+    };
+    (!groups.is_empty()).then_some(groups)
 }
 
 impl StageExecutor for SystemExecutor {
@@ -505,6 +486,22 @@ mod tests {
         let base = SystemExecutor::new(System::dgx_base(), &m);
         assert_eq!(base.gen_stage(&[]).latency_s, 0.0);
         assert_eq!(base.sum_stage(0, 128).latency_s, 0.0);
+    }
+
+    #[test]
+    fn uncached_reference_accepts_empty_stages() {
+        let m = gpt3();
+        for system in [System::dgx_base(), System::dgx_cpu(), System::dgx_attacc_full()] {
+            let exec = SystemExecutor::new(system, &m);
+            assert_eq!(exec.gen_stage_detail_uncached(&[]), StageBreakdown::default());
+            assert_eq!(exec.gen_stage_detail_uncached(&[(0, 128)]), StageBreakdown::default());
+            assert_eq!(exec.sum_stage_uncached(0, 128), StageCost::default());
+            // Zero-count groups are dropped, not timed.
+            assert_eq!(
+                exec.gen_stage_detail_uncached(&[(0, 64), (8, 512), (0, 4096)]),
+                exec.gen_stage_detail_uncached(&[(8, 512)])
+            );
+        }
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! sweeps configurations and extracts the Pareto-efficient set
 //! (throughput cannot improve without adding silicon).
 
-use crate::experiment::steady_state_groups;
+use crate::experiment::{max_feasible_batch, steady_state_groups};
 use crate::{SweepRunner, System, SystemExecutor};
-use attacc_model::{KvCacheSpec, ModelConfig};
-use attacc_serving::{max_batch_by_capacity, max_batch_under_slo, StageExecutor};
+use attacc_model::ModelConfig;
+use attacc_serving::StageExecutor;
 
 /// One provisioning point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,7 +38,6 @@ pub fn provision_sweep(
 ) -> Vec<ProvisionPoint> {
     assert!(!stack_counts.is_empty(), "need at least one configuration");
     assert!(slo_s > 0.0, "SLO must be positive");
-    let spec = KvCacheSpec::of(model);
     let mut points: Vec<ProvisionPoint> =
         SweepRunner::from_env().map(stack_counts, |&stacks| {
             let mut system = System::dgx_attacc_full();
@@ -47,14 +46,8 @@ pub fn provision_sweep(
                 .as_mut()
                 .expect("PIM platform has a device")
                 .n_stacks = stacks;
-            let by_capacity = max_batch_by_capacity(
-                system.kv_capacity_bytes(model),
-                spec.bytes_per_token,
-                l_in + l_out,
-            )
-            .min(crate::experiment::MAX_BATCH);
+            let batch = max_feasible_batch(&system, model, l_in, l_out, Some(slo_s));
             let exec = SystemExecutor::new(system, model);
-            let batch = max_batch_under_slo(&exec, slo_s, l_in + l_out / 2, by_capacity);
             let tokens_per_s = if batch == 0 {
                 0.0
             } else {

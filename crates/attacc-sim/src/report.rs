@@ -77,64 +77,6 @@ impl Table {
         )
     }
 
-    /// Parses a table back from the JSON emitted by [`Table::to_json`].
-    ///
-    /// A deliberately small parser: it accepts exactly the object shape
-    /// `to_json` produces (string title, flat string arrays), which is all
-    /// the round-trip tests and tooling need.
-    ///
-    /// # Errors
-    /// Returns a message describing the first malformed construct.
-    pub fn from_json(text: &str) -> Result<Table, String> {
-        let mut p = JsonParser { bytes: text.as_bytes(), pos: 0 };
-        p.expect_byte(b'{')?;
-        let mut title = None;
-        let mut headers = None;
-        let mut rows = None;
-        loop {
-            let key = p.parse_string()?;
-            p.expect_byte(b':')?;
-            match key.as_str() {
-                "title" => title = Some(p.parse_string()?),
-                "headers" => headers = Some(p.parse_string_array()?),
-                "rows" => rows = Some(p.parse_row_array()?),
-                other => return Err(format!("unexpected key {other:?}")),
-            }
-            p.skip_ws();
-            match p.next_byte()? {
-                b',' => {}
-                b'}' => break,
-                c => return Err(format!("expected ',' or '}}', got {:?}", char::from(c))),
-            }
-        }
-        Ok(Table {
-            title: title.ok_or("missing \"title\"")?,
-            headers: headers.ok_or("missing \"headers\"")?,
-            rows: rows.ok_or("missing \"rows\"")?,
-        })
-    }
-
-    /// Serializes the table to CSV (headers then rows; fields containing
-    /// commas or quotes are quoted), for plotting tools.
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        fn field(s: &str) -> String {
-            if s.contains([',', '"', '\n']) {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        }
-        let mut out = String::new();
-        out.push_str(&self.headers.iter().map(|h| field(h)).collect::<Vec<_>>().join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| field(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
-
     fn widths(&self) -> Vec<usize> {
         let cols = self
             .headers
@@ -150,125 +92,6 @@ impl Table {
             }
         }
         w
-    }
-}
-
-/// Cursor over the byte text for [`Table::from_json`].
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn next_byte(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        let b = *self.bytes.get(self.pos).ok_or("unexpected end of input")?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn expect_byte(&mut self, want: u8) -> Result<(), String> {
-        let got = self.next_byte()?;
-        if got == want {
-            Ok(())
-        } else {
-            Err(format!("expected {:?}, got {:?}", char::from(want), char::from(got)))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect_byte(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self.bytes.get(self.pos).ok_or("unterminated string")?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = *self.bytes.get(self.pos).ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-                        }
-                        other => return Err(format!("bad escape {:?}", char::from(other))),
-                    }
-                }
-                // Multi-byte UTF-8 continues verbatim: re-slice from here.
-                _ => {
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.bytes.len()
-                        && !matches!(self.bytes[end], b'"' | b'\\')
-                    {
-                        end += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..end])
-                            .map_err(|e| e.to_string())?,
-                    );
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn parse_string_array(&mut self) -> Result<Vec<String>, String> {
-        self.expect_byte(b'[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            out.push(self.parse_string()?);
-            match self.next_byte()? {
-                b',' => {}
-                b']' => return Ok(out),
-                c => return Err(format!("expected ',' or ']', got {:?}", char::from(c))),
-            }
-        }
-    }
-
-    fn parse_row_array(&mut self) -> Result<Vec<Vec<String>>, String> {
-        self.expect_byte(b'[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            out.push(self.parse_string_array()?);
-            match self.next_byte()? {
-                b',' => {}
-                b']' => return Ok(out),
-                c => return Err(format!("expected ',' or ']', got {:?}", char::from(c))),
-            }
-        }
     }
 }
 
@@ -320,22 +143,19 @@ mod tests {
     }
 
     #[test]
-    fn csv_escapes_fields() {
-        let mut t = Table::new("c", &["a", "b"]);
-        t.push_row(vec!["x,y".into(), "say \"hi\"".into()]);
-        let csv = t.to_csv();
-        assert_eq!(csv.lines().count(), 2);
-        assert!(csv.contains("\"x,y\""));
-        assert!(csv.contains("\"say \"\"hi\"\"\""));
-    }
-
-    #[test]
-    fn json_roundtrip() {
+    fn to_json_escapes_every_special_character() {
         let mut t = Table::new("j \"quoted\"\n", &["a", "b,\\c"]);
-        t.push_row(vec!["1".into(), "2\tx".into()]);
+        t.push_row(vec!["1".into(), "2\tx\u{1}".into()]);
         t.push_row(vec![String::new()]);
-        let back = Table::from_json(&t.to_json()).unwrap();
-        assert_eq!(back, t);
+        let want = r#"{
+  "title": "j \"quoted\"\n",
+  "headers": ["a", "b,\\c"],
+  "rows": [
+    ["1", "2\tx\u0001"],
+    [""]
+  ]
+}"#;
+        assert_eq!(t.to_json(), want);
     }
 
     #[test]

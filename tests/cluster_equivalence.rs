@@ -5,8 +5,8 @@
 //! an ideal interconnect is required to reproduce
 //! [`attacc_serving::simulate_open_loop`] **bit-exactly** — same floats,
 //! not just close floats. And like every other layer of the stack, the
-//! cluster report must be byte-identical at any thread count and with a
-//! cold or warm timing cache.
+//! cluster report must be byte-identical at any thread count, with a
+//! cold or warm timing cache, and against uncached stage timing.
 
 use attacc::cluster::{simulate_cluster, ClusterConfig};
 use attacc::serving::{
@@ -184,30 +184,112 @@ fn cluster_report_is_byte_identical_cold_and_warm_cache() {
     assert!(stats.hits > 0, "second run should hit the cache");
 }
 
-#[test]
-fn reports_are_byte_identical_with_fast_path_forced_on_and_off() {
-    // The analytic steady-state fast path (ATTACC_FASTPATH, forced here
-    // via the programmatic override) must be an *identity* over the
-    // exact command-level engine: the golden cluster and chaos frontiers
-    // rendered with the fast path forced off and forced on have to match
-    // byte for byte, cold cache both times.
-    let _guard = ENGINE_LOCK.lock().expect("engine lock");
-    let render = |fastpath: bool| {
-        engine::set_fastpath(Some(fastpath));
-        TimingCache::global().clear();
-        let cluster = attacc_bench::cluster_frontier(24).to_string();
-        let chaos = attacc_bench::chaos_goodput_frontier(24).to_string();
-        let autoscale = attacc_bench::autoscale_frontier(2048).to_string();
-        let chaos_fleet = attacc_bench::chaos_fleet_frontier(24).to_string();
-        (cluster, chaos, autoscale, chaos_fleet)
+/// Every timing query through the uncached op-graph walk: the exact
+/// reference `SystemExecutor`'s cached path must reproduce.
+struct Exact(SystemExecutor);
+impl StageExecutor for Exact {
+    fn sum_stage(&self, batch: u64, l_in: u64) -> StageCost {
+        self.0.sum_stage_uncached(batch, l_in)
+    }
+    fn gen_stage(&self, groups: &[(u64, u64)]) -> StageCost {
+        let d = self.0.gen_stage_detail_uncached(groups);
+        StageCost { latency_s: d.total_s, energy_j: d.energy_j }
+    }
+}
+
+/// The reports of the four serving shapes the golden frontiers render,
+/// on six `DGX+AttAccs` nodes: a 4-node cluster, the same cluster under
+/// crashes with the full resilience stack, an autoscaled disaggregated
+/// fleet (2 prefill nodes, 1–4 decode nodes starting at 2) and that
+/// fleet under crashes.
+fn serving_shapes(
+    nodes: &[&dyn StageExecutor],
+) -> (
+    attacc::cluster::ClusterReport,
+    attacc::chaos::ChaosReport,
+    attacc::cluster::FleetReport,
+    attacc::chaos::FleetChaosReport,
+) {
+    use attacc::chaos::{
+        simulate_chaos, simulate_fleet_chaos, ChaosConfig, DegradePolicy, FaultSchedule,
+        FaultSpec, FleetChaosConfig, RecoveryMode,
     };
-    let exact = render(false);
-    let fast = render(true);
-    engine::set_fastpath(None); // restore the ATTACC_FASTPATH env default
-    assert_eq!(exact.0, fast.0, "fast path changed the cluster frontier");
-    assert_eq!(exact.1, fast.1, "fast path changed the chaos goodput frontier");
-    assert_eq!(exact.2, fast.2, "fast path changed the autoscale frontier");
-    assert_eq!(exact.3, fast.3, "fast path changed the fleet-chaos frontier");
+    use attacc::cluster::{
+        simulate_fleet, AutoscalerConfig, FleetConfig, FleetMix, InterconnectModel, PoolConfig,
+        RouterPolicy, ScaleSignal, SloSpec,
+    };
+    use attacc::model::{KvCacheSpec, ModelConfig};
+
+    let model = ModelConfig::gpt3_175b();
+    let kv_bytes = KvCacheSpec::of(&model).bytes_per_token;
+    let scheduler = SchedulerConfig::with_capacity(
+        64,
+        System::dgx_attacc_full().kv_capacity_bytes(&model),
+        kv_bytes,
+    );
+    let cluster = ClusterConfig {
+        scheduler,
+        policy: RouterPolicy::JoinShortestQueue,
+        interconnect: InterconnectModel::ethernet_400g().with_kv_bytes_per_token(kv_bytes),
+        slo: SloSpec::chatbot(),
+    };
+    let fleet = FleetConfig {
+        prefill: Some(PoolConfig::fixed(2)),
+        decode: PoolConfig::elastic(1, 2, 4),
+        scheduler,
+        policy: RouterPolicy::JoinShortestQueue,
+        interconnect: cluster.interconnect,
+        slo: cluster.slo,
+        autoscaler: Some(AutoscalerConfig {
+            interval_s: 0.25,
+            cold_start_s: 1.0,
+            cooldown_s: 0.75,
+            signal: ScaleSignal::QueueDepth { out_per_node: 48.0, in_per_node: 8.0 },
+        }),
+    };
+    let w = ArrivalWorkload::poisson(128, 40.0, 512, (64, 128), 42);
+    let spec = FaultSpec::crashes_only(3.0, 3.0);
+    let crashes = |n_nodes| FaultSchedule::generate(n_nodes, 4.0, &spec, 1);
+    let chaos = ChaosConfig { cluster, policy: attacc_bench::chaos_policies()[3], seed: 7 };
+    let fleet_chaos = FleetChaosConfig {
+        fleet,
+        recovery: RecoveryMode::KvMigrate,
+        degrade: DegradePolicy::full(12.0),
+    };
+    let (prefill, decode) = nodes.split_at(2);
+    (
+        simulate_cluster(&nodes[..4], &w, &cluster),
+        simulate_chaos(&nodes[..4], &w, &chaos, &crashes(4)),
+        simulate_fleet(prefill, decode, &w, &fleet),
+        simulate_fleet_chaos(prefill, decode, &FleetMix::uniform(), &w, &fleet_chaos, &crashes(6)),
+    )
+}
+
+#[test]
+fn reports_equal_uncached_stage_timing() {
+    // The cached Gen stage (rows-keyed parts plus the per-group attention
+    // term) and the Sum cache must be an identity over the uncached
+    // op-graph walk on every serving shape. No engine lock is needed: the
+    // reference executors never consult the cache and no process-wide
+    // state changes.
+    let model = attacc::model::ModelConfig::gpt3_175b();
+    let cached: Vec<SystemExecutor> =
+        (0..6).map(|_| SystemExecutor::new(System::dgx_attacc_full(), &model)).collect();
+    let exact: Vec<Exact> = cached.iter().map(|e| Exact(e.clone())).collect();
+    let cached: Vec<&dyn StageExecutor> = cached.iter().map(|e| e as &dyn StageExecutor).collect();
+    let exact: Vec<&dyn StageExecutor> = exact.iter().map(|e| e as &dyn StageExecutor).collect();
+
+    let (cluster, chaos, fleet, fleet_chaos) = serving_shapes(&cached);
+    // Each shape exercises what it is named for.
+    assert!(chaos.crashes > 0 && fleet_chaos.crashes > 0, "the chaos runs must crash nodes");
+    assert!(!fleet.scale_events.is_empty(), "the fleet must autoscale");
+    assert!(fleet.kv_ships > 0, "the disaggregated fleet must ship KV");
+
+    let reference = serving_shapes(&exact);
+    assert_eq!(cluster, reference.0, "cached timing changed the cluster report");
+    assert_eq!(chaos, reference.1, "cached timing changed the chaos report");
+    assert_eq!(fleet, reference.2, "cached timing changed the fleet report");
+    assert_eq!(fleet_chaos, reference.3, "cached timing changed the fleet-chaos report");
 }
 
 #[test]
