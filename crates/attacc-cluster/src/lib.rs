@@ -23,9 +23,10 @@
 //!    timing cache.
 //! 2. **Equivalence.** A 1-node cluster behind a pass-through router over
 //!    an ideal interconnect reproduces
-//!    [`attacc_serving::simulate_open_loop`] *bit-exactly* — the node's
-//!    round body mirrors the open-loop body line for line, so the cluster
-//!    layer provably adds no modeling drift.
+//!    [`attacc_serving::simulate_open_loop`] *bit-exactly*. Both drive
+//!    the one scheduling round, [`NodeEngine::run_round`] from
+//!    `attacc-serving`, and the loop delivers, wakes and measures the node
+//!    as the open loop does, so the cluster layer adds no modeling drift.
 //! 3. **Composition.** Nodes see only the [`StageExecutor`] trait; the
 //!    memoised `attacc-sim` timing cache, toy test executors, and future
 //!    platforms all plug in unchanged.
@@ -72,7 +73,6 @@
 
 pub mod event;
 pub mod interconnect;
-pub mod node;
 pub mod policy;
 pub mod pools;
 pub mod report;
@@ -82,7 +82,6 @@ pub mod sim;
 
 pub use event::{Event, EventKind, EventQueue};
 pub use interconnect::InterconnectModel;
-pub use node::{kv_stride_for, CrashedWork, DisplacedRequest, NodeEngine, NodeRole, RoundOutcome};
 pub use policy::{
     BrownoutConfig, DegradePolicy, HealthConfig, RecoveryMode, ResiliencePolicy, ShedConfig,
     StormGuard,
@@ -97,8 +96,11 @@ pub use scale::{
     ScaleSignal,
 };
 pub use sim::{
-    simulate_cluster, ClusterConfig, FaultCounters, LoopOutcome, RequestOutcome, ServingLoop,
+    kv_stride_for, simulate_cluster, ClusterConfig, FaultCounters, LoopOutcome, RequestOutcome,
+    ServingLoop,
 };
 
 // Re-exported so downstream callers need only this crate for a full run.
-pub use attacc_serving::StageExecutor;
+pub use attacc_serving::{
+    CrashedWork, DisplacedRequest, NodeEngine, NodeRole, RoundOutcome, StageExecutor,
+};

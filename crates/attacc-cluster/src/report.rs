@@ -5,7 +5,7 @@
 //! text / JSON forms as the per-figure drivers and plug into the
 //! golden-table regression suite unchanged.
 
-use attacc_serving::{LatencyStats, OpenLoopReport};
+use attacc_serving::{LatencyStats, NodeEngine, OpenLoopReport};
 use attacc_sim::Table;
 
 /// Latency service-level objectives for goodput accounting.
@@ -73,7 +73,8 @@ pub struct ClusterReport {
     pub completed: u64,
     /// Requests abandoned (infeasible under node capacity).
     pub abandoned: u64,
-    /// First arrival to last completion (s).
+    /// Virtual time from t = 0, not from the first arrival, to the last
+    /// work event — normally the last round's end (s).
     pub makespan_s: f64,
     /// Total energy (J).
     pub energy_j: f64,
@@ -100,30 +101,32 @@ impl ClusterReport {
     #[must_use]
     pub fn from_engines(
         policy_name: &str,
-        engines: &mut [crate::node::NodeEngine<'_>],
+        engines: &mut [NodeEngine<'_>],
         makespan_s: f64,
         slo: &SloSpec,
     ) -> ClusterReport {
         // Pre-size the aggregates to their exact final lengths: on a
         // 10^5-request trace repeated doubling would otherwise copy each
         // sample vector O(log n) times.
-        let mut ttft = Vec::with_capacity(engines.iter().map(|e| e.ttft.len()).sum());
-        let mut ttft_tokens = Vec::with_capacity(engines.iter().map(|e| e.ttft_tokens.len()).sum());
-        let mut tbt = Vec::with_capacity(engines.iter().map(|e| e.tbt.len()).sum());
-        let mut queue_wait = Vec::with_capacity(engines.iter().map(|e| e.queue_wait.len()).sum());
+        let mut ttft = Vec::with_capacity(engines.iter().map(|e| e.metrics().ttft.len()).sum());
+        let mut ttft_tokens =
+            Vec::with_capacity(engines.iter().map(|e| e.metrics().ttft_tokens.len()).sum());
+        let mut tbt = Vec::with_capacity(engines.iter().map(|e| e.metrics().tbt.len()).sum());
+        let mut queue_wait =
+            Vec::with_capacity(engines.iter().map(|e| e.metrics().queue_wait.len()).sum());
         let mut energy = 0.0f64;
         let mut tokens = 0u64;
         let mut completed = 0u64;
         let mut abandoned = 0u64;
-        for e in engines.iter() {
-            ttft.extend_from_slice(&e.ttft);
-            ttft_tokens.extend_from_slice(&e.ttft_tokens);
-            tbt.extend_from_slice(&e.tbt);
-            queue_wait.extend_from_slice(&e.queue_wait);
-            energy += e.energy_j;
-            tokens += e.tokens;
-            completed += e.completed;
-            abandoned += e.abandoned;
+        for m in engines.iter().map(NodeEngine::metrics) {
+            ttft.extend_from_slice(&m.ttft);
+            ttft_tokens.extend_from_slice(&m.ttft_tokens);
+            tbt.extend_from_slice(&m.tbt);
+            queue_wait.extend_from_slice(&m.queue_wait);
+            energy += m.energy_j;
+            tokens += m.tokens;
+            completed += m.completed;
+            abandoned += m.abandoned;
         }
 
         let tbt_stats = LatencyStats::from_samples(tbt);
@@ -150,17 +153,18 @@ impl ClusterReport {
             .enumerate()
             .map(|(i, e)| {
                 let (peak, mean) = e.finish_kv(makespan_s);
+                let m = e.metrics();
                 NodeReport {
                     node: i,
-                    completed: e.completed,
-                    abandoned: e.abandoned,
-                    tokens: e.tokens,
-                    busy_s: e.busy_s,
-                    utilization: if makespan_s > 0.0 { e.busy_s / makespan_s } else { 0.0 },
-                    energy_j: e.energy_j,
+                    completed: m.completed,
+                    abandoned: m.abandoned,
+                    tokens: m.tokens,
+                    busy_s: m.busy_s,
+                    utilization: if makespan_s > 0.0 { m.busy_s / makespan_s } else { 0.0 },
+                    energy_j: m.energy_j,
                     peak_kv_tokens: peak,
                     mean_kv_tokens: mean,
-                    kv_timeline: e.kv_timeline.clone(),
+                    kv_timeline: m.kv_timeline.clone(),
                 }
             })
             .collect();

@@ -31,14 +31,15 @@
 
 use crate::event::{EventKind, EventQueue};
 use crate::interconnect::InterconnectModel;
-use crate::node::{kv_stride_for, NodeEngine, NodeRole};
 use crate::policy::{BrownoutConfig, DegradePolicy, HealthConfig, RecoveryMode, ResiliencePolicy};
 use crate::pools::{FleetConfig, FleetMix, FleetReport, Pool, PoolConfig, PoolMix};
 use crate::report::{ClusterReport, SloSpec};
 use crate::router::{splitmix64, NodeLoad, RouterPolicy};
 use crate::scale::{Autoscaler, PoolKind, PoolObservation, ScaleDirection, ScaleEvent};
 use attacc_model::Request;
-use attacc_serving::{ArrivalWorkload, RetryPolicy, SchedulerConfig, StageExecutor};
+use attacc_serving::{
+    ArrivalWorkload, NodeEngine, NodeRole, RetryPolicy, SchedulerConfig, StageExecutor,
+};
 
 /// Everything a cluster run needs besides executors and a workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -228,6 +229,19 @@ struct Track {
     completions: u64,
     /// Rejected at admission; never dispatched.
     shed: bool,
+}
+
+/// The deterministic KV-timeline sampling stride for an `n_requests`
+/// workload: record every reservation change for small runs (byte-exact
+/// with the pre-sampling behavior below 1024 requests, where every
+/// golden table and equivalence pin lives), then thin linearly with the
+/// request count so the timeline holds on the order of a thousand
+/// samples per node however long the trace — report memory stays
+/// O(nodes · samples), not O(requests). The serving loop applies it on
+/// every entry point, so identical workloads always sample identically.
+#[must_use]
+pub fn kv_stride_for(n_requests: usize) -> u64 {
+    ((n_requests as u64 * 2) / 1024).max(1)
 }
 
 /// Outstanding requests at global node `g`: in flight + queued + active.

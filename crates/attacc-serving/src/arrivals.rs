@@ -3,11 +3,11 @@
 //! actually monitors — time-to-first-token (TTFT), time-between-tokens
 //! (TBT) and queueing delay — for a given arrival rate and platform.
 
+use crate::node::NodeEngine;
 use crate::scheduler::{SchedulerConfig, StageExecutor};
-use attacc_model::{Request, RequestState, SequenceStatus};
+use attacc_model::Request;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
 
 /// A timed request population.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,7 +117,8 @@ impl LatencyStats {
 pub struct OpenLoopReport {
     /// Requests fully served.
     pub completed: u64,
-    /// Wall-clock span from first arrival to last completion (s).
+    /// Virtual time from t = 0, not from the first arrival, to the last
+    /// round's end (s).
     pub makespan_s: f64,
     /// Total energy (J).
     pub energy_j: f64,
@@ -132,8 +133,11 @@ pub struct OpenLoopReport {
 }
 
 /// Simulates open-loop serving of `workload` on `executor` under `cfg`
-/// with iteration-level scheduling. When the active batch drains and no
-/// request has arrived yet, time jumps to the next arrival.
+/// with iteration-level scheduling, on one [`NodeEngine`]. Each arrival
+/// is delivered once its time has come; when the node drains and no
+/// request has arrived yet, time jumps to the next arrival. A request
+/// that can never fit the KV capacity is abandoned with the queue behind
+/// it, and later arrivals are still served.
 ///
 /// # Panics
 /// Panics if `cfg.max_batch` is zero.
@@ -143,119 +147,33 @@ pub fn simulate_open_loop<E: StageExecutor>(
     workload: &ArrivalWorkload,
     cfg: &SchedulerConfig,
 ) -> OpenLoopReport {
-    assert!(cfg.max_batch > 0, "max_batch must be positive");
-    let mut pending: VecDeque<(f64, Request)> = workload.arrivals.iter().copied().collect();
-    let mut queued: VecDeque<(f64, Request)> = VecDeque::new();
-    let mut active: Vec<(f64, RequestState)> = Vec::new(); // (arrival, state)
-    let mut reserved_tokens: u64 = 0;
-
+    let mut node = NodeEngine::new(executor, *cfg);
+    let mut pending = workload.arrivals.iter().peekable();
     let mut now = 0.0f64;
-    let mut energy = 0.0f64;
-    let mut tokens: u64 = 0;
-    let mut completed: u64 = 0;
-    let mut ttft = Vec::new();
-    let mut tbt = Vec::new();
-    let mut queue_wait = Vec::new();
-
-    let fits = |reserved: u64, cfg: &SchedulerConfig, req: &Request| -> bool {
-        if cfg.kv_bytes_per_token == 0 {
-            return true;
+    loop {
+        while let Some(&(t, request)) = pending.next_if(|&&(t, _)| t <= now) {
+            node.deliver(t, request);
         }
-        let need = (reserved + req.final_len()) as u128 * cfg.kv_bytes_per_token as u128;
-        need <= cfg.kv_capacity_bytes as u128
-    };
-
-    while !pending.is_empty() || !queued.is_empty() || !active.is_empty() {
-        // Move arrivals whose time has come into the admission queue.
-        while pending.front().is_some_and(|&(t, _)| t <= now) {
-            queued.push_back(pending.pop_front().expect("checked"));
-        }
-        // Idle system: fast-forward to the next arrival.
-        if active.is_empty() && queued.is_empty() {
-            if let Some(&(t, _)) = pending.front() {
-                now = t;
-                continue;
+        if node.is_drained() {
+            match pending.peek() {
+                Some(&&(t, _)) => now = t,
+                None => break,
             }
-            break;
+            continue;
         }
-
-        // Admit.
-        let mut admitted: Vec<(u64, u64)> = Vec::new();
-        while (active.len() as u64) < cfg.max_batch {
-            let Some(&(arrival, req)) = queued.front() else { break };
-            if !fits(reserved_tokens, cfg, &req) {
-                break;
-            }
-            queued.pop_front();
-            reserved_tokens += req.final_len();
-            queue_wait.push(now - arrival);
-            active.push((arrival, RequestState::admitted(req)));
-            match admitted.iter_mut().find(|(_, l)| *l == req.l_in) {
-                Some((c, _)) => *c += 1,
-                None => admitted.push((1, req.l_in)),
-            }
-        }
-
-        // Prefill the admissions.
-        for &(c, l_in) in &admitted {
-            let cost = executor.sum_stage(c, l_in);
-            now += cost.latency_s;
-            energy += cost.energy_j;
-        }
-        for (arrival, s) in active.iter_mut().filter(|(_, s)| s.status == SequenceStatus::NeedsSum)
-        {
-            tokens += 1;
-            ttft.push(now - *arrival);
-            let _ = s.complete_stage();
-        }
-
-        // One Gen iteration.
-        let mut groups: Vec<(u64, u64)> = Vec::new();
-        for (_, s) in active.iter().filter(|(_, s)| s.status == SequenceStatus::Generating) {
-            let l = s.context_len() + 1;
-            match groups.iter_mut().find(|(_, gl)| *gl == l) {
-                Some((c, _)) => *c += 1,
-                None => groups.push((1, l)),
-            }
-        }
-        if !groups.is_empty() {
-            let cost = executor.gen_stage(&groups);
-            now += cost.latency_s;
-            energy += cost.energy_j;
-            tbt.push(cost.latency_s);
-            for (_, s) in active.iter_mut().filter(|(_, s)| s.status == SequenceStatus::Generating)
-            {
-                tokens += 1;
-                let _ = s.complete_stage();
-            }
-        }
-
-        // Retire.
-        active.retain(|(_, s)| {
-            if s.status == SequenceStatus::Finished {
-                reserved_tokens -= s.request.final_len();
-                completed += 1;
-                false
-            } else {
-                true
-            }
-        });
-
-        if groups.is_empty() && admitted.is_empty() && active.is_empty() && queued.front().is_some()
-        {
-            // A queued request can never fit: abandon to avoid livelock.
-            break;
-        }
+        now = node.run_round(now).end_s;
+        node.clear_round_logs();
     }
 
+    let m = node.metrics();
     OpenLoopReport {
-        completed,
+        completed: m.completed,
         makespan_s: now,
-        energy_j: energy,
-        tokens_per_s: if now > 0.0 { tokens as f64 / now } else { 0.0 },
-        ttft: LatencyStats::from_samples(ttft),
-        tbt: LatencyStats::from_samples(tbt),
-        queue_wait: LatencyStats::from_samples(queue_wait),
+        energy_j: m.energy_j,
+        tokens_per_s: if now > 0.0 { m.tokens as f64 / now } else { 0.0 },
+        ttft: LatencyStats::from_samples(m.ttft.clone()),
+        tbt: LatencyStats::from_samples(m.tbt.clone()),
+        queue_wait: LatencyStats::from_samples(m.queue_wait.clone()),
     }
 }
 

@@ -7,6 +7,12 @@
 //! — a new request joins the batch whenever one completes, so heads at
 //! different progress points mix freely within a Gen iteration.
 //!
+//! One scheduling round implements it, [`NodeEngine::run_round`] in
+//! [`node`]. [`simulate`] and [`simulate_with_policy`] drive one engine
+//! over a closed batch delivered at t = 0, [`simulate_open_loop`] over
+//! timed arrivals, and `attacc-cluster`'s event loop runs one engine per
+//! node.
+//!
 //! # Example
 //!
 //! ```
@@ -35,6 +41,7 @@
 pub mod arrivals;
 pub mod capacity;
 pub mod metrics;
+pub mod node;
 pub mod pipeline;
 pub mod resilience;
 pub mod scheduler;
@@ -45,6 +52,7 @@ pub mod workload;
 pub use arrivals::{simulate_open_loop, ArrivalWorkload, LatencyStats, OpenLoopReport};
 pub use capacity::max_batch_by_capacity;
 pub use metrics::ServingReport;
+pub use node::{CrashedWork, DisplacedRequest, NodeEngine, NodeMetrics, NodeRole, RoundOutcome};
 pub use pipeline::{ff_coprocess_speedup, head_level_pipelined_s, serial_s, DecoderPhases};
 pub use resilience::RetryPolicy;
 pub use scheduler::{

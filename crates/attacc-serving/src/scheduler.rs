@@ -1,8 +1,8 @@
 //! Iteration-level scheduling simulation (ORCA-style, §3).
 
 use crate::metrics::ServingReport;
-use attacc_model::{Request, RequestState, SequenceStatus};
-use std::collections::VecDeque;
+use crate::node::NodeEngine;
+use attacc_model::Request;
 
 /// Cost of executing one stage on some system.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -108,6 +108,12 @@ pub fn simulate<E: StageExecutor>(
 
 /// [`simulate`] with an explicit [`AdmissionPolicy`].
 ///
+/// The whole batch is delivered to one [`NodeEngine`] at t = 0. On a
+/// closed batch, shortest-job-first admission is FCFS over the batch
+/// sorted stably by `(l_out, id)`. A request whose final footprint can
+/// never fit the KV capacity is abandoned, with everything queued behind
+/// it.
+///
 /// # Panics
 /// Panics if `cfg.max_batch` is zero.
 #[must_use]
@@ -117,123 +123,30 @@ pub fn simulate_with_policy<E: StageExecutor>(
     cfg: &SchedulerConfig,
     policy: AdmissionPolicy,
 ) -> ServingReport {
-    assert!(cfg.max_batch > 0, "max_batch must be positive");
-    let mut queue: VecDeque<Request> = requests.iter().copied().collect();
-    let mut active: Vec<RequestState> = Vec::new();
-    let mut reserved_tokens: u64 = 0;
-
+    let mut node = NodeEngine::new(executor, *cfg);
+    let mut batch = requests.to_vec();
+    if policy == AdmissionPolicy::ShortestJobFirst {
+        batch.sort_by_key(|r| (r.l_out, r.id));
+    }
+    for r in batch {
+        node.deliver(0.0, r);
+    }
     let mut now_s = 0.0f64;
-    let mut energy_j = 0.0f64;
-    let mut tokens: u64 = 0;
-    let mut iterations: u64 = 0;
-    let mut max_iter_latency_s = 0.0f64;
-    let mut completed: u64 = 0;
-
-    let fits = |reserved: u64, cfg: &SchedulerConfig, req: &Request| -> bool {
-        if cfg.kv_bytes_per_token == 0 {
-            return true;
-        }
-        let need = (reserved + req.final_len()) as u128 * cfg.kv_bytes_per_token as u128;
-        need <= cfg.kv_capacity_bytes as u128
-    };
-
-    let pick = |queue: &VecDeque<Request>| -> Option<usize> {
-        match policy {
-            AdmissionPolicy::Fcfs => (!queue.is_empty()).then_some(0),
-            AdmissionPolicy::ShortestJobFirst => queue
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, r)| (r.l_out, r.id))
-                .map(|(i, _)| i),
-        }
-    };
-    let mut turnaround_sum = 0.0f64;
-
-    while !queue.is_empty() || !active.is_empty() {
-        // Admit as many queued requests as batch and capacity allow.
-        let mut admitted: Vec<(u64, u64)> = Vec::new(); // (count, l_in) groups
-        while (active.len() as u64) < cfg.max_batch {
-            let Some(idx) = pick(&queue) else { break };
-            if !fits(reserved_tokens, cfg, &queue[idx]) {
-                break;
-            }
-            let req = queue.remove(idx).expect("index from pick is valid");
-            reserved_tokens += req.final_len();
-            active.push(RequestState::admitted(req));
-            match admitted.iter_mut().find(|(_, l)| *l == req.l_in) {
-                Some((n, _)) => *n += 1,
-                None => admitted.push((1, req.l_in)),
-            }
-        }
-
-        // Batched prefill of this iteration's admissions. The Sum stage
-        // produces each new request's first token.
-        for &(n, l_in) in &admitted {
-            let cost = executor.sum_stage(n, l_in);
-            now_s += cost.latency_s;
-            energy_j += cost.energy_j;
-        }
-        let mut finished_this_iter = false;
-        for s in active.iter_mut().filter(|s| s.status == SequenceStatus::NeedsSum) {
-            tokens += 1;
-            if s.complete_stage() == SequenceStatus::Finished {
-                finished_this_iter = true;
-            }
-        }
-
-        // One Gen iteration over everything still generating.
-        let mut groups: Vec<(u64, u64)> = Vec::new();
-        for s in active.iter().filter(|s| s.status == SequenceStatus::Generating) {
-            let l = s.context_len() + 1; // context including the new token
-            match groups.iter_mut().find(|(_, gl)| *gl == l) {
-                Some((n, _)) => *n += 1,
-                None => groups.push((1, l)),
-            }
-        }
-        if !groups.is_empty() {
-            let cost = executor.gen_stage(&groups);
-            now_s += cost.latency_s;
-            energy_j += cost.energy_j;
-            iterations += 1;
-            max_iter_latency_s = max_iter_latency_s.max(cost.latency_s);
-            for s in active.iter_mut().filter(|s| s.status == SequenceStatus::Generating) {
-                tokens += 1;
-                if s.complete_stage() == SequenceStatus::Finished {
-                    finished_this_iter = true;
-                }
-            }
-        }
-
-        // Retire finished requests, freeing their KV reservations.
-        if finished_this_iter || !groups.is_empty() || !admitted.is_empty() {
-            active.retain(|s| {
-                if s.status == SequenceStatus::Finished {
-                    reserved_tokens -= s.request.final_len();
-                    completed += 1;
-                    turnaround_sum += now_s;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-
-        if groups.is_empty() && admitted.is_empty() && !queue.is_empty() && active.is_empty() {
-            // Nothing fits at all: the configuration cannot serve the
-            // workload (e.g. one request larger than capacity).
-            break;
-        }
+    while !node.is_drained() {
+        now_s = node.run_round(now_s).end_s;
     }
 
+    let m = node.metrics();
+    let turnaround_sum = node.retired_log().iter().fold(0.0f64, |sum, &(_, t)| sum + t);
     ServingReport {
         total_time_s: now_s,
-        energy_j,
-        tokens_generated: tokens,
-        requests_completed: completed,
-        gen_iterations: iterations,
-        max_iteration_latency_s: max_iter_latency_s,
-        mean_turnaround_s: if completed > 0 {
-            turnaround_sum / completed as f64
+        energy_j: m.energy_j,
+        tokens_generated: m.tokens,
+        requests_completed: m.completed,
+        gen_iterations: m.tbt.len() as u64,
+        max_iteration_latency_s: m.tbt.iter().fold(0.0f64, |max, &l| max.max(l)),
+        mean_turnaround_s: if m.completed > 0 {
+            turnaround_sum / m.completed as f64
         } else {
             0.0
         },

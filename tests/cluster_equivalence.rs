@@ -9,6 +9,7 @@
 //! cold or warm timing cache, and against uncached stage timing.
 
 use attacc::cluster::{simulate_cluster, ClusterConfig};
+use attacc::model::Request;
 use attacc::serving::{
     simulate_open_loop, ArrivalWorkload, SchedulerConfig, StageCost, StageExecutor,
 };
@@ -66,6 +67,26 @@ fn one_node_bit_exact_under_kv_pressure() {
     // sides.
     let w = ArrivalWorkload::poisson(60, 300.0, 16, (8, 24), 23);
     assert_bit_exact(&Toy, &w, SchedulerConfig::with_capacity(8, 80, 1));
+}
+
+#[test]
+fn one_node_bit_exact_with_an_infeasible_request() {
+    // 40 KV tokens: the 8/4 requests fit, the 90/10 one at 1 s never
+    // does. Its queue is abandoned, and the arrivals at 5 s and 6 s are
+    // still served.
+    let w = ArrivalWorkload {
+        arrivals: vec![
+            (0.0, Request::new(0, 8, 4)),
+            (1.0, Request::new(1, 90, 10)),
+            (5.0, Request::new(2, 8, 4)),
+            (6.0, Request::new(3, 8, 4)),
+        ],
+    };
+    let cfg = SchedulerConfig::with_capacity(4, 40, 1);
+    assert_bit_exact(&Toy, &w, cfg);
+    let r = simulate_open_loop(&Toy, &w, &cfg);
+    assert_eq!(r.completed, 3);
+    assert!(r.makespan_s > 6.0, "makespan {}", r.makespan_s);
 }
 
 #[test]
@@ -346,7 +367,6 @@ fn disaggregated_pair_with_free_shipping_matches_monolithic_node() {
     use attacc::cluster::{
         simulate_fleet, FleetConfig, InterconnectModel, PoolConfig, RouterPolicy, SloSpec,
     };
-    use attacc::model::Request;
 
     // One prefill node + one decode node over a zero-cost interconnect,
     // arrivals spaced far enough apart that exactly one request is in

@@ -1,13 +1,11 @@
 //! Golden-figure regression suite.
 //!
 //! `golden_all` renders the whole evaluation exactly as `attacc-bench
-//! all` prints it and diffs it against `results_all_tables.txt`; the
-//! per-table tests check that their table is a verbatim slice of that
-//! record, so a moved number also names its table. The scenario tests
-//! render the experiments that file does not hold, at reduced sizes, and
-//! diff each against a checked-in snapshot under `tests/golden/`. Any
-//! timing-model change that moves a published number fails here with a
-//! line-level diff.
+//! all` prints it and diffs it against `results_all_tables.txt`. The
+//! scenario tests render the experiments that file does not hold, at
+//! reduced sizes, and diff each against a checked-in snapshot under
+//! `tests/golden/`. Any timing-model change that moves a published number
+//! fails here with a line-level diff.
 //!
 //! To regenerate after an intentional model change:
 //!
@@ -66,50 +64,9 @@ fn check(file: &str, tables: &[Table]) {
     }
 }
 
-/// Asserts that `tables`, rendered as the experiments print them, are a
-/// verbatim slice of `results_all_tables.txt` (which `golden_all`
-/// rewrites under `BLESS=1`).
-fn check_in_all(name: &str, tables: &[Table]) {
-    if blessing() {
-        return;
-    }
-    let record =
-        std::fs::read_to_string(repo_path("results_all_tables.txt")).expect("read the record");
-    assert!(
-        record.contains(&render(tables)),
-        "{name} is not a verbatim slice of results_all_tables.txt; golden_all shows the diff"
-    );
-}
-
 #[test]
 fn golden_all() {
     check("results_all_tables.txt", &attacc_bench::all_tables(attacc_bench::N_REQUESTS));
-}
-
-/// One test per table, each named `golden_<table>`, checking that table
-/// against its slice of `results_all_tables.txt`.
-macro_rules! slices_of_all {
-    ($($test:ident: $tables:expr;)*) => {$(
-        #[test]
-        fn $test() {
-            check_in_all(stringify!($test), &$tables);
-        }
-    )*};
-}
-
-slices_of_all! {
-    golden_table1: [attacc_bench::table1()];
-    golden_capacity: [attacc_bench::capacity_table()];
-    golden_fig02: [attacc_bench::fig02()];
-    golden_fig03: [attacc_bench::fig03()];
-    golden_fig04: attacc_bench::fig04();
-    golden_fig07: [attacc_bench::fig07()];
-    golden_fig13: [attacc_bench::fig13(attacc_bench::N_REQUESTS)];
-    golden_fig14: [attacc_bench::fig14()];
-    golden_fig16: [attacc_bench::fig16(attacc_bench::N_REQUESTS)];
-    golden_area: [attacc_bench::area_table()];
-    golden_validation: [attacc_bench::validation_table()];
-    golden_ablation_gqa: [attacc_bench::ablation_gqa()];
 }
 
 #[test]
