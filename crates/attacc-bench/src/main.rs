@@ -137,7 +137,7 @@ fn model_card() {
 /// loops lean on — Gen-stage timing resolution (the cached rows-keyed
 /// path, and the full op-graph walk of `gen_stage_detail_uncached` that
 /// a cache hit saves), the fused PIM attention model, and the
-/// time-wheel event queue — and of the simulator's core kernels
+/// binary-heap event queue — and of the simulator's core kernels
 /// below them, so a wall-clock regression can be localized to a
 /// component without an external profiler. Numbers are
 /// machine-dependent and printed for inspection only; the enforced
@@ -218,7 +218,7 @@ mod hotpath {
 
         // Event-queue churn: a standing population with one pop + one push
         // per step, time strictly advancing — the cluster loop's access
-        // pattern on the time wheel.
+        // pattern.
         let mut q = EventQueue::new();
         for i in 0..1024u64 {
             q.push(1e-3 * i as f64, EventKind::NodeReady { node: 0 });

@@ -4,11 +4,12 @@
 //! ties at the same virtual time resolve fault transitions first (a node
 //! that crashes at `t` is already down for an arrival at `t`), then
 //! arrivals before deliveries before resilience timers before node
-//! wake-ups (mirroring the single-node open-loop scheduler, which moves
-//! due arrivals into the queue *before* admitting), and equal-kind ties
-//! resolve in insertion order. The order is therefore a pure function
-//! of the inserted events — no wall clock, no hash iteration, no thread
-//! interleaving — which is what makes the whole simulator replayable.
+//! wake-ups before scale ticks (mirroring the single-node open-loop
+//! scheduler, which moves due arrivals into the queue *before*
+//! admitting), and equal-kind ties resolve in insertion order. The order
+//! is therefore a pure function of the inserted events — no wall clock,
+//! no hash iteration, no thread interleaving — which is what makes the
+//! whole simulator replayable.
 //!
 //! The fault-transition kinds (`NodeDown`, `NodeUp`, `Slowdown`,
 //! `LinkFactor`) enter the queue only when a run pre-loads a fault
@@ -16,8 +17,8 @@
 //! never emits them, so they cannot perturb it.
 
 use attacc_model::Request;
-use std::cmp::Ordering;
-use std::collections::VecDeque;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 /// What happens at an event's virtual time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -126,110 +127,68 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-impl Eq for Event {}
+/// Low bits of a pop key holding the insertion sequence number; the kind
+/// rank takes the four bits above them, room for 16 ranks. 2^60 pushes
+/// would take decades at one per nanosecond.
+const SEQ_BITS: u32 = 60;
 
-impl PartialOrd for Event {
+/// A queued event: its kind under one integer pop key (see
+/// [`EventQueue`]), which also carries its time and sequence number.
+#[derive(Debug)]
+struct Entry {
+    key: u128,
+    kind: EventKind,
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for Entry {}
+
+impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Event {
+impl Ord for Entry {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap: invert so the earliest event pops
-        // first.
-        other
-            .time_s
-            .total_cmp(&self.time_s)
-            .then_with(|| other.kind.rank().cmp(&self.kind.rank()))
-            .then_with(|| other.seq.cmp(&self.seq))
+        self.key.cmp(&other.key)
     }
 }
 
-/// Seconds of virtual time per near-wheel slot. Decode iterations land a
-/// few milliseconds to tens of milliseconds apart, so 4 ms buckets keep
-/// slots to a handful of events each while consecutive rounds stay within
-/// one block (block transitions, not slot hops, are the expensive step).
-const SLOT_S: f64 = 4e-3;
-/// Slots in the near wheel; one block covers 1.024 s of virtual time.
-const NEAR_SLOTS: u64 = 256;
-/// Block buckets in the far wheel; its horizon reaches 262 s past the
-/// cursor before events fall through to the sorted overflow level.
-const FAR_BLOCKS: u64 = 256;
-
-/// The near-wheel slot a virtual time maps to (saturating: negative
-/// times clamp to slot 0, far-future times to `u64::MAX`). Saturation
-/// cannot reorder anything — within a bucket the full `(time, rank,
-/// seq)` sort decides, and the mapping is monotone in time.
-fn slot_of(time_s: f64) -> u64 {
-    (time_s / SLOT_S) as u64
+/// `time_s` as a `u64` that sorts the way [`f64::total_cmp`] does: a
+/// negative time has every bit flipped, any other only its sign bit, so
+/// `-0.0` sorts just below `+0.0` and negative times below both.
+fn time_key(time_s: f64) -> u64 {
+    let bits = time_s.to_bits();
+    if bits >> 63 == 1 { !bits } else { bits | (1 << 63) }
 }
 
-/// A min-priority queue over [`Event`]s with deterministic tie-breaking.
-///
-/// Internally a two-level hierarchical time-wheel: a 256-slot *near*
-/// wheel over the block of virtual time being drained, a 256-bucket
-/// *far* wheel holding whole blocks up to 262 s ahead, and a
-/// lazily-sorted *overflow* vector for events beyond that horizon.
-/// Near buckets are kept in exact `(time, rank, seq)` pop order (a
-/// sorted insert on push; pushes in time order append in O(1)), so the
-/// pop sequence is identical to a binary heap over the same order — the
-/// property tests in `tests/event_queue_props.rs` pin this against a
-/// reference heap model. Bucket deques are reused as the cursor laps
-/// the wheel, so steady-state operation allocates nothing.
-#[derive(Debug)]
+/// The time a [`time_key`] encodes.
+fn key_time(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 { key ^ (1 << 63) } else { !key })
+}
+
+/// A min-priority queue over [`Event`]s with deterministic tie-breaking:
+/// a binary heap over one `u128` pop key per event, the [`time_key`] in
+/// the high 64 bits, then the kind rank, then the insertion sequence
+/// number. Sifts compare plain integers, never floats, and `seq` is
+/// unique, so the key is a total order.
+#[derive(Debug, Default)]
 pub struct EventQueue {
-    /// Slot buckets of the block under the cursor; index = slot % 256.
-    /// Each deque is kept in pop order: the earliest event at the front.
-    near: Vec<VecDeque<Event>>,
-    /// Occupancy bitmap over the near slots (bit i = `near[i]` non-empty):
-    /// the cursor jumps to the next occupied slot with a word scan instead
-    /// of walking empty buckets one by one.
-    near_occ: [u64; (NEAR_SLOTS / 64) as usize],
-    /// Events in the current block still unpopped.
-    near_len: usize,
-    /// Block buckets within the far horizon; index = block % 256. All
-    /// events in one bucket belong to the same block.
-    far: Vec<Vec<Event>>,
-    /// Earliest absolute slot in each far bucket (`u64::MAX` when empty),
-    /// so a block transition scans occupied buckets instead of every far
-    /// event.
-    far_min: Vec<u64>,
-    /// Occupancy bitmap over the far buckets (bit i = `far[i]` non-empty):
-    /// the block-transition minimum visits only occupied buckets.
-    far_occ: [u64; (FAR_BLOCKS / 64) as usize],
-    /// Events beyond the far horizon, lazily sorted latest-first.
-    overflow: Vec<Event>,
-    overflow_sorted: bool,
-    /// Absolute slot currently being drained; never decreases.
-    cursor: u64,
-    len: usize,
+    heap: BinaryHeap<Reverse<Entry>>,
     next_seq: u64,
-}
-
-impl Default for EventQueue {
-    fn default() -> EventQueue {
-        EventQueue::new()
-    }
 }
 
 impl EventQueue {
     /// An empty queue.
     #[must_use]
     pub fn new() -> EventQueue {
-        EventQueue {
-            near: (0..NEAR_SLOTS).map(|_| VecDeque::new()).collect(),
-            near_occ: [0; (NEAR_SLOTS / 64) as usize],
-            near_len: 0,
-            far: (0..FAR_BLOCKS).map(|_| Vec::new()).collect(),
-            far_min: vec![u64::MAX; FAR_BLOCKS as usize],
-            far_occ: [0; (FAR_BLOCKS / 64) as usize],
-            overflow: Vec::new(),
-            overflow_sorted: true,
-            cursor: 0,
-            len: 0,
-            next_seq: 0,
-        }
+        EventQueue::default()
     }
 
     /// Schedules `kind` at `time_s`.
@@ -239,171 +198,40 @@ impl EventQueue {
     /// cost model diverged and the simulation would silently stall.
     pub fn push(&mut self, time_s: f64, kind: EventKind) {
         assert!(time_s.is_finite(), "event time must be finite, got {time_s}");
-        let seq = self.next_seq;
+        let key = (u128::from(time_key(time_s)) << 64)
+            | (u128::from(kind.rank()) << SEQ_BITS)
+            | u128::from(self.next_seq);
         self.next_seq += 1;
-        let ev = Event { time_s, seq, kind };
-        // An event at or before the cursor lands in the cursor's slot:
-        // the reference heap would pop it next too, and the in-bucket
-        // `(time, rank, seq)` sort puts it ahead of everything later.
-        let slot = slot_of(time_s).max(self.cursor);
-        let block = slot / NEAR_SLOTS;
-        let cur_block = self.cursor / NEAR_SLOTS;
-        if block == cur_block {
-            self.near_insert((slot % NEAR_SLOTS) as usize, ev);
-        } else if block - cur_block <= FAR_BLOCKS {
-            let i = (block % FAR_BLOCKS) as usize;
-            self.far[i].push(ev);
-            self.far_min[i] = self.far_min[i].min(slot);
-            self.far_occ[i / 64] |= 1u64 << (i % 64);
-        } else {
-            self.overflow.push(ev);
-            self.overflow_sorted = self.overflow.len() <= 1;
-        }
-        self.len += 1;
+        self.heap.push(Reverse(Entry { key, kind }));
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<Event> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            let i = (self.cursor % NEAR_SLOTS) as usize;
-            if !self.near[i].is_empty() {
-                let ev = self.near[i].pop_front().expect("checked non-empty");
-                if self.near[i].is_empty() {
-                    self.near_occ[i / 64] &= !(1u64 << (i % 64));
-                }
-                self.near_len -= 1;
-                self.len -= 1;
-                return Some(ev);
-            }
-            self.advance();
-        }
-    }
-
-    /// Moves the cursor to the next occupied slot, cascading far/overflow
-    /// levels down when the current block is drained. Requires `len > 0`.
-    fn advance(&mut self) {
-        if self.near_len > 0 {
-            // A later slot of the current block is occupied; jump to it
-            // via the occupancy bitmap.
-            let start = (self.cursor % NEAR_SLOTS) as usize + 1;
-            let base = self.cursor - self.cursor % NEAR_SLOTS;
-            for w in (start / 64)..self.near_occ.len() {
-                let mut word = self.near_occ[w];
-                if w == start / 64 {
-                    word &= !0u64 << (start % 64);
-                }
-                if word != 0 {
-                    self.cursor = base + (w as u64) * 64 + u64::from(word.trailing_zeros());
-                    return;
-                }
-            }
-            unreachable!("occupied slot must lie within the current block");
-        }
-        // Block drained: jump straight to the earliest occupied slot in
-        // the far wheel, or failing that the overflow level.
-        let mut best = u64::MAX;
-        for (w, &occ) in self.far_occ.iter().enumerate() {
-            let mut occ = occ;
-            while occ != 0 {
-                let i = w * 64 + occ.trailing_zeros() as usize;
-                best = best.min(self.far_min[i]);
-                occ &= occ - 1;
-            }
-        }
-        if !self.overflow.is_empty() {
-            if !self.overflow_sorted {
-                self.overflow.sort_unstable();
-                self.overflow_sorted = true;
-            }
-            best = best.min(slot_of(self.overflow.last().expect("checked non-empty").time_s));
-        }
-        assert!(best != u64::MAX, "len > 0 with an empty near wheel implies far/overflow events");
-        self.cursor = best;
-        let cur_block = self.cursor / NEAR_SLOTS;
-        // Distribute the target block's far bucket across the near wheel
-        // (each far bucket holds exactly one block, so this takes it all).
-        let far_i = (cur_block % FAR_BLOCKS) as usize;
-        let bucket = std::mem::take(&mut self.far[far_i]);
-        self.far_min[far_i] = u64::MAX;
-        self.far_occ[far_i / 64] &= !(1u64 << (far_i % 64));
-        for ev in bucket {
-            let i = (slot_of(ev.time_s) % NEAR_SLOTS) as usize;
-            self.near_insert(i, ev);
-        }
-        // Overflow events that entered the far horizon cascade down
-        // (latest-first sort ⇒ popping from the back walks earliest-first).
-        while let Some(last) = self.overflow.last() {
-            let block = slot_of(last.time_s) / NEAR_SLOTS;
-            if block > cur_block.saturating_add(FAR_BLOCKS) {
-                break;
-            }
-            let ev = self.overflow.pop().expect("checked non-empty");
-            if block == cur_block {
-                let i = (slot_of(ev.time_s) % NEAR_SLOTS) as usize;
-                self.near_insert(i, ev);
-            } else {
-                let i = (block % FAR_BLOCKS) as usize;
-                self.far_min[i] = self.far_min[i].min(slot_of(ev.time_s));
-                self.far_occ[i / 64] |= 1u64 << (i % 64);
-                self.far[i].push(ev);
-            }
-        }
-    }
-
-    /// Inserts `ev` into near bucket `i` at its pop-order position,
-    /// maintaining the occupancy bitmap and the block population count.
-    /// The bucket holds the earliest event at the front — descending in
-    /// the inverted [`Ord`], where greater pops first — so an event later
-    /// than everything queued (the common case: times only move forward)
-    /// appends at the back without a search.
-    fn near_insert(&mut self, i: usize, ev: Event) {
-        let bucket = &mut self.near[i];
-        if bucket.back().is_none_or(|b| *b > ev) {
-            bucket.push_back(ev);
-        } else {
-            // `(time, rank, seq)` is a total order (seq is unique), so
-            // the events popping before `ev` form an exact prefix.
-            let pos = bucket.partition_point(|e| *e > ev);
-            bucket.insert(pos, ev);
-        }
-        self.near_occ[i / 64] |= 1u64 << (i % 64);
-        self.near_len += 1;
+        let Reverse(Entry { key, kind }) = self.heap.pop()?;
+        let seq = key as u64 & ((1 << SEQ_BITS) - 1);
+        Some(Event { time_s: key_time((key >> 64) as u64), seq, kind })
     }
 
     /// Virtual time of the next event to pop, without removing it.
     ///
     /// The pop-order-first event minimizes `(time, rank, seq)`
     /// lexicographically, so the returned time is also the minimum (by
-    /// `total_cmp`) over every pending event. Takes `&mut self` because
-    /// locating the front may advance the wheel cursor — cascading far
-    /// and overflow blocks into the near wheel exactly as the next
-    /// [`EventQueue::pop`] would — which never changes the pop sequence.
-    pub fn next_time(&mut self) -> Option<f64> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            let i = (self.cursor % NEAR_SLOTS) as usize;
-            if let Some(front) = self.near[i].front() {
-                return Some(front.time_s);
-            }
-            self.advance();
-        }
+    /// `total_cmp`) over every pending event.
+    #[must_use]
+    pub fn next_time(&self) -> Option<f64> {
+        self.heap.peek().map(|Reverse(entry)| key_time((entry.key >> 64) as u64))
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 }
 
@@ -495,8 +323,7 @@ mod tests {
 
     #[test]
     fn events_beyond_every_wheel_horizon_pop_in_order() {
-        // Times spanning the near block, the far wheel, and the overflow
-        // level, pushed out of order.
+        // Times from sub-millisecond to hours apart, pushed out of order.
         let mut q = EventQueue::new();
         for (i, &t) in [50.0, 0.5, 7.25, 0.0002, 1e4, 3.0].iter().enumerate() {
             q.push(t, EventKind::Timer { id: i as u64, attempt: 0, hedge: false });
@@ -511,9 +338,8 @@ mod tests {
         q.push(1.0, EventKind::NodeReady { node: 0 });
         q.push(2.0, EventKind::NodeReady { node: 1 });
         assert_eq!(q.pop().expect("pending").time_s, 1.0);
-        // The cursor sits at t=1.0's slot now; a straggler behind it must
-        // still come out before the pending t=2.0 event — exactly what a
-        // heap would do with a past-time push.
+        // A straggler behind the last pop's time must still come out
+        // before the pending t=2.0 event.
         q.push(0.25, EventKind::NodeReady { node: 2 });
         assert_eq!(q.pop().expect("pending").time_s, 0.25);
         assert_eq!(q.pop().expect("pending").time_s, 2.0);
@@ -525,8 +351,7 @@ mod tests {
     fn next_time_previews_every_pop_without_consuming() {
         let mut q = EventQueue::new();
         assert_eq!(q.next_time(), None);
-        // Spread across the near wheel, the far wheel, and the overflow
-        // level so the peek has to cascade blocks exactly like a pop.
+        // Pushed out of order, so every peek must find the minimum.
         for &t in &[7.25, 0.5, 1e4, 50.0, 0.0002] {
             q.push(t, EventKind::NodeReady { node: 0 });
         }

@@ -459,7 +459,9 @@ impl<'a> ServingLoop<'a> {
         &mut self.q
     }
 
-    /// Runs `workload` to completion and returns what it measured.
+    /// Runs `workload` to completion and returns what it measured. The
+    /// arrivals may be listed in any order: they replay in time order,
+    /// simultaneous ones in list order.
     #[must_use]
     pub fn run(mut self, workload: &ArrivalWorkload) -> LoopOutcome {
         let stride = kv_stride_for(workload.arrivals.len());
@@ -472,9 +474,21 @@ impl<'a> ServingLoop<'a> {
             self.ids = RequestIndex::build(workload);
             self.trackers = vec![None; self.ids.len];
         }
-        for &(t, request) in &workload.arrivals {
-            self.q.push(t, EventKind::Arrival { request });
-        }
+        // Arrivals enter the queue one at a time, in time order with ties
+        // in list order (a stable sort): the next is pushed when the
+        // current one pops, so the queue holds O(nodes) events however
+        // long the trace. No other kind shares the arrival rank, so the
+        // pop sequence is the one a queue pre-loaded with every arrival
+        // would give.
+        let mut order: Vec<usize> = (0..workload.arrivals.len()).collect();
+        order.sort_by(|&a, &b| workload.arrivals[a].0.total_cmp(&workload.arrivals[b].0));
+        let mut arrivals = order.into_iter().map(|i| workload.arrivals[i]);
+        let mut push_next_arrival = |q: &mut EventQueue| {
+            if let Some((t, request)) = arrivals.next() {
+                q.push(t, EventKind::Arrival { request });
+            }
+        };
+        push_next_arrival(&mut self.q);
         if let Some(a) = &self.autoscaler {
             self.q.push(a.config().interval_s, EventKind::ScaleTick);
         }
@@ -485,6 +499,7 @@ impl<'a> ServingLoop<'a> {
                 // moot timers and scale ticks do not (a recovery long
                 // after the drain is not work).
                 EventKind::Arrival { request } => {
+                    push_next_arrival(&mut self.q);
                     self.makespan = self.makespan.max(now);
                     self.on_arrival(now, request);
                 }
@@ -761,13 +776,14 @@ impl<'a> ServingLoop<'a> {
                 handoffs.clear();
                 self.handoffs = handoffs;
             }
-            // The wake-up we would push at `t` carries the maximum kind
-            // rank and sequence number, so it pops next iff every pending
-            // event is strictly later (by `total_cmp`, the queue's time
-            // order) — in that case run the next round inline and skip
-            // the queue round-trip. A pending fault transition, arrival
-            // or timer at or before `t` must run first (it could take
-            // this node down): fall back to the push.
+            // If every pending event is strictly later than `t` (by
+            // `total_cmp`, the queue's time order), the wake-up we would
+            // push at `t` pops next: run the next round inline and skip
+            // the queue round-trip. At equal times the ranks decide: a
+            // pending fault transition, arrival or timer at `t` must run
+            // first (it could take this node down), while a scale tick
+            // ranks after the wake-up. Either way, fall back to the push
+            // and let the queue order them.
             let next_round_pops_first =
                 self.q.next_time().is_none_or(|nt| nt.total_cmp(&t) == std::cmp::Ordering::Greater);
             if !next_round_pops_first {
@@ -1229,6 +1245,22 @@ mod tests {
             ..ClusterConfig::pass_through(SchedulerConfig::unlimited(8))
         };
         assert_eq!(simulate_cluster(&[&Toy, &Toy], &w, &cfg).completed, 40);
+    }
+
+    #[test]
+    fn tied_arrivals_route_in_list_order() {
+        // Round robin sends the first arrival it routes to node 0, so
+        // node 0's token count names which of two simultaneous arrivals
+        // popped first: the one listed first, not the lower id.
+        let w = ArrivalWorkload {
+            arrivals: vec![(0.5, Request::new(1, 64, 4)), (0.5, Request::new(0, 64, 20))],
+        };
+        let cfg = ClusterConfig {
+            policy: RouterPolicy::RoundRobin,
+            ..ClusterConfig::pass_through(SchedulerConfig::unlimited(8))
+        };
+        let r = simulate_cluster(&[&Toy, &Toy], &w, &cfg);
+        assert_eq!((r.nodes[0].tokens, r.nodes[1].tokens), (4, 20));
     }
 
     #[test]

@@ -672,4 +672,76 @@ proptest::proptest! {
             fleet.goodput_under_failure_tokens_per_s.to_bits()
         );
     }
+
+    /// The loop replays arrivals in stable time order, whatever order the
+    /// workload lists them in. Times are quantised so several arrivals
+    /// share each instant, the list is shuffled by a seeded permutation,
+    /// and a chaos cluster (JSQ, generated crashes, retries) and an
+    /// autoscaled disaggregated fleet under crashes must each report the
+    /// same on the shuffled list as on that list sorted stably by time.
+    #[test]
+    fn shuffled_arrivals_replay_in_stable_time_order(
+        seed in 0u64..1_000_000,
+        rate in 60.0f64..400.0,
+    ) {
+        use attacc::chaos::{
+            simulate_chaos, simulate_fleet_chaos, ChaosConfig, DegradePolicy, FaultSchedule,
+            FaultSpec, FleetChaosConfig, RecoveryMode, ResiliencePolicy,
+        };
+        use attacc::cluster::{
+            splitmix64, AutoscalerConfig, FleetConfig, FleetMix, InterconnectModel, PoolConfig,
+            RouterPolicy, SloSpec,
+        };
+
+        // About four arrivals per quantum.
+        let quantum = 4.0 / rate;
+        let mut shuffled = ArrivalWorkload::poisson(48, rate, 48, (4, 24), seed);
+        for a in &mut shuffled.arrivals {
+            a.0 = (a.0 / quantum).floor() * quantum;
+        }
+        for i in (1..shuffled.arrivals.len()).rev() {
+            let j = splitmix64(seed ^ i as u64) % (i as u64 + 1);
+            shuffled.arrivals.swap(i, j as usize);
+        }
+        let mut sorted = shuffled.clone();
+        sorted.arrivals.sort_by(|a, b| a.0.total_cmp(&b.0));
+        proptest::prop_assert!(
+            sorted.arrivals.windows(2).any(|w| w[0].0 == w[1].0),
+            "quantised times must tie"
+        );
+        proptest::prop_assume!(shuffled != sorted);
+
+        let toys = [Toy, Toy, Toy, Toy];
+        let nodes: Vec<&dyn StageExecutor> = toys.iter().map(|t| t as &dyn StageExecutor).collect();
+        let crashes = FaultSchedule::generate(4, 2.0, &FaultSpec::crashes_only(0.3, 0.1), seed);
+        let cluster = ClusterConfig {
+            policy: RouterPolicy::JoinShortestQueue,
+            interconnect: InterconnectModel::ethernet_400g().with_kv_bytes_per_token(64),
+            ..ClusterConfig::pass_through(SchedulerConfig::unlimited(8))
+        };
+        let chaos = ChaosConfig { cluster, policy: ResiliencePolicy::retrying(), seed: 7 };
+        let fleet = FleetChaosConfig {
+            fleet: FleetConfig {
+                prefill: Some(PoolConfig::fixed(1)),
+                decode: PoolConfig::elastic(1, 2, 3),
+                scheduler: cluster.scheduler,
+                policy: RouterPolicy::JoinShortestQueue,
+                interconnect: cluster.interconnect,
+                slo: SloSpec::chatbot(),
+                autoscaler: Some(AutoscalerConfig::queue_depth(0.05)),
+            },
+            recovery: RecoveryMode::KvMigrate,
+            degrade: DegradePolicy::full(12.0),
+        };
+        let (prefill, decode) = nodes.split_at(1);
+        proptest::prop_assert_eq!(
+            simulate_chaos(&nodes, &shuffled, &chaos, &crashes),
+            simulate_chaos(&nodes, &sorted, &chaos, &crashes)
+        );
+        let mix = FleetMix::uniform();
+        proptest::prop_assert_eq!(
+            simulate_fleet_chaos(prefill, decode, &mix, &shuffled, &fleet, &crashes),
+            simulate_fleet_chaos(prefill, decode, &mix, &sorted, &fleet, &crashes)
+        );
+    }
 }

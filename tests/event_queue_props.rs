@@ -1,15 +1,16 @@
-//! Property tests pinning the time-wheel event queue to a reference
-//! binary-heap model.
+//! Property tests pinning the event queue to a reference binary-heap
+//! model.
 //!
 //! The cluster/chaos simulators' determinism contract rests on the
 //! event queue popping in exactly the `(time, kind rank, sequence)`
-//! order a binary heap over the same comparator would produce — the
-//! time-wheel internals (near/far blocks, occupancy bitmaps, the sorted
-//! overflow level, cursor clamping of past pushes) must never leak into
-//! the pop sequence. These tests replay seeded push/pop interleavings
-//! against an independent reference model and demand an identical
-//! trace, including rank ties at equal times (fault transitions must
-//! keep running before work).
+//! order, times compared by `f64::total_cmp`. The queue compares plain
+//! integers instead — each time mapped to a `u64` — so a slip in that
+//! mapping (a sign bug on negative times or on the two zeros) must never
+//! leak into the pop sequence. These tests replay seeded push/pop
+//! interleavings against an independent reference model that compares
+//! the floats directly and demand an identical trace, including rank
+//! ties at equal times (fault transitions must keep running before
+//! work).
 
 use attacc::cluster::{splitmix64, Event, EventKind, EventQueue};
 use attacc::model::Request;
@@ -99,9 +100,8 @@ fn kind_of(pick: u64) -> EventKind {
 /// seeded interleaving of pushes and pops, asserting every popped
 /// event matches the model bit-for-bit on `(time, rank, seq)`.
 ///
-/// `time_of` maps a random draw to a (possibly past or far-future)
-/// virtual time offset from the latest pop, exercising whichever wheel
-/// levels the caller aims at.
+/// `time_of` maps a random draw and the latest pop's time to the next
+/// push's virtual time (possibly past, far-future or negative).
 fn check_interleaving(seed: u64, steps: u32, time_of: impl Fn(&mut Rng, f64) -> f64) {
     let mut rng = Rng(seed);
     let mut q = EventQueue::new();
@@ -122,8 +122,7 @@ fn check_interleaving(seed: u64, steps: u32, time_of: impl Fn(&mut Rng, f64) -> 
 
     for _ in 0..steps {
         let r = rng.next();
-        // ~2/3 pushes, ~1/3 pops, so the population grows and both
-        // wheels stay occupied.
+        // ~2/3 pushes, ~1/3 pops, so the population grows.
         if r % 3 < 2 || model.is_empty() {
             let t = time_of(&mut rng, now);
             let kind = kind_of(rng.next());
@@ -144,7 +143,7 @@ fn check_interleaving(seed: u64, steps: u32, time_of: impl Fn(&mut Rng, f64) -> 
 #[test]
 fn pop_order_matches_reference_heap_on_decode_scale_times() {
     // Times in the few-milliseconds-per-round regime the simulators
-    // live in: most events land in the near wheel.
+    // live in.
     for seed in 0..32 {
         check_interleaving(seed, 500, |rng, now| {
             now + 1e-3 * (rng.next() % 50) as f64
@@ -154,11 +153,8 @@ fn pop_order_matches_reference_heap_on_decode_scale_times() {
 
 #[test]
 fn pop_order_matches_reference_heap_across_wheel_horizons() {
-    // A mix of near-slot, far-block, and beyond-horizon times (the
-    // overflow level starts 262 s past the cursor) plus occasional
-    // pushes *behind* the current time, which the wheel clamps to its
-    // cursor slot — the reference heap has no such clamp, so any
-    // ordering effect of clamping would show up here.
+    // Times from milliseconds to over 1,000 s ahead, plus occasional
+    // pushes *behind* the current time, which must still pop first.
     for seed in 0..32 {
         check_interleaving(seed, 400, |rng, now| match rng.next() % 8 {
             0..=2 => now + 1e-3 * (rng.next() % 30) as f64,
@@ -179,6 +175,20 @@ fn rank_ties_resolve_fault_first_in_insertion_order() {
     for seed in 0..16 {
         check_interleaving(seed, 300, |rng, now| {
             now + 1e-3 * (rng.next() % 3) as f64
+        });
+    }
+}
+
+#[test]
+fn pop_order_matches_reference_heap_on_negative_and_signed_zero_times() {
+    // Every other interleaving pushes times >= 0. The queue's integer
+    // time key must also keep `total_cmp` order below zero: negative
+    // times by value, and `-0.0` before `+0.0`.
+    for seed in 0..32 {
+        check_interleaving(seed, 400, |rng, _| match rng.next() % 4 {
+            0 => -0.0,
+            1 => 0.0,
+            _ => -1e-3 * (rng.next() % 50) as f64,
         });
     }
 }
