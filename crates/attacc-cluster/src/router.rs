@@ -79,9 +79,6 @@ pub struct RouteDecision {
 pub struct Router {
     policy: RouterPolicy,
     rr_next: usize,
-    /// All-`true` eligibility scratch for [`Router::route`]: reused across
-    /// arrivals so the unmasked path allocates once per run, not per request.
-    all_eligible: Vec<bool>,
 }
 
 /// SplitMix64: a fixed, platform-independent avalanche hash so session
@@ -94,28 +91,34 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Lowest-index argmin over the eligible nodes. `eligible` must contain at
-/// least one `true`.
-fn argmin_among<F: Fn(&NodeLoad) -> u64>(loads: &[NodeLoad], eligible: &[bool], key: F) -> usize {
-    let mut best: Option<usize> = None;
+const NONE_ELIGIBLE: &str = "at least one node must be eligible";
+
+/// Lowest-index argmin over the eligible nodes. The scan asks for a
+/// node's eligibility only when its key beats the best so far, not for
+/// every node.
+///
+/// # Panics
+/// Panics if no node is eligible.
+fn argmin_among(
+    loads: &[NodeLoad],
+    eligible: impl Fn(usize) -> bool,
+    key: impl Fn(&NodeLoad) -> u64,
+) -> usize {
+    let mut best: Option<(usize, u64)> = None;
     for (i, load) in loads.iter().enumerate() {
-        if !eligible[i] {
-            continue;
-        }
-        match best {
-            Some(b) if key(load) < key(&loads[b]) => best = Some(i),
-            None => best = Some(i),
-            _ => {}
+        let k = key(load);
+        if best.is_none_or(|(_, b)| k < b) && eligible(i) {
+            best = Some((i, k));
         }
     }
-    best.expect("at least one eligible node")
+    best.expect(NONE_ELIGIBLE).0
 }
 
 impl Router {
     /// A router with the given policy.
     #[must_use]
     pub fn new(policy: RouterPolicy) -> Router {
-        Router { policy, rr_next: 0, all_eligible: Vec::new() }
+        Router { policy, rr_next: 0 }
     }
 
     /// The policy in force.
@@ -129,13 +132,7 @@ impl Router {
     /// # Panics
     /// Panics if `loads` is empty.
     pub fn route(&mut self, id: u64, loads: &[NodeLoad]) -> RouteDecision {
-        assert!(!loads.is_empty(), "cluster needs at least one node");
-        let mut all = std::mem::take(&mut self.all_eligible);
-        all.clear();
-        all.resize(loads.len(), true);
-        let decision = self.route_among(id, loads, &all);
-        self.all_eligible = all;
-        decision
+        self.route_by(id, loads, |_| true, &[])
     }
 
     /// Picks a destination for request `id` among the nodes whose
@@ -177,25 +174,39 @@ impl Router {
         eligible: &[bool],
         weights: &[f64],
     ) -> RouteDecision {
-        assert!(!loads.is_empty(), "cluster needs at least one node");
         assert_eq!(eligible.len(), loads.len(), "one eligibility flag per node");
+        self.route_by(id, loads, |i| eligible[i], weights)
+    }
+
+    /// [`Router::route_weighted`] with eligibility given as a predicate on
+    /// the node index, so the serving loop decides it while the router
+    /// scans instead of filling a mask first: JSQ, least-KV and weighted
+    /// least-load route in one pass over the nodes.
+    ///
+    /// # Panics
+    /// Panics if `loads` is empty, `weights` is neither empty nor
+    /// `loads.len()` long, or no node is eligible.
+    pub(crate) fn route_by(
+        &mut self,
+        id: u64,
+        loads: &[NodeLoad],
+        eligible: impl Fn(usize) -> bool,
+        weights: &[f64],
+    ) -> RouteDecision {
+        assert!(!loads.is_empty(), "cluster needs at least one node");
         assert!(
             weights.is_empty() || weights.len() == loads.len(),
             "one throughput weight per node (or none)"
         );
-        let k = eligible.iter().filter(|&&e| e).count();
-        assert!(k > 0, "at least one node must be eligible");
         let n = loads.len();
         match self.policy {
             RouterPolicy::PassThrough => {
-                let node = (0..n).find(|&i| eligible[i]).expect("eligible node exists");
+                let node = (0..n).find(|&i| eligible(i)).expect(NONE_ELIGIBLE);
                 RouteDecision { node, migrated: false }
             }
             RouterPolicy::RoundRobin => {
-                let mut node = self.rr_next % n;
-                while !eligible[node] {
-                    node = (node + 1) % n;
-                }
+                let start = self.rr_next % n;
+                let node = (start..n).chain(0..start).find(|&i| eligible(i)).expect(NONE_ELIGIBLE);
                 self.rr_next = (node + 1) % n;
                 RouteDecision { node, migrated: false }
             }
@@ -212,26 +223,21 @@ impl Router {
                 // node still loses to an idle fast node on weight alone.
                 let mut best: Option<(usize, f64)> = None;
                 for (i, load) in loads.iter().enumerate() {
-                    if !eligible[i] {
-                        continue;
-                    }
                     let w = weights.get(i).copied().unwrap_or(1.0);
                     let key = (load.backlog + 1) as f64 / w;
-                    match best {
-                        Some((_, b)) if key.total_cmp(&b) == std::cmp::Ordering::Less => {
-                            best = Some((i, key));
-                        }
-                        None => best = Some((i, key)),
-                        _ => {}
+                    if best.is_none_or(|(_, b)| key.total_cmp(&b).is_lt()) && eligible(i) {
+                        best = Some((i, key));
                     }
                 }
-                let (node, _) = best.expect("at least one eligible node");
+                let (node, _) = best.expect(NONE_ELIGIBLE);
                 RouteDecision { node, migrated: false }
             }
             RouterPolicy::SessionAffinity { spill_backlog } => {
+                let k = (0..n).filter(|&i| eligible(i)).count();
+                assert!(k > 0, "{NONE_ELIGIBLE}");
                 let pick = usize::try_from(splitmix64(id) % k as u64).expect("node fits usize");
                 let home = (0..n)
-                    .filter(|&i| eligible[i])
+                    .filter(|&i| eligible(i))
                     .nth(pick)
                     .expect("pick is within eligible count");
                 if loads[home].backlog > spill_backlog {

@@ -244,9 +244,19 @@ pub fn kv_stride_for(n_requests: usize) -> u64 {
     ((n_requests as u64 * 2) / 1024).max(1)
 }
 
-/// Outstanding requests at global node `g`: in flight + queued + active.
-fn outstanding(in_flight: &[u64], engines: &[NodeEngine], g: usize) -> u64 {
-    in_flight[g] + engines[g].queued_len() as u64 + engines[g].active_len() as u64
+/// Global node `g`'s load as the router sees it: outstanding requests
+/// (in flight + queued + active) and committed KV tokens (in flight +
+/// pledged).
+fn load_of(
+    in_flight: &[u64],
+    in_flight_tokens: &[u64],
+    engines: &[NodeEngine],
+    g: usize,
+) -> NodeLoad {
+    NodeLoad {
+        backlog: in_flight[g] + engines[g].queued_len() as u64 + engines[g].active_len() as u64,
+        kv_tokens: in_flight_tokens[g] + engines[g].pledged_tokens(),
+    }
 }
 
 /// A crash-displaced re-dispatch parked by the storm guard, keyed by the
@@ -304,9 +314,10 @@ pub struct ServingLoop<'a> {
     ids: RequestIndex,
     trackers: Vec<Option<Track>>,
     deferred: Vec<Option<Deferred>>,
-    /// Load-snapshot and eligibility scratch reused across dispatches.
+    /// Every node's [`load_of`], kept current: refreshed whenever a
+    /// dispatch, KV ship, delivery, round or crash changes it, so routing
+    /// reads it instead of rebuilding it from the engines.
     loads: Vec<NodeLoad>,
-    mask: Vec<bool>,
     handoffs: Vec<(f64, f64, Request)>,
     scale_events: Vec<ScaleEvent>,
     node_seconds: f64,
@@ -436,8 +447,7 @@ impl<'a> ServingLoop<'a> {
             ids: RequestIndex::default(),
             trackers: Vec::new(),
             deferred: Vec::new(),
-            loads: Vec::with_capacity(n),
-            mask: Vec::with_capacity(n),
+            loads: vec![NodeLoad::default(); n],
             handoffs: Vec::new(),
             scale_events: Vec::new(),
             node_seconds: 0.0,
@@ -522,6 +532,11 @@ impl<'a> ServingLoop<'a> {
         self.finish()
     }
 
+    /// Recomputes node `g`'s entry in `loads` after its load changed.
+    fn refresh_load(&mut self, g: usize) {
+        self.loads[g] = load_of(&self.in_flight, &self.in_flight_tokens, &self.engines, g);
+    }
+
     /// The pool owning global node `g`, plus its pool-local index.
     fn pool_of(&mut self, g: usize) -> (&mut Pool, usize) {
         match self.prefill_pool.as_mut() {
@@ -555,35 +570,31 @@ impl<'a> ServingLoop<'a> {
             _ => &mut self.decode_pool,
         };
         let (base, k) = (pool.base, pool.cfg.max_nodes);
-        let (engines, in_flight) = (&self.engines, &self.in_flight);
-        self.loads.clear();
-        self.loads.extend((base..base + k).map(|g| NodeLoad {
-            backlog: outstanding(in_flight, engines, g),
-            kv_tokens: self.in_flight_tokens[g] + engines[g].pledged_tokens(),
-        }));
-        let (mask, up) = (&mut self.mask, &self.up[base..base + k]);
-        mask.clear();
-        mask.extend((0..k).map(|i| pool.active[i] && pool.warm_at[i] <= t));
+        debug_assert!(
+            (0..self.loads.len()).all(|g| {
+                self.loads[g] == load_of(&self.in_flight, &self.in_flight_tokens, &self.engines, g)
+            }),
+            "a maintained node load went stale"
+        );
+        let (active, warm_at, up) = (&pool.active, &pool.warm_at, &self.up[base..base + k]);
+        let warm = |i: usize| active[i] & (warm_at[i] <= t);
         let crash_aware = self.resilience.health.enabled;
-        let parked = crash_aware && self.n_down > 0 && !(0..k).any(|i| mask[i] && up[i]);
-        if crash_aware && self.n_down > 0 && !parked {
-            for (m, &u) in mask.iter_mut().zip(up) {
-                *m = *m && u;
-            }
-        }
-        if !self.ewma.is_empty() && !parked {
-            let ewma = &self.ewma[base..base + k];
+        let any_down = crash_aware && self.n_down > 0;
+        let parked = any_down && !(0..k).any(|i| warm(i) && up[i]);
+        let live = |i: usize| warm(i) & (!any_down | parked | up[i]);
+        let ewma = self.ewma.get(base..base + k).unwrap_or_default();
+        let degraded = |i: usize, cut: f64| ewma[i].is_some_and(|e| e > cut);
+        let cut = if ewma.is_empty() || parked {
+            None
+        } else {
             let best =
-                (0..k).filter(|&i| mask[i]).filter_map(|i| ewma[i]).fold(f64::INFINITY, f64::min);
+                (0..k).filter(|&i| live(i)).filter_map(|i| ewma[i]).fold(f64::INFINITY, f64::min);
             let cut = self.resilience.health.degraded_factor * best;
-            let degraded = |i: usize| ewma[i].is_some_and(|e| e > cut);
-            if best.is_finite() && (0..k).any(|i| mask[i] && !degraded(i)) {
-                for i in (0..k).filter(|&i| degraded(i)) {
-                    mask[i] = false;
-                }
-            }
-        }
-        let decision = pool.router.route_weighted(id, &self.loads, mask, &pool.weights);
+            (best.is_finite() && (0..k).any(|i| live(i) && !degraded(i, cut))).then_some(cut)
+        };
+        let eligible = |i: usize| live(i) & cut.is_none_or(|cut| !degraded(i, cut));
+        let decision =
+            pool.router.route_by(id, &self.loads[base..base + k], eligible, &pool.weights);
         let g = base + decision.node;
         assert!(
             pool.warm_at[decision.node] <= t,
@@ -617,6 +628,7 @@ impl<'a> ServingLoop<'a> {
         };
         self.in_flight[node] += 1;
         self.in_flight_tokens[node] += request.final_len();
+        self.refresh_load(node);
         self.q.push(now + delay, EventKind::Deliver { node, arrival_s, request, warm });
     }
 
@@ -626,10 +638,11 @@ impl<'a> ServingLoop<'a> {
     /// `None` (a prefill hand-off).
     fn ship_kv(&mut self, t: f64, arrival_s: Option<f64>, request: Request) -> u64 {
         let (node, _) = self.route(false, t, request.id);
-        let ic = &self.fleet.interconnect;
-        let at = t + ic.migrate_kv_s(request.l_in) * self.link_factor;
         self.in_flight[node] += 1;
         self.in_flight_tokens[node] += request.final_len();
+        self.refresh_load(node);
+        let ic = &self.fleet.interconnect;
+        let at = t + ic.migrate_kv_s(request.l_in) * self.link_factor;
         let arrival_s = arrival_s.unwrap_or(at);
         self.q.push(at, EventKind::Deliver { node, arrival_s, request, warm: true });
         request.l_in * ic.kv_bytes_per_token
@@ -653,9 +666,8 @@ impl<'a> ServingLoop<'a> {
     fn sheds_now(&self) -> bool {
         let Some(s) = self.degrade.shed else { return false };
         let front = self.prefill_pool.as_ref().unwrap_or(&self.decode_pool);
-        let backlog: u64 = (front.base..front.base + front.cfg.max_nodes)
-            .map(|g| outstanding(&self.in_flight, &self.engines, g))
-            .sum();
+        let loads = &self.loads[front.base..front.base + front.cfg.max_nodes];
+        let backlog: u64 = loads.iter().map(|l| l.backlog).sum();
         let avail = front.available_weight(&self.up);
         avail <= 0.0 || backlog as f64 > s.max_backlog_per_node * avail
     }
@@ -738,6 +750,7 @@ impl<'a> ServingLoop<'a> {
         } else {
             self.engines[node].deliver(arrival_s, request);
         }
+        self.refresh_load(node);
         // A down node's door still accepts the package, but nobody is
         // home to run rounds: the NodeUp handler pokes it on recovery.
         if self.up[node] && !self.ready_scheduled[node] {
@@ -751,6 +764,7 @@ impl<'a> ServingLoop<'a> {
         let mut t = now;
         while self.up[node] && !self.engines[node].is_drained() {
             let out = self.engines[node].run_round(t);
+            self.refresh_load(node);
             self.busy_until[node] = out.end_s;
             self.makespan = self.makespan.max(out.end_s);
             if !self.ewma.is_empty() && out.tokens > 0 {
@@ -834,6 +848,7 @@ impl<'a> ServingLoop<'a> {
             }
         }
         let wreck = self.engines[node].crash(now);
+        self.refresh_load(node);
         self.c.lost_tokens += wreck.lost_tokens;
         for (k, d) in wreck.displaced.into_iter().enumerate() {
             // Tokens whose KV state existed somewhere when the node died:
@@ -955,7 +970,7 @@ impl<'a> ServingLoop<'a> {
             let mut backlog = 0u64;
             let mut reserved = 0u64;
             for g in base..base + k {
-                backlog += outstanding(&self.in_flight, &self.engines, g);
+                backlog += self.loads[g].backlog;
                 reserved += self.engines[g].reserved_tokens();
             }
             let kv_frac = if sched.kv_bytes_per_token == 0 || available == 0 {

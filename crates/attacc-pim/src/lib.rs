@@ -51,7 +51,7 @@ pub mod timing_exec;
 pub use area::{AreaReport, ProcessNode};
 pub use attention::{AttentionTiming, HeadJob};
 pub use controller::{AttAccController, ConfigMemory};
-pub use device::AttAccDevice;
+pub use device::{AttAccDevice, AttentionMemo};
 pub use gemv_unit::{GemvMode, GemvUnit, Precision};
 pub use head_pipeline::{schedule_stack, HeadPhase, HeadTimeline, Segment};
 pub use integrity::{

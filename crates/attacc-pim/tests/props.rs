@@ -241,3 +241,92 @@ proptest! {
         );
     }
 }
+
+/// The eight attention configurations the memo property covers: plain
+/// and systolic devices at `Bank` and `Buffer` placement, each with an
+/// MHA and a GQA model.
+fn attention_configs() -> Vec<(attacc_pim::AttAccDevice, attacc_model::ModelConfig)> {
+    use attacc_model::{AttentionVariant, ModelConfig};
+    use attacc_pim::{AttAccDevice, GemvPlacement};
+    let mha = ModelConfig::gpt3_175b();
+    let gqa = ModelConfig::gpt3_175b().with_attention(AttentionVariant::Gqa { group_size: 8 });
+    let mut configs = Vec::new();
+    for placement in [GemvPlacement::Bank, GemvPlacement::Buffer] {
+        for systolic in [false, true] {
+            let plain = AttAccDevice::paper_40_stacks(placement);
+            let dev = if systolic { plain.with_systolic() } else { plain };
+            configs.push((dev.clone(), mha.clone()));
+            configs.push((dev, gqa.clone()));
+        }
+    }
+    configs
+}
+
+/// One decoder's attention composed from the public two-pass building
+/// blocks: critical-stack timing over per-group head counts, then device
+/// energy over every head.
+fn two_pass_attention(
+    dev: &attacc_pim::AttAccDevice,
+    model: &attacc_model::ModelConfig,
+    groups: &[(u64, u64)],
+    pipelined: bool,
+) -> attacc_pim::AttentionTiming {
+    use attacc_pim::attention::{attention_energy_j, stack_attention_timing};
+    use attacc_pim::HeadJob;
+    let stacks = u64::from(dev.n_stacks);
+    let group = u64::from(model.attention.group_size(model.n_head));
+    let (heads_per_request, q_per_kv) = if dev.systolic {
+        (u64::from(model.kv_heads()), group)
+    } else {
+        (u64::from(model.n_head), 1)
+    };
+    let mut critical = Vec::new();
+    let mut device_total = Vec::new();
+    for &(n_requests, l) in groups {
+        if n_requests == 0 {
+            continue;
+        }
+        let job = HeadJob { q_per_kv, ..HeadJob::new(l, model.d_head, model.kv_dtype.bytes()) };
+        let heads = n_requests * heads_per_request;
+        critical.push((heads.div_ceil(stacks), job));
+        device_total.push((heads, job));
+    }
+    let mut want =
+        stack_attention_timing(&dev.hbm, dev.placement, &dev.softmax, &critical, pipelined);
+    want.energy_j = attention_energy_j(&dev.hbm, dev.placement, &dev.softmax, &device_total);
+    want
+}
+
+thread_local! {
+    /// One memo per configuration, kept across proptest cases so later
+    /// cases read terms earlier cases filled.
+    static REUSED_MEMOS: std::cell::RefCell<Vec<attacc_pim::AttentionMemo>> =
+        std::cell::RefCell::new(
+            attention_configs().iter().map(|(dev, model)| dev.attention_memo(model)).collect(),
+        );
+}
+
+proptest! {
+    /// The memoised attention pass equals the two-pass reference bit for
+    /// bit, whether its memo is fresh, reused across cases, or just
+    /// filled by the same groups; and so does the plain call. Groups come
+    /// with zero counts and with lengths repeated and out of order.
+    #[test]
+    fn memoised_attention_equals_the_two_pass_reference(
+        lengths in prop::collection::vec(1u64..=8192, 1..8),
+        picks in prop::collection::vec((prop_oneof![Just(0u64), 1u64..=256], 0usize..64), 0..40),
+        config in 0usize..8,
+        pipelined in prop_oneof![Just(false), Just(true)],
+    ) {
+        let groups: Vec<(u64, u64)> =
+            picks.iter().map(|&(n, ix)| (n, lengths[ix % lengths.len()])).collect();
+        let (dev, model) = &attention_configs()[config];
+        let want = two_pass_attention(dev, model, &groups, pipelined);
+        prop_assert_eq!(dev.attention_decoder_time(model, &groups, pipelined), want);
+        let mut fresh = dev.attention_memo(model);
+        prop_assert_eq!(fresh.decoder_time(&groups, pipelined), want);
+        prop_assert_eq!(fresh.decoder_time(&groups, pipelined), want);
+        let reused = REUSED_MEMOS.with_borrow_mut(|m| m[config].decoder_time(&groups, pipelined));
+        prop_assert_eq!(reused, want);
+    }
+}

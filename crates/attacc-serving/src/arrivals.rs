@@ -90,12 +90,20 @@ impl LatencyStats {
     /// Percentiles use the nearest-rank definition: the p-th percentile of
     /// n sorted samples is sample `ceil(n·p)` (1-based), so p50 of 100
     /// samples is the 50th, not the 51st.
+    ///
+    /// The sort is unstable, which needs no merge buffer. It gives the
+    /// stable order because latencies are never `-0.0`: without NaN and
+    /// `-0.0`, samples equal under `total_cmp` are equal bit for bit.
+    ///
+    /// # Panics
+    /// Panics if a sample is NaN.
     #[must_use]
     pub fn from_samples(mut samples: Vec<f64>) -> LatencyStats {
         if samples.is_empty() {
             return LatencyStats::default();
         }
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+        assert!(!samples.iter().any(|s| s.is_nan()), "latencies are finite");
+        samples.sort_unstable_by(f64::total_cmp);
         let n = samples.len();
         let pct = |p: f64| {
             let rank = (n as f64 * p).ceil() as usize;

@@ -115,6 +115,81 @@ pub struct NodeMetrics {
     pub kv_timeline: Vec<(f64, u64)>,
 }
 
+/// Length → position in a `(count, length)` group list, so each request
+/// joins its group in O(1) and groups appear in first-occurrence order.
+/// Open addressing over a power-of-two table kept at most half full;
+/// every slot carries the stamp of the list it indexes, so starting a
+/// new list clears nothing. Keys are lengths minus `offset`: advancing
+/// every length of the list by one leaves every key valid.
+#[derive(Debug, Default)]
+struct GroupIndex {
+    /// `(stamp, length - offset, position in the group list)`.
+    slots: Vec<(u32, u64, u32)>,
+    stamp: u32,
+    offset: u64,
+}
+
+impl GroupIndex {
+    /// Starts a new, empty group list.
+    fn clear(&mut self) {
+        if self.stamp == u32::MAX {
+            self.slots.fill((0, 0, 0));
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        self.offset = 0;
+    }
+
+    /// Adds one to every length in `groups`.
+    fn advance(&mut self, groups: &mut [(u64, u64)]) {
+        for (_, l) in groups {
+            *l += 1;
+        }
+        self.offset += 1;
+    }
+
+    /// Counts one request of length `l` into `groups`: its group's count
+    /// goes up by one, or a `(1, l)` group is appended on first sight.
+    fn add(&mut self, groups: &mut Vec<(u64, u64)>, l: u64) {
+        if 2 * groups.len() >= self.slots.len() {
+            self.grow(groups);
+        }
+        let i = self.find(l.wrapping_sub(self.offset));
+        let (stamp, key, pos) = &mut self.slots[i];
+        if *stamp == self.stamp {
+            groups[*pos as usize].0 += 1;
+        } else {
+            (*stamp, *key, *pos) = (self.stamp, l.wrapping_sub(self.offset), groups.len() as u32);
+            groups.push((1, l));
+        }
+    }
+
+    /// The slot holding `key` in the current list, or the free slot
+    /// where it belongs.
+    fn find(&self, key: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & mask;
+        while self.slots[i].0 == self.stamp && self.slots[i].1 != key {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Re-indexes `groups` in a table twice as large.
+    #[cold]
+    fn grow(&mut self, groups: &[(u64, u64)]) {
+        let size = (4 * groups.len()).next_power_of_two().max(16);
+        self.slots.clear();
+        self.slots.resize(size, (0, 0, 0));
+        self.stamp = 1;
+        for (pos, &(_, l)) in groups.iter().enumerate() {
+            let key = l.wrapping_sub(self.offset);
+            let i = self.find(key);
+            self.slots[i] = (self.stamp, key, pos as u32);
+        }
+    }
+}
+
 /// One serving node: executor, scheduler state, and local metrics.
 pub struct NodeEngine<'a> {
     executor: &'a dyn StageExecutor,
@@ -166,20 +241,22 @@ pub struct NodeEngine<'a> {
     /// Per-round `(count, l_in)` admission-group scratch, reused so a
     /// round allocates nothing in steady state.
     scratch_admitted: Vec<(u64, u64)>,
-    /// Per-round `(count, context)` Gen-group scratch.
-    scratch_groups: Vec<(u64, u64)>,
-    /// Whether `scratch_groups` still describes the current active set
-    /// with every context one token short (i.e. last round ran a Gen
-    /// iteration and nothing joined or left the batch since). When set,
-    /// the next round advances each group's length in place instead of
-    /// rescanning every active — same vector, same order, so the float
-    /// accumulation order downstream is untouched.
-    groups_fresh: bool,
-    /// Minimum `l_out - generated` over the active set, maintained only
-    /// while `groups_fresh` holds (each steady-state round decrements it
-    /// by exactly one — everyone advances in lockstep). While it exceeds
-    /// one, no sequence can finish this round, so the completion sweep
-    /// skips every status and retirement check.
+    /// Length index of the admission groups.
+    sum_index: GroupIndex,
+    /// The next Gen iteration's `(count, context + 1)` groups over the
+    /// active set, in first-occurrence order (the float accumulation
+    /// order downstream). Kept current as the set changes instead of
+    /// rebuilt every round: admissions append, a bare sweep advances
+    /// every length by one, a retiring sweep re-lists the survivors.
+    groups: Vec<(u64, u64)>,
+    gen_index: GroupIndex,
+    /// A lower bound on `l_out - generated` over the active set as it
+    /// stands when this round's Gen iteration starts: the last sweep's
+    /// minimum, lowered by every admission since (a cold admission will
+    /// have produced its Sum token by then). Every Gen iteration advances
+    /// each active by one token, so a bare sweep decrements it by one.
+    /// While it exceeds one, no sequence can finish this round, so the
+    /// completion sweep skips every status and retirement check.
     min_remaining: u64,
 }
 
@@ -235,8 +312,9 @@ impl<'a> NodeEngine<'a> {
             first_tokens: Vec::new(),
             retired: Vec::new(),
             scratch_admitted: Vec::new(),
-            scratch_groups: Vec::new(),
-            groups_fresh: false,
+            sum_index: GroupIndex::default(),
+            groups: Vec::new(),
+            gen_index: GroupIndex::default(),
             min_remaining: 0,
         }
     }
@@ -383,7 +461,8 @@ impl<'a> NodeEngine<'a> {
     /// KV reservation drops to zero. Capacity is restored by simply
     /// resuming `run_round` calls after recovery — state is not.
     pub fn crash(&mut self, now: f64) -> CrashedWork {
-        self.groups_fresh = false;
+        self.groups.clear();
+        self.gen_index.clear();
         let mut work = CrashedWork::default();
         for (arrival_s, request, warm) in self.queued.drain(..) {
             work.displaced.push(DisplacedRequest { arrival_s, request, progress: 0, warm });
@@ -450,6 +529,7 @@ impl<'a> NodeEngine<'a> {
         admitted.clear();
         let mut admitted_warm = false;
         let mut kv_changed = false;
+        self.sum_index.clear();
         while (self.active.len() as u64) < self.cfg.max_batch {
             let Some(&(arrival, req, warm)) = self.queued.front() else { break };
             if !fits(self.reserved_tokens, &self.cfg, &req) {
@@ -467,12 +547,17 @@ impl<'a> NodeEngine<'a> {
                 };
                 self.active.push((arrival, state));
                 admitted_warm = true;
+                self.gen_index.add(&mut self.groups, req.l_in + 1);
+                self.min_remaining = self.min_remaining.min(req.l_out);
             } else {
                 self.active.push((arrival, RequestState::admitted(req)));
-                match admitted.iter_mut().find(|(_, l)| *l == req.l_in) {
-                    Some((c, _)) => *c += 1,
-                    None => admitted.push((1, req.l_in)),
+                self.sum_index.add(&mut admitted, req.l_in);
+                // After its Sum token it decodes at `l_in + 1`, unless
+                // that token was its last.
+                if req.l_out > 1 {
+                    self.gen_index.add(&mut self.groups, req.l_in + 2);
                 }
+                self.min_remaining = self.min_remaining.min(req.l_out.saturating_sub(1));
             }
         }
         if kv_changed {
@@ -525,60 +610,42 @@ impl<'a> NodeEngine<'a> {
                 }
             }
             self.record_kv(now);
-            self.groups_fresh = false;
+            self.groups.clear();
+            self.gen_index.clear();
             self.min_remaining = 0;
         }
 
-        // One Gen iteration. Group building preserves first-occurrence
-        // order: it is the float accumulation order downstream.
-        let mut groups = std::mem::take(&mut self.scratch_groups);
-        let fresh_round = self.groups_fresh && admitted.is_empty() && !admitted_warm;
-        if fresh_round {
-            // Pure steady-state decode: the batch is unchanged, so the
-            // groups are last round's with every context one token
-            // longer (distinct lengths stay distinct — everything
-            // advances in lockstep — and the order is preserved).
-            for (_, l) in &mut groups {
-                *l += 1;
-            }
-        } else {
-            groups.clear();
-            for (_, s) in
-                self.active.iter().filter(|(_, s)| s.status == SequenceStatus::Generating)
-            {
-                let l = s.context_len() + 1;
-                match groups.iter_mut().find(|(_, gl)| *gl == l) {
-                    Some((c, _)) => *c += 1,
-                    None => groups.push((1, l)),
-                }
-            }
-        }
-        let gen_ran = !groups.is_empty();
+        // One Gen iteration over every generating sequence.
+        let gen_ran = !self.groups.is_empty();
         if gen_ran {
-            let cost = self.executor.gen_stage(&groups);
+            let cost = self.executor.gen_stage(&self.groups);
             let latency = cost.latency_s * self.slowdown;
             now += latency;
             self.metrics.energy_j += cost.energy_j;
             self.metrics.tbt.push(latency);
         }
 
-        if fresh_round && self.min_remaining > 1 {
-            // Nobody can finish this round — every active sequence still
-            // has at least two tokens to produce — so the completion
-            // sweep is a bare context advance: no status checks, no
-            // retirement tests, no reservation changes. `generated`
-            // stays exact (a crash or admission mid-stream sees the true
-            // per-sequence progress).
+        if gen_ran && self.min_remaining > 1 {
+            // Nobody can finish this round — every active sequence is
+            // generating and still has at least two tokens to produce —
+            // so the completion sweep is a bare context advance: no
+            // status checks, no retirement tests, no reservation
+            // changes. `generated` stays exact (a crash or admission
+            // mid-stream sees the true per-sequence progress).
             for (_, s) in &mut self.active {
                 s.generated += 1;
             }
             self.metrics.tokens += self.active.len() as u64;
             self.min_remaining -= 1;
+            // Everyone advanced by one token: distinct lengths stay
+            // distinct and the order holds.
+            self.gen_index.advance(&mut self.groups);
         } else {
             // Complete the iteration and retire finished requests in one
             // sweep (retirement order is the active order either way),
-            // recomputing the minimum remaining tokens over survivors
-            // for the fast sweep above.
+            // re-listing the survivors' groups and recomputing the
+            // minimum remaining tokens over them for the fast sweep
+            // above. Every survivor is generating.
             let mut retired_any = false;
             let mut min_rem = u64::MAX;
             let (tokens, reserved, completed, pledged, retired) = (
@@ -588,6 +655,9 @@ impl<'a> NodeEngine<'a> {
                 &mut self.pledged_tokens,
                 &mut self.retired,
             );
+            let (groups, index) = (&mut self.groups, &mut self.gen_index);
+            groups.clear();
+            index.clear();
             self.active.retain_mut(|(_, s)| {
                 if gen_ran && s.status == SequenceStatus::Generating {
                     *tokens += 1;
@@ -602,20 +672,17 @@ impl<'a> NodeEngine<'a> {
                     false
                 } else {
                     min_rem = min_rem.min(s.request.l_out - s.generated);
+                    index.add(groups, s.context_len() + 1);
                     true
                 }
             });
             if retired_any {
                 self.record_kv(now);
             }
-            // The cached groups describe next round's batch exactly when a
-            // Gen iteration ran (every context advanced) and nobody
-            // retired.
-            self.groups_fresh = gen_ran && !retired_any;
             self.min_remaining = min_rem;
         }
 
-        let worked = !groups.is_empty() || !admitted.is_empty() || admitted_warm;
+        let worked = gen_ran || !admitted.is_empty() || admitted_warm;
         let mut abandoned = false;
         if !worked && self.active.is_empty() && !self.queued.is_empty() {
             // The queue head can never fit: abandon the queue to avoid
@@ -629,7 +696,6 @@ impl<'a> NodeEngine<'a> {
             self.metrics.busy_s += now - start;
         }
         self.scratch_admitted = admitted;
-        self.scratch_groups = groups;
         RoundOutcome { end_s: now, worked, abandoned, tokens: self.metrics.tokens - tokens_before }
     }
 }

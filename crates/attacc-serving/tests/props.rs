@@ -3,7 +3,7 @@
 use attacc_serving::{
     ff_coprocess_speedup, format_trace, head_level_pipelined_s, max_batch_under_slo, parse_trace,
     serial_s, simulate, simulate_open_loop, ArrivalWorkload, DecoderPhases, FlashCrowd,
-    SchedulerConfig,
+    LatencyStats, SchedulerConfig,
     StageCost, StageExecutor, TraceSpec, Workload,
 };
 use proptest::prelude::*;
@@ -274,4 +274,55 @@ proptest! {
         let parsed = parse_trace(&format_trace(&w)).expect("generated traces must parse");
         prop_assert!(parsed.arrivals == w.arrivals, "round-trip must be the identity");
     }
+}
+
+/// [`LatencyStats::from_samples`] with a stable sort by `partial_cmp`:
+/// the order statistics every report was computed from before the sort
+/// became unstable.
+fn stable_sort_stats(mut samples: Vec<f64>) -> LatencyStats {
+    if samples.is_empty() {
+        return LatencyStats::default();
+    }
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+    let n = samples.len();
+    let pct = |p: f64| samples[((n as f64 * p).ceil() as usize).saturating_sub(1).min(n - 1)];
+    LatencyStats {
+        mean_s: samples.iter().sum::<f64>() / n as f64,
+        p50_s: pct(0.50),
+        p95_s: pct(0.95),
+        p99_s: pct(0.99),
+        p999_s: pct(0.999),
+        max_s: samples[n - 1],
+    }
+}
+
+fn stats_bits(s: &LatencyStats) -> [u64; 6] {
+    [s.mean_s, s.p50_s, s.p95_s, s.p99_s, s.p999_s, s.max_s].map(f64::to_bits)
+}
+
+proptest! {
+    /// The unstable sort gives the stable sort's statistics bit for bit on
+    /// the samples a run records: non-negative, zero included, and full
+    /// of duplicates.
+    #[test]
+    fn latency_stats_match_a_stable_sort(
+        samples in prop::collection::vec(
+            prop_oneof![
+                Just(0.0f64),
+                (0u32..24).prop_map(|k| f64::from(k) * 0.125),
+                (0u32..6).prop_map(|k| f64::from(k).sqrt() * 1e-3),
+                0.0f64..5.0,
+            ],
+            0..400,
+        ),
+    ) {
+        let got = LatencyStats::from_samples(samples.clone());
+        prop_assert_eq!(stats_bits(&got), stats_bits(&stable_sort_stats(samples)));
+    }
+}
+
+#[test]
+#[should_panic(expected = "latencies are finite")]
+fn latency_stats_reject_nan() {
+    let _ = LatencyStats::from_samples(vec![0.5, f64::NAN, 0.25]);
 }

@@ -1,14 +1,16 @@
 //! The serving entry points against a slow, self-contained reference loop.
 //!
 //! [`reference_open_loop`] is a stand-alone iteration-level scheduler: it
-//! rebuilds every Gen group anew and sweeps every status on every
-//! round. `NodeEngine::run_round`, which all three serving entry points
-//! drive, instead carries two steady-state shortcuts: it advances last
-//! round's groups in place while the batch is unchanged (`groups_fresh`),
+//! rebuilds every Gen group anew with a linear search and sweeps every
+//! status on every round. `NodeEngine::run_round`, which all three
+//! serving entry points drive, instead keeps its Gen groups current
+//! across rounds through a hashed length index (admissions append, a bare
+//! sweep advances every length, a retiring sweep re-lists the survivors),
 //! and it skips the completion checks while nobody can finish
 //! (`min_remaining`). The property below requires the two to agree bit
 //! for bit on random open-loop workloads and closed batches, under tight
 //! and unlimited KV capacity, including requests that can never fit.
+//! Batches reach 64, the fleets' size, so the index collides and grows.
 
 use attacc_model::{Request, RequestState, SequenceStatus};
 use attacc_serving::{
@@ -19,7 +21,9 @@ use proptest::prelude::*;
 use std::collections::VecDeque;
 
 /// A toy executor with irrational-valued costs, so any divergence in
-/// floating-point accumulation order shows up in the low bits.
+/// floating-point accumulation order shows up in the low bits. Its Gen
+/// cost sums a square root per group in list order, so it also tells a
+/// reordered group list from the first-occurrence one.
 struct Toy;
 impl StageExecutor for Toy {
     fn sum_stage(&self, b: u64, l: u64) -> StageCost {
@@ -30,9 +34,9 @@ impl StageExecutor for Toy {
     }
     fn gen_stage(&self, groups: &[(u64, u64)]) -> StageCost {
         let n: u64 = groups.iter().map(|g| g.0).sum();
-        let work: f64 = groups.iter().map(|&(c, l)| (c * l) as f64).sum();
+        let work: f64 = groups.iter().map(|&(c, l)| c as f64 * (l as f64).sqrt()).sum();
         StageCost {
-            latency_s: 7e-4 + 1e-7 * work.sqrt() * n as f64,
+            latency_s: 7e-4 + 1e-7 * work * n as f64,
             energy_j: 0.011 * work,
         }
     }
@@ -217,12 +221,12 @@ proptest! {
     /// same requests arriving at t = 0.
     #[test]
     fn serving_entry_points_match_the_reference_loop(
-        n in 1u64..60,
+        n in 1u64..130,
         bursty in 0u64..2,
         rate in 5.0f64..400.0,
         l_out_max in 1u64..32,
         giant_every in 0u64..8,
-        max_batch in 1u64..=16,
+        max_batch in 1u64..=64,
         kv_tokens in prop_oneof![Just(0u64), 60u64..460],
         bytes_per_token in 1u64..4,
         seed in 0u64..10_000,

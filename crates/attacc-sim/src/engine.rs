@@ -20,7 +20,9 @@
 
 use crate::exec::{AttAccGenParts, StageBreakdown};
 use attacc_model::ModelConfig;
+use attacc_pim::AttentionMemo;
 use attacc_serving::StageCost;
+use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -251,30 +253,54 @@ pub struct TimingCache {
     shards: Vec<Mutex<HashMap<CacheKey, TimingValue>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Distinguishes cache instances in the thread-local [`GenParts`]
-    /// memo so a stale entry from another cache can never be returned.
-    ///
-    /// [`GenParts`]: TimingQuery::GenParts
+    /// Distinguishes cache instances in the thread-local [`PairMemo`]s
+    /// so a stale entry from another cache can never be returned.
     id: u64,
-    /// Bumped by [`TimingCache::clear`]; the thread-local memo records
-    /// the generation it was filled at and misses when it changes.
+    /// Bumped by [`TimingCache::clear`]; the thread-local memos record
+    /// the generation they were filled at and are dropped when it
+    /// changes.
     generation: AtomicU64,
 }
 
-/// One thread-local [`TimingQuery::GenParts`] memo entry:
-/// `(cache id, cache generation, system, model, rows, parts)`.
-type GenPartsMemoEntry = (u64, u64, u32, u32, u64, AttAccGenParts);
+/// Rows at or above this bound are not held in [`PairMemo::parts`]; their
+/// probes go to the shard every time.
+const MEMO_MAX_ROWS: u64 = 1 << 12;
+
+/// Most [`PairMemo`]s one thread keeps; a new pair past it drops them
+/// all. A fleet alternates a few pairs, while a figure sweep can touch
+/// dozens of pairs a few times each, so this caps a sweep worker's memo
+/// memory without costing a fleet its hits.
+const MEMO_MAX_PAIRS: usize = 8;
+
+/// One thread's memo of one `(system, model)` pair: an alias for the
+/// pair's shard entries this thread has already probed, plus the PIM
+/// attention terms. Probes it answers count as cache hits and return the
+/// stored values, so results and stats are the same with or without it.
+struct PairMemo {
+    system: u32,
+    model: u32,
+    /// [`TimingQuery::GenParts`] values at index `rows`.
+    parts: Vec<Option<AttAccGenParts>>,
+    /// The pair's attention terms, made on its first `DGX+AttAccs` Gen
+    /// call.
+    attention: Option<AttentionMemo>,
+    /// [`TimingQuery::Sum`] values keyed by `(batch, l_in)`.
+    sums: HashMap<(u64, u64), StageCost>,
+}
+
+/// This thread's [`PairMemo`]s, all filled from one cache since one
+/// [`TimingCache::clear`]. One entry per pair, not one slot overall:
+/// a fleet that mixes executors alternates pairs call by call. At most
+/// [`MEMO_MAX_PAIRS`] entries.
+struct ThreadMemo {
+    cache_id: u64,
+    generation: u64,
+    pairs: Vec<PairMemo>,
+}
 
 thread_local! {
-    /// Last [`TimingQuery::GenParts`] probe per thread. Steady-state
-    /// decode probes the same key for every node round in an iteration,
-    /// so this answers most queries without touching a shard lock.
-    /// Purely an alias for the shard entry — hits count toward the
-    /// shared stats and values are the stored ones, so results (and the
-    /// report tables derived from them) are bit-identical with or without
-    /// the memo.
-    static GEN_PARTS_MEMO: std::cell::Cell<Option<GenPartsMemoEntry>> =
-        const { std::cell::Cell::new(None) };
+    static MEMO: RefCell<ThreadMemo> =
+        const { RefCell::new(ThreadMemo { cache_id: u64::MAX, generation: 0, pairs: Vec::new() }) };
 }
 
 impl std::fmt::Debug for TimingCache {
@@ -338,42 +364,94 @@ impl TimingCache {
         compute: impl FnOnce() -> StageBreakdown,
     ) -> StageBreakdown {
         let key = CacheKey { system, model, query: TimingQuery::Gen(groups.to_vec()) };
-        if let Some(TimingValue::Gen(b)) = self.lookup(&key) {
-            return b;
+        let TimingValue::Gen(b) = self.get_or_compute(key, || TimingValue::Gen(compute())) else {
+            unreachable!("a Gen key holds a breakdown")
+        };
+        b
+    }
+
+    /// Runs `f` on this thread's memo of the `(system, model)` pair,
+    /// first dropping every memo filled from another cache or before the
+    /// last [`TimingCache::clear`]. `f` must not probe the cache again.
+    fn with_memo<R>(&self, system: u32, model: u32, f: impl FnOnce(&mut PairMemo) -> R) -> R {
+        let generation = self.generation.load(Ordering::Relaxed);
+        MEMO.with_borrow_mut(|memo| {
+            if memo.cache_id != self.id || memo.generation != generation {
+                memo.cache_id = self.id;
+                memo.generation = generation;
+                memo.pairs.clear();
+            }
+            let i = match memo.pairs.iter().position(|p| p.system == system && p.model == model) {
+                Some(i) => i,
+                None => {
+                    if memo.pairs.len() == MEMO_MAX_PAIRS {
+                        memo.pairs.clear();
+                    }
+                    memo.pairs.push(PairMemo {
+                        system,
+                        model,
+                        parts: Vec::new(),
+                        attention: None,
+                        sums: HashMap::new(),
+                    });
+                    memo.pairs.len() - 1
+                }
+            };
+            f(&mut memo.pairs[i])
+        })
+    }
+
+    /// The memoized value of `key`, computing and storing it on miss.
+    fn get_or_compute(&self, key: CacheKey, compute: impl FnOnce() -> TimingValue) -> TimingValue {
+        if let Some(value) = self.lookup(&key) {
+            return value;
         }
         let value = compute();
-        self.store(key, TimingValue::Gen(value));
+        self.store(key, value);
         value
     }
 
-    /// The memoized rows-keyed Gen-iteration aggregates, computing on
-    /// miss. Unlike [`TimingCache::gen_breakdown`] the key is a single
-    /// `u64`, so no per-probe allocation and one entry covers every
-    /// context mix with the same row total.
-    pub(crate) fn gen_parts(
+    /// One `DGX+AttAccs` Gen iteration over `rows` decode rows:
+    /// `combine` folds the attention term into the memoized rows-keyed
+    /// aggregates (computed by `parts` on miss). Unlike
+    /// [`TimingCache::gen_breakdown`] the key is a single `u64`, so no
+    /// per-probe allocation and one entry covers every context mix with
+    /// the same row total. `combine` gets the pair's attention memo,
+    /// made by `attention` on the pair's first call on this thread.
+    pub(crate) fn attacc_gen(
         &self,
         system: u32,
         model: u32,
         rows: u64,
-        compute: impl FnOnce() -> AttAccGenParts,
-    ) -> AttAccGenParts {
-        let generation = self.generation.load(Ordering::Relaxed);
-        if let Some((id, gen, sys, mdl, r, p)) = GEN_PARTS_MEMO.get() {
-            if id == self.id && gen == generation && sys == system && mdl == model && r == rows {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return p;
-            }
-        }
-        let key = CacheKey { system, model, query: TimingQuery::GenParts { rows } };
-        let value = if let Some(TimingValue::Parts(p)) = self.lookup(&key) {
-            p
-        } else {
-            let value = compute();
-            self.store(key, TimingValue::Parts(value));
-            value
-        };
-        GEN_PARTS_MEMO.set(Some((self.id, generation, system, model, rows, value)));
-        value
+        parts: impl FnOnce() -> AttAccGenParts,
+        attention: impl FnOnce() -> AttentionMemo,
+        combine: impl FnOnce(&AttAccGenParts, &mut AttentionMemo) -> StageBreakdown,
+    ) -> StageBreakdown {
+        self.with_memo(system, model, |memo| {
+            let slot = (rows < MEMO_MAX_ROWS).then_some(rows as usize);
+            let p = match slot.and_then(|i| memo.parts.get(i).copied().flatten()) {
+                Some(p) => {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    p
+                }
+                None => {
+                    let key = CacheKey { system, model, query: TimingQuery::GenParts { rows } };
+                    let TimingValue::Parts(p) =
+                        self.get_or_compute(key, || TimingValue::Parts(parts()))
+                    else {
+                        unreachable!("a GenParts key holds parts")
+                    };
+                    if let Some(i) = slot {
+                        if i >= memo.parts.len() {
+                            memo.parts.resize(i + 1, None);
+                        }
+                        memo.parts[i] = Some(p);
+                    }
+                    p
+                }
+            };
+            combine(&p, memo.attention.get_or_insert_with(attention))
+        })
     }
 
     /// The memoized Sum-stage cost, computing on miss.
@@ -385,13 +463,19 @@ impl TimingCache {
         l_in: u64,
         compute: impl FnOnce() -> StageCost,
     ) -> StageCost {
-        let key = CacheKey { system, model, query: TimingQuery::Sum { batch, l_in } };
-        if let Some(TimingValue::Sum(c)) = self.lookup(&key) {
-            return c;
-        }
-        let value = compute();
-        self.store(key, TimingValue::Sum(value));
-        value
+        self.with_memo(system, model, |memo| {
+            if let Some(&c) = memo.sums.get(&(batch, l_in)) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return c;
+            }
+            let key = CacheKey { system, model, query: TimingQuery::Sum { batch, l_in } };
+            let TimingValue::Sum(c) = self.get_or_compute(key, || TimingValue::Sum(compute()))
+            else {
+                unreachable!("a Sum key holds a cost")
+            };
+            memo.sums.insert((batch, l_in), c);
+            c
+        })
     }
 
     /// Number of memoized entries.
@@ -412,8 +496,8 @@ impl TimingCache {
         for shard in &self.shards {
             shard.lock().expect("cache shard lock").clear();
         }
-        // Invalidate every thread's GenParts memo: each records the
-        // generation it was filled at and rechecks it on use.
+        // Invalidate every thread's pair memos: each thread records the
+        // generation it filled them at and rechecks it on use.
         self.generation.fetch_add(1, Ordering::Relaxed);
     }
 

@@ -3,6 +3,7 @@
 use crate::engine::{self, TimingCache};
 use crate::{System, SystemKind};
 use attacc_model::{FcLayer, ModelConfig, Op, OpClass, Phase, StageWorkload};
+use attacc_pim::{AttAccDevice, AttentionTiming};
 use attacc_serving::{
     ff_coprocess_speedup, head_level_pipelined_s, serial_s, DecoderPhases, StageCost,
     StageExecutor,
@@ -119,7 +120,8 @@ impl SystemExecutor {
     /// Full detail of one Gen iteration over `(count, context)` groups,
     /// memoized in the global [`TimingCache`]. On `DGX+AttAccs` the cache
     /// holds the rows-keyed [`AttAccGenParts`] and the attention term is
-    /// added per group; other platforms memoize the whole breakdown.
+    /// added per group from the pair's memoized per-length terms; other
+    /// platforms memoize the whole breakdown.
     #[must_use]
     pub fn gen_stage_detail(&self, groups: &[(u64, u64)]) -> StageBreakdown {
         let Some(groups) = nonzero_groups(groups) else {
@@ -129,10 +131,17 @@ impl SystemExecutor {
         let cache = TimingCache::global();
         if let SystemKind::DgxAttAcc { head_level_pipelining, ff_coprocessing } = self.system.kind {
             let rows = groups.iter().map(|&(n, _)| n).sum();
-            let parts = cache.gen_parts(system, model, rows, || {
-                self.attacc_gen_parts(&StageWorkload::gen_with_contexts(&self.model, &groups))
-            });
-            return self.attacc_combine(&parts, &groups, head_level_pipelining, ff_coprocessing);
+            return cache.attacc_gen(
+                system,
+                model,
+                rows,
+                || self.attacc_gen_parts(&StageWorkload::gen_with_contexts(&self.model, &groups)),
+                || self.pim().attention_memo(&self.model),
+                |parts, attention| {
+                    let attn = attention.decoder_time(&groups, true);
+                    self.attacc_combine(parts, &attn, head_level_pipelining, ff_coprocessing)
+                },
+            );
         }
         cache.gen_breakdown(system, model, &groups, || self.gen_stage_detail_uncached(&groups))
     }
@@ -161,7 +170,8 @@ impl SystemExecutor {
             SystemKind::DgxCpu => self.gen_stage_cpu(&wl),
             SystemKind::DgxAttAcc { head_level_pipelining, ff_coprocessing } => {
                 let parts = self.attacc_gen_parts(&wl);
-                self.attacc_combine(&parts, &groups, head_level_pipelining, ff_coprocessing)
+                let attn = self.pim().attention_decoder_time(&self.model, &groups, true);
+                self.attacc_combine(&parts, &attn, head_level_pipelining, ff_coprocessing)
             }
         }
     }
@@ -272,23 +282,26 @@ impl SystemExecutor {
         p
     }
 
-    /// `DGX+AttAccs`: folds the per-group attention term on the PIM stacks
-    /// into the rows-only GPU aggregates, with the §6 optimizations as
-    /// configured. The cached and uncached paths share it, so they can
-    /// differ only if the parts depend on more than the row total.
+    /// The `DGX+AttAccs` PIM device.
+    fn pim(&self) -> &AttAccDevice {
+        self.system.attacc.as_ref().expect("DgxAttAcc has a PIM device")
+    }
+
+    /// `DGX+AttAccs`: folds one decoder's attention on the PIM stacks
+    /// (attention-level pipelining always on) into the rows-only GPU
+    /// aggregates, with the §6 optimizations as configured. The cached
+    /// and uncached paths share it, so they can differ only if the parts
+    /// depend on more than the row total.
     fn attacc_combine(
         &self,
         p: &AttAccGenParts,
-        groups: &[(u64, u64)],
+        attn: &AttentionTiming,
         hl_pipe: bool,
         ff_coproc: bool,
     ) -> StageBreakdown {
-        let attacc = self.system.attacc.as_ref().expect("DgxAttAcc has a PIM device");
+        let attacc = self.pim();
         let gpu = &self.system.gpu;
         let dev = &gpu.device;
-
-        // Attention on AttAcc (attention-level pipelining always on).
-        let attn = attacc.attention_decoder_time(&self.model, groups, true);
 
         // Per-decoder bridge transfers (Q/K/V in, outputs back).
         let bridge_bytes = self.decoder_bridge_bytes(p.rows);

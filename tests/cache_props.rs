@@ -5,6 +5,7 @@
 //! the cache between queries never changes any result. Empty stages
 //! (no groups, zero-count groups, batch 0) are free on both paths.
 
+use attacc_pim::GemvPlacement;
 use attacc_sim::engine::TimingCache;
 use attacc_sim::{System, SystemExecutor};
 use attacc_serving::StageExecutor;
@@ -83,6 +84,53 @@ proptest! {
         let cached = exec.sum_stage(batch, l_in);
         let direct = exec.sum_stage_uncached(batch, l_in);
         prop_assert_eq!(cached, direct);
+    }
+
+    /// Gen and Sum calls of nine executors (three systems, two of them
+    /// with different PIM devices, × three models), interleaved as a
+    /// fleet mixing node variants makes them, with `clear()` between
+    /// some of them: every result equals the uncached walk, and the
+    /// first probe after a clear misses (no thread-local memo outlives
+    /// the clear). Nine pairs are more than a thread's memo holds, so
+    /// some calls also find it full.
+    #[test]
+    fn interleaved_executors_match_the_walk_across_clears(
+        calls in prop::collection::vec(
+            (0usize..9, prop::collection::vec((1u64..=16, 16u64..=4096), 1..4), 0u8..8),
+            1..24,
+        ),
+    ) {
+        let _guard = CACHE_LOCK.lock().expect("cache lock");
+        let models = [
+            attacc_model::ModelConfig::gpt3_175b(),
+            attacc_model::ModelConfig::llama2_70b(),
+            attacc_model::ModelConfig::gpt3_13b(),
+        ];
+        let systems = [
+            System::dgx_attacc_naive(),
+            System::dgx_attacc_full(),
+            System::dgx_attacc_with_placement(GemvPlacement::Buffer),
+        ];
+        let execs: Vec<SystemExecutor> = systems
+            .into_iter()
+            .flat_map(|s| models.iter().map(move |m| SystemExecutor::new(s.clone(), m)))
+            .collect();
+        let cache = TimingCache::global();
+        for (which, groups, clear) in calls {
+            let cleared = clear == 0;
+            if cleared {
+                cache.clear();
+            }
+            let misses = cache.stats().misses;
+            let exec = &execs[which];
+            let cached = exec.gen_stage_detail(&groups);
+            prop_assert_eq!(cached, exec.gen_stage_detail_uncached(&groups));
+            if cleared {
+                prop_assert!(cache.stats().misses > misses, "a probe after clear() must miss");
+            }
+            let (batch, l_in) = (groups[0].0, groups[0].1);
+            prop_assert_eq!(exec.sum_stage(batch, l_in), exec.sum_stage_uncached(batch, l_in));
+        }
     }
 
     #[test]
