@@ -55,42 +55,68 @@ impl FeatureContext {
     /// The feature row of one `(fleet mix, traffic)` cell.
     #[must_use]
     pub fn features(&self, spec: &FleetSpec, traffic: &TrafficSpec) -> Vec<f64> {
+        self.features_of(std::slice::from_ref(spec), traffic).pop().expect("one row per spec")
+    }
+
+    /// The feature rows of every mix in `specs` under one `traffic`. Each
+    /// variant's unit stats (decode weight, KV capacity, CapEx, idle
+    /// watts) depend only on the variant and the traffic, so each is
+    /// probed once, on first use, and every row folds `count · unit` in
+    /// variant order.
+    pub(crate) fn features_of(&self, specs: &[FleetSpec], traffic: &TrafficSpec) -> Vec<Vec<f64>> {
         use crate::fleet::CELL_MAX_BATCH;
         use crate::variant::NodeVariant;
         let l_out_mean = (traffic.l_out.0 + traffic.l_out.1) as f64 / 2.0;
         let l_ctx = traffic.probe_context();
-        let mut thr = 0.0;
-        let mut kv = 0.0;
-        let mut capex = 0.0;
-        let mut idle = 0.0;
-        for (i, &c) in spec.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let v = NodeVariant::ALL[i];
-            let n = c as f64;
-            thr += n * v.decode_weight(&self.model, CELL_MAX_BATCH, l_ctx);
-            kv += n * v.system().kv_capacity_bytes(&self.model) as f64;
-            let nc = self.book.node(v);
-            capex += n * nc.capex_usd;
-            idle += n * nc.idle_w;
-        }
-        let mut x = Vec::with_capacity(FEATURE_NAMES.len());
-        x.extend(spec.counts.iter().map(|&c| c as f64));
-        x.push(traffic.rate_per_s);
-        x.push(traffic.users as f64);
-        x.push(traffic.l_in as f64);
-        x.push(l_out_mean);
-        x.push(thr);
-        x.push(kv);
-        x.push(capex);
-        x.push(idle);
-        x.push(if thr > 0.0 {
-            traffic.rate_per_s * l_out_mean / thr
-        } else {
-            f64::INFINITY
-        });
-        x
+        let mut units: [Option<[f64; 4]>; 5] = [None; 5];
+        let mut unit = |i: usize| {
+            *units[i].get_or_insert_with(|| {
+                let v = NodeVariant::ALL[i];
+                let nc = self.book.node(v);
+                [
+                    v.decode_weight(&self.model, CELL_MAX_BATCH, l_ctx),
+                    v.system().kv_capacity_bytes(&self.model) as f64,
+                    nc.capex_usd,
+                    nc.idle_w,
+                ]
+            })
+        };
+        specs
+            .iter()
+            .map(|spec| {
+                let mut thr = 0.0;
+                let mut kv = 0.0;
+                let mut capex = 0.0;
+                let mut idle = 0.0;
+                for (i, &c) in spec.counts.iter().enumerate() {
+                    if c == 0 {
+                        continue;
+                    }
+                    let [w, cap, usd, watts] = unit(i);
+                    let n = c as f64;
+                    thr += n * w;
+                    kv += n * cap;
+                    capex += n * usd;
+                    idle += n * watts;
+                }
+                let mut x = Vec::with_capacity(FEATURE_NAMES.len());
+                x.extend(spec.counts.iter().map(|&c| c as f64));
+                x.push(traffic.rate_per_s);
+                x.push(traffic.users as f64);
+                x.push(traffic.l_in as f64);
+                x.push(l_out_mean);
+                x.push(thr);
+                x.push(kv);
+                x.push(capex);
+                x.push(idle);
+                x.push(if thr > 0.0 {
+                    traffic.rate_per_s * l_out_mean / thr
+                } else {
+                    f64::INFINITY
+                });
+                x
+            })
+            .collect()
     }
 }
 
@@ -180,11 +206,14 @@ impl DatasetBuilder {
         });
         let ctx = FeatureContext::new(self.model.clone(), self.book.clone());
         let mut xs = Vec::with_capacity(results.len());
+        for run in self.cells.chunk_by(|a, b| a.1 == b.1) {
+            let specs: Vec<FleetSpec> = run.iter().map(|(spec, _)| *spec).collect();
+            xs.extend(ctx.features_of(&specs, &run[0].1));
+        }
         let mut goodput = Vec::with_capacity(results.len());
         let mut p999 = Vec::with_capacity(results.len());
         let mut usd = Vec::with_capacity(results.len());
-        for ((spec, traffic), r) in self.cells.iter().zip(&results) {
-            xs.push(ctx.features(spec, traffic));
+        for r in &results {
             goodput.push(r.report.cluster.goodput.goodput_tokens_per_s);
             p999.push(r.report.cluster.ttft.p999_s);
             usd.push(r.cost.usd_per_mtok);

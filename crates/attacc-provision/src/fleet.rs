@@ -138,18 +138,27 @@ pub fn simulate_cell(
 ) -> CellResult {
     let variants = spec.variants();
     assert!(!variants.is_empty(), "fleet must buy at least one node");
-    let execs: Vec<_> = variants.iter().map(|v| v.executor(model)).collect();
-    let refs: Vec<&dyn StageExecutor> = execs.iter().map(|e| e as &dyn StageExecutor).collect();
-
+    // One executor, router weight and scheduler per variant bought; the
+    // variant's nodes share them (an executor holds no per-node state).
     let l_ctx = traffic.probe_context();
-    let weights: Vec<f64> = variants
+    let bought: Vec<_> = NodeVariant::ALL
         .iter()
-        .map(|v| v.decode_weight(model, CELL_MAX_BATCH, l_ctx))
+        .zip(spec.counts)
+        .filter(|&(_, n)| n > 0)
+        .map(|(v, n)| {
+            let exec = v.executor(model);
+            let weight = exec.decode_tokens_per_s(CELL_MAX_BATCH, l_ctx);
+            (exec, weight, v.scheduler(model, CELL_MAX_BATCH), n)
+        })
         .collect();
-    let schedulers: Vec<_> = variants
-        .iter()
-        .map(|v| v.scheduler(model, CELL_MAX_BATCH))
-        .collect();
+    let mut refs: Vec<&dyn StageExecutor> = Vec::with_capacity(variants.len());
+    let mut weights = Vec::with_capacity(variants.len());
+    let mut schedulers = Vec::with_capacity(variants.len());
+    for (exec, weight, scheduler, n) in &bought {
+        refs.extend(std::iter::repeat_n(exec as &dyn StageExecutor, *n));
+        weights.extend(std::iter::repeat_n(*weight, *n));
+        schedulers.extend(std::iter::repeat_n(*scheduler, *n));
+    }
     // Shared fallback config: the least-capable variant's capacity, so
     // pool-level admission never overpromises.
     let shared = schedulers

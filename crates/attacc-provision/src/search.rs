@@ -56,7 +56,9 @@ pub struct SearchConfig {
     pub verify_frac: f64,
     /// Active-learning rounds: the verification budget is split across
     /// this many refit-rank-verify passes, so a cell the surrogate
-    /// mispriced in round 1 corrects the ranking of round 2.
+    /// mispriced in round 1 corrects the ranking of round 2. Zero rounds
+    /// make a train-only search: nothing is verified, `picks` is empty
+    /// and `best` is the cheapest feasible training cell.
     pub rounds: usize,
     /// Also train on every *homogeneous* grid cell (single-variant
     /// fleets). These corners anchor each variant's marginal cost and
@@ -168,9 +170,10 @@ pub fn run_search(
     // corrects the next round's ranking — then spends a slice of the
     // verification budget on the best-ranked unsimulated cells.
     let k = ((specs.len() as f64 * cfg.verify_frac).ceil() as usize).max(cfg.rounds);
-    let per_round = k.div_ceil(cfg.rounds);
+    // Zero rounds: the loop below never runs (a train-only search).
+    let per_round = k.div_ceil(cfg.rounds.max(1));
     let ctx = FeatureContext::new(model.clone(), book.clone());
-    let grid_xs: Vec<Vec<f64>> = specs.iter().map(|s| ctx.features(s, traffic)).collect();
+    let grid_xs = ctx.features_of(specs, traffic);
     let tail_params = GbtParams {
         monotone: tail_monotone(),
         ..cfg.gbt.clone()
@@ -323,6 +326,43 @@ mod tests {
         let mut sorted = specs.clone();
         sorted.sort_by_key(|s| s.counts);
         assert_eq!(specs, sorted, "enumeration order is lexicographic");
+    }
+
+    #[test]
+    fn zero_rounds_make_a_train_only_search() {
+        let model = ModelConfig::gpt3_175b();
+        let specs = enumerate_specs([2, 0, 0, 2, 0], 4);
+        let traffic = TrafficSpec {
+            users: 16,
+            rate_per_s: 4.0,
+            l_in: 128,
+            l_out: (16, 32),
+            seed: 3,
+        };
+        let (slo, book) = (SloSpec::chatbot(), CostBook::paper_defaults());
+        let cfg = SearchConfig {
+            train_stride: 3,
+            rounds: 0,
+            ..SearchConfig::default()
+        };
+        let o = run_search(&model, &specs, &traffic, slo, &book, &cfg);
+        // The training set: the stride plus the homogeneous corners.
+        let trained: Vec<usize> = (0..specs.len())
+            .filter(|&i| i % 3 == 0 || specs[i].counts.iter().filter(|&&c| c > 0).count() == 1)
+            .collect();
+        assert!(trained.len() < specs.len(), "some cells stay untrained");
+        assert_eq!((o.trained, o.verified), (trained.len(), 0));
+        assert!(o.picks.is_empty());
+        // `best` is the cheapest feasible training cell.
+        let want = trained
+            .into_iter()
+            .map(|i| (i, crate::fleet::simulate_cell(&model, &specs[i], &traffic, slo, &book)))
+            .filter(|(_, r)| r.feasible)
+            .min_by(|(ia, a), (ib, b)| {
+                a.cost.usd_per_mtok.total_cmp(&b.cost.usd_per_mtok).then(ia.cmp(ib))
+            });
+        assert!(want.is_some(), "some training cell meets the SLO");
+        assert_eq!(o.best, want);
     }
 
     #[test]

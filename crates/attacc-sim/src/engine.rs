@@ -11,9 +11,13 @@
 //!   worker threads and merges results **by index**, so the output is
 //!   bit-identical to a serial run regardless of thread count or
 //!   scheduling order.
-//! * [`TimingCache`] memoizes timing-query results keyed by the exact
+//! * [`TimingCache`] memoizes timing-query results keyed by the
 //!   (system, model, query) triple, so overlapping sweeps (e.g. the same
-//!   `DGX_Base` baseline re-timed by every figure) are computed once.
+//!   `DGX_Base` baseline re-timed by every figure) are computed once. A
+//!   query holds exactly the integers its result depends on: a Sum stage
+//!   its `(batch, l_in)`, an xPU Gen stage its row count and context-token
+//!   total, a `DGX+AttAccs` Gen stage its row count (the attention term is
+//!   folded in per call).
 //!
 //! Thread count resolves as: [`set_threads`] override (the `--serial`
 //! flag) → `ATTACC_THREADS` → `std::thread::available_parallelism()`.
@@ -181,8 +185,16 @@ pub fn reset_phase_report() {
 /// A memoizable timing query against one (system, model) pair.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum TimingQuery {
-    /// One Gen iteration over `(count, context)` groups.
-    Gen(Vec<(u64, u64)>),
+    /// One Gen iteration on an xPU-attention system (`DGX_Base`,
+    /// `DGX_Large`, `2xDGX`, `DGX_CPU`). Its op graph sees the
+    /// `(count, context)` groups only through these two sums, so every
+    /// regrouping with the same sums has the same breakdown.
+    Gen {
+        /// Total decode rows (Σ group counts).
+        rows: u64,
+        /// Context tokens attended (Σ count · context).
+        ctx: u64,
+    },
     /// One Sum (prefill) stage.
     Sum {
         /// Requests summarized together.
@@ -286,6 +298,8 @@ struct PairMemo {
     attention: Option<AttentionMemo>,
     /// [`TimingQuery::Sum`] values keyed by `(batch, l_in)`.
     sums: HashMap<(u64, u64), StageCost>,
+    /// [`TimingQuery::Gen`] values keyed by `(rows, ctx)`.
+    gens: HashMap<(u64, u64), StageBreakdown>,
 }
 
 /// This thread's [`PairMemo`]s, all filled from one cache since one
@@ -353,9 +367,18 @@ impl TimingCache {
         self.shard_of(&key).lock().expect("cache shard lock").insert(key, value);
     }
 
-    /// The memoized Gen-stage breakdown, computing on miss. The compute
-    /// closure runs outside any shard lock; concurrent misses of the same
-    /// key may compute redundantly but always store the same pure value.
+    /// The memoized xPU Gen-stage breakdown of one iteration over
+    /// `(count, context)` groups, keyed by their row total and
+    /// context-token total (see [`TimingQuery::Gen`]) and computing on
+    /// miss. The compute closure runs outside any shard lock; concurrent
+    /// misses of the same key may compute redundantly but always store
+    /// the same pure value.
+    ///
+    /// Kept out of line: inlined into `SystemExecutor::gen_stage_detail`
+    /// it slowed that function's `DGX+AttAccs` path, which `fleet-chaos`
+    /// runs a million times per rep (its `items_per_s` fell 8–10% in
+    /// alternating runs on a 2-vCPU VM, and recovered with this).
+    #[inline(never)]
     pub(crate) fn gen_breakdown(
         &self,
         system: u32,
@@ -363,11 +386,21 @@ impl TimingCache {
         groups: &[(u64, u64)],
         compute: impl FnOnce() -> StageBreakdown,
     ) -> StageBreakdown {
-        let key = CacheKey { system, model, query: TimingQuery::Gen(groups.to_vec()) };
-        let TimingValue::Gen(b) = self.get_or_compute(key, || TimingValue::Gen(compute())) else {
-            unreachable!("a Gen key holds a breakdown")
-        };
-        b
+        let rows = groups.iter().map(|&(n, _)| n).sum();
+        let ctx = groups.iter().map(|&(n, l)| n * l).sum();
+        self.with_memo(system, model, |memo| {
+            if let Some(&b) = memo.gens.get(&(rows, ctx)) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return b;
+            }
+            let key = CacheKey { system, model, query: TimingQuery::Gen { rows, ctx } };
+            let TimingValue::Gen(b) = self.get_or_compute(key, || TimingValue::Gen(compute()))
+            else {
+                unreachable!("a Gen key holds a breakdown")
+            };
+            memo.gens.insert((rows, ctx), b);
+            b
+        })
     }
 
     /// Runs `f` on this thread's memo of the `(system, model)` pair,
@@ -393,6 +426,7 @@ impl TimingCache {
                         parts: Vec::new(),
                         attention: None,
                         sums: HashMap::new(),
+                        gens: HashMap::new(),
                     });
                     memo.pairs.len() - 1
                 }

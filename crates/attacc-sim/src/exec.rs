@@ -120,8 +120,12 @@ impl SystemExecutor {
     /// Full detail of one Gen iteration over `(count, context)` groups,
     /// memoized in the global [`TimingCache`]. On `DGX+AttAccs` the cache
     /// holds the rows-keyed [`AttAccGenParts`] and the attention term is
-    /// added per group from the pair's memoized per-length terms; other
-    /// platforms memoize the whole breakdown.
+    /// added per group from the pair's memoized per-length terms. The
+    /// xPU-attention platforms memoize the whole breakdown keyed by
+    /// `(Σ count, Σ count · context)`: their op graph sees the groups only
+    /// through those two sums (the merged attention op's FLOPs and bytes
+    /// are u64 multiples of them, every other op depends on the rows), so
+    /// any regrouping with the same sums walks to the same breakdown.
     #[must_use]
     pub fn gen_stage_detail(&self, groups: &[(u64, u64)]) -> StageBreakdown {
         let Some(groups) = nonzero_groups(groups) else {

@@ -16,7 +16,13 @@ use std::sync::Mutex;
 static CACHE_LOCK: Mutex<()> = Mutex::new(());
 
 fn systems() -> Vec<System> {
-    vec![System::dgx_base(), System::dgx_attacc_full()]
+    vec![System::dgx_base(), System::dgx_attacc_full(), System::dgx_cpu()]
+}
+
+/// The systems whose attention runs on an xPU (GPUs or host CPUs), whose
+/// Gen stage is cached whole, keyed by `(Σ count, Σ count · context)`.
+fn xpu_systems() -> Vec<System> {
+    vec![System::dgx_base(), System::dgx_large(), System::two_dgx(), System::dgx_cpu()]
 }
 
 /// The `DGX+AttAccs` variants, whose Gen stage is cached as rows-keyed
@@ -35,13 +41,37 @@ fn spread(rows: u64, contexts: &[u64]) -> Vec<(u64, u64)> {
         .collect()
 }
 
+/// `groups` regrouped with the same rows and `Σ count · context`. Mode 0
+/// splits the first group in two (when it holds two requests or more);
+/// otherwise every request becomes its own group and `shift` context
+/// tokens move from the first request to the last.
+fn regroup(groups: &[(u64, u64)], mode: u8, shift: u64) -> Vec<(u64, u64)> {
+    let (n, l) = groups[0];
+    if mode == 0 && n >= 2 {
+        let k = 1 + shift % (n - 1);
+        let mut out = vec![(n - k, l), (k, l)];
+        out.extend_from_slice(&groups[1..]);
+        return out;
+    }
+    let mut singles: Vec<(u64, u64)> = groups
+        .iter()
+        .flat_map(|&(n, l)| std::iter::repeat_n((1, l), n as usize))
+        .collect();
+    if singles.len() >= 2 {
+        let d = shift % singles[0].1;
+        singles[0].1 -= d;
+        singles.last_mut().expect("two singles").1 += d;
+    }
+    singles
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn cached_gen_breakdown_is_bitwise_equal_to_recompute(
         groups in prop::collection::vec((0u64..=64, 16u64..=4096), 0..4),
-        sys_idx in 0usize..2,
+        sys_idx in 0usize..3,
     ) {
         let _guard = CACHE_LOCK.lock().expect("cache lock");
         let model = attacc_model::ModelConfig::gpt3_175b();
@@ -72,11 +102,43 @@ proptest! {
         prop_assert_eq!(exec.gen_stage_detail(&second), exec.gen_stage_detail_uncached(&second));
     }
 
+    /// The xPU Gen key's property: the op-graph walk sees the groups only
+    /// through `(Σ count, Σ count · context)`, so a regrouping with the
+    /// same sums walks to the same breakdown, and its probe hits the
+    /// entry `first` stored. A mix over other contexts with the same rows
+    /// must still match its own walk.
+    #[test]
+    fn xpu_gen_from_one_mix_serves_every_mix_with_the_same_sums(
+        first in prop::collection::vec((1u64..=32, 16u64..=4096), 1..4),
+        contexts in prop::collection::vec(16u64..=4096, 1..4),
+        mode in 0u8..2,
+        shift in 0u64..4096,
+        pick in (0usize..4, 0usize..2),
+    ) {
+        let _guard = CACHE_LOCK.lock().expect("cache lock");
+        let models = [attacc_model::ModelConfig::gpt3_175b(), attacc_model::ModelConfig::llama2_70b()];
+        let exec = SystemExecutor::new(xpu_systems()[pick.0].clone(), &models[pick.1]);
+        let cache = TimingCache::global();
+        cache.clear();
+        prop_assert_eq!(exec.gen_stage_detail(&first), exec.gen_stage_detail_uncached(&first));
+        let regrouped = regroup(&first, mode, shift);
+        prop_assert_eq!(
+            exec.gen_stage_detail_uncached(&regrouped),
+            exec.gen_stage_detail_uncached(&first)
+        );
+        let misses = cache.stats().misses;
+        prop_assert_eq!(exec.gen_stage_detail(&regrouped), exec.gen_stage_detail_uncached(&regrouped));
+        prop_assert!(cache.stats().misses == misses, "a regrouping with the same sums must hit");
+        let rows = first.iter().map(|&(n, _)| n).sum();
+        let second = spread(rows, &contexts);
+        prop_assert_eq!(exec.gen_stage_detail(&second), exec.gen_stage_detail_uncached(&second));
+    }
+
     #[test]
     fn cached_sum_cost_is_bitwise_equal_to_recompute(
         batch in 0u64..=64,
         l_in in 16u64..=4096,
-        sys_idx in 0usize..2,
+        sys_idx in 0usize..3,
     ) {
         let _guard = CACHE_LOCK.lock().expect("cache lock");
         let model = attacc_model::ModelConfig::gpt3_175b();
