@@ -77,8 +77,9 @@ impl FleetChaosConfig {
 ///
 /// # Panics
 /// Panics if the executor slices or mix vectors do not match the pool
-/// bounds, the pool bounds or degrade knobs are inconsistent, or a fault
-/// names a node outside the fleet.
+/// bounds, the pool bounds or degrade knobs are inconsistent, a fault
+/// names a node outside the fleet, or two arrivals share a request id
+/// (first tokens, completions and outcomes are tracked by id).
 #[must_use]
 pub fn simulate_fleet_chaos(
     prefill_nodes: &[&dyn StageExecutor],
@@ -184,6 +185,22 @@ mod tests {
             assert_eq!(chaos.shed_requests + chaos.browned_out_requests, 0);
             assert_eq!(chaos.unique_completed, 60);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "request id 0 arrives more than once")]
+    fn repeated_request_ids_are_rejected() {
+        let arrivals = [(0.0, 0), (0.001, 0), (0.002, 1)]
+            .map(|(t, id)| (t, attacc_model::Request::new(id, 64, 4)))
+            .to_vec();
+        let _ = simulate_fleet_chaos(
+            &[&Toy, &Toy],
+            &[&Toy, &Toy],
+            &FleetMix::uniform(),
+            &ArrivalWorkload { arrivals },
+            &FleetChaosConfig::inert(disagg_cfg()),
+            &FaultSchedule::none(),
+        );
     }
 
     #[test]

@@ -48,8 +48,9 @@ impl ChaosConfig {
 /// [`attacc_cluster::simulate_cluster`] on the same inputs.
 ///
 /// # Panics
-/// Panics if `nodes` is empty, the scheduler batch cap is zero, or a
-/// fault names a node outside the cluster.
+/// Panics if `nodes` is empty, the scheduler batch cap is zero, a fault
+/// names a node outside the cluster, or two arrivals share a request id
+/// (retries, hedges and outcomes are keyed by id).
 #[must_use]
 pub fn simulate_chaos(
     nodes: &[&dyn StageExecutor],
@@ -134,6 +135,23 @@ mod tests {
             assert_eq!(chaos.unique_completed, 40);
             assert_eq!(chaos.duplicate_completions, 0);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "request id 0 arrives more than once")]
+    fn repeated_request_ids_are_rejected() {
+        // A second arrival with id 0 would overwrite the first one's
+        // tracker, dropping it from the outcomes and unique completions.
+        let arrivals = [(0.0, 0), (0.001, 0), (0.002, 1)]
+            .map(|(t, id)| (t, attacc_model::Request::new(id, 64, 4)))
+            .to_vec();
+        let cfg = ChaosConfig::inert(cluster_cfg(RouterPolicy::JoinShortestQueue));
+        let _ = simulate_chaos(
+            &[&Toy, &Toy],
+            &ArrivalWorkload { arrivals },
+            &cfg,
+            &FaultSchedule::none(),
+        );
     }
 
     #[test]

@@ -169,8 +169,8 @@ pub struct LoopOutcome {
 /// flat `Vec` instead of a `BTreeMap`. The workload generators assign
 /// dense ids `0..n` (detected at build time), making a lookup a plain
 /// index; arbitrary id sets fall back to binary search over the sorted
-/// unique ids. Either way index order equals ascending id order, which
-/// keeps report iteration byte-identical to a `BTreeMap` walk.
+/// ids. Either way index order equals ascending id order, which keeps
+/// report iteration byte-identical to a `BTreeMap` walk.
 #[derive(Debug, Default)]
 struct RequestIndex {
     /// Number of distinct ids.
@@ -180,10 +180,16 @@ struct RequestIndex {
 }
 
 impl RequestIndex {
+    /// # Panics
+    /// Panics if two arrivals share a request id: trackers, retries,
+    /// hedges and outcomes are keyed by id, so a repeat would overwrite
+    /// the earlier arrival's tracker and drop it from the report.
     fn build(workload: &ArrivalWorkload) -> RequestIndex {
         let mut ids: Vec<u64> = workload.arrivals.iter().map(|&(_, r)| r.id).collect();
         ids.sort_unstable();
-        ids.dedup();
+        if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
+            panic!("request id {} arrives more than once; a tracked run needs unique ids", w[0]);
+        }
         let dense = ids.iter().enumerate().all(|(i, &id)| id == i as u64);
         RequestIndex { len: ids.len(), sparse: if dense { Vec::new() } else { ids } }
     }

@@ -416,18 +416,6 @@ impl<'a> NodeEngine<'a> {
         self.slowdown = factor;
     }
 
-    /// The current straggler latency multiplier.
-    #[must_use]
-    pub fn slowdown(&self) -> f64 {
-        self.slowdown
-    }
-
-    /// Output tokens produced so far.
-    #[must_use]
-    pub fn tokens_produced(&self) -> u64 {
-        self.metrics.tokens
-    }
-
     /// Everything this node has measured so far.
     #[must_use]
     pub fn metrics(&self) -> &NodeMetrics {

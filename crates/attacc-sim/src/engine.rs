@@ -11,13 +11,13 @@
 //!   worker threads and merges results **by index**, so the output is
 //!   bit-identical to a serial run regardless of thread count or
 //!   scheduling order.
-//! * [`TimingCache`] memoizes timing-query results keyed by the
-//!   (system, model, query) triple, so overlapping sweeps (e.g. the same
-//!   `DGX_Base` baseline re-timed by every figure) are computed once. A
-//!   query holds exactly the integers its result depends on: a Sum stage
-//!   its `(batch, l_in)`, an xPU Gen stage its row count and context-token
-//!   total, a `DGX+AttAccs` Gen stage its row count (the attention term is
-//!   folded in per call).
+//! * [`TimingCache`] memoizes timing-query results in one memo per
+//!   (system, model) pair on each thread, so a fleet or sweep that
+//!   re-times the same pair computes each value once per thread. A key
+//!   holds exactly the integers its result depends on: a Sum stage its
+//!   `(batch, l_in)`, an xPU Gen stage its row count and context-token
+//!   total, a `DGX+AttAccs` Gen stage its row count (the attention term
+//!   is folded in per call).
 //!
 //! Thread count resolves as: [`set_threads`] override (the `--serial`
 //! flag) → `ATTACC_THREADS` → `std::thread::available_parallelism()`.
@@ -27,9 +27,7 @@ use attacc_model::ModelConfig;
 use attacc_pim::AttentionMemo;
 use attacc_serving::StageCost;
 use std::cell::RefCell;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -182,54 +180,6 @@ pub fn reset_phase_report() {
 // Timing cache
 // ---------------------------------------------------------------------
 
-/// A memoizable timing query against one (system, model) pair.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum TimingQuery {
-    /// One Gen iteration on an xPU-attention system (`DGX_Base`,
-    /// `DGX_Large`, `2xDGX`, `DGX_CPU`). Its op graph sees the
-    /// `(count, context)` groups only through these two sums, so every
-    /// regrouping with the same sums has the same breakdown.
-    Gen {
-        /// Total decode rows (Σ group counts).
-        rows: u64,
-        /// Context tokens attended (Σ count · context).
-        ctx: u64,
-    },
-    /// One Sum (prefill) stage.
-    Sum {
-        /// Requests summarized together.
-        batch: u64,
-        /// Prompt length.
-        l_in: u64,
-    },
-    /// The rows-only op-graph aggregates of one `DGX+AttAccs` Gen
-    /// iteration (see [`AttAccGenParts`]); the attention term is computed
-    /// per `(count, context)` group at combine time, so the whole decode
-    /// iteration resolves through this single small-key probe.
-    GenParts {
-        /// Total decode rows (Σ group counts).
-        rows: u64,
-    },
-}
-
-/// A memoized timing result.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum TimingValue {
-    /// Result of a [`TimingQuery::Gen`] query.
-    Gen(StageBreakdown),
-    /// Result of a [`TimingQuery::Sum`] query.
-    Sum(StageCost),
-    /// Result of a [`TimingQuery::GenParts`] query.
-    Parts(AttAccGenParts),
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CacheKey {
-    system: u32,
-    model: u32,
-    query: TimingQuery,
-}
-
 /// Cache hit/miss counters at one point in time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
@@ -252,19 +202,23 @@ impl CacheStats {
     }
 }
 
-const CACHE_SHARDS: usize = 16;
-
-/// A sharded memoization table for the pure per-stage timing queries.
+/// The memoization table for the pure per-stage timing queries: one
+/// [`PairMemo`] per `(system, model)` pair on each thread that probes it.
 ///
-/// Keys are `(interned system, interned model, query)` triples — see
-/// [`intern_system`] / [`intern_model`] — so equal configurations share
-/// entries across executors while distinct ones can never collide.
-/// Values are the exact `StageBreakdown` / `StageCost` the uncached path
-/// returns, making warm results bit-identical to cold ones.
+/// Pairs are interned ids — see [`intern_system`] / [`intern_model`] — so
+/// equal configurations share a memo across executors while distinct ones
+/// can never collide. A probe either hits the calling thread's memo of
+/// its pair, or computes the value, stores it in that memo and counts a
+/// miss. No store is shared between threads, so parallel [`SweepRunner`]
+/// workers each compute their own misses. Values are the exact
+/// `StageBreakdown` / `StageCost` the uncached path returns, making warm
+/// results bit-identical to cold ones.
 pub struct TimingCache {
-    shards: Vec<Mutex<HashMap<CacheKey, TimingValue>>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    /// Values stored in any thread's memo since the last
+    /// [`TimingCache::clear`] (see [`TimingCache::len`]).
+    entries: AtomicU64,
     /// Distinguishes cache instances in the thread-local [`PairMemo`]s
     /// so a stale entry from another cache can never be returned.
     id: u64,
@@ -275,7 +229,7 @@ pub struct TimingCache {
 }
 
 /// Rows at or above this bound are not held in [`PairMemo::parts`]; their
-/// probes go to the shard every time.
+/// probes compute every time and count as misses.
 const MEMO_MAX_ROWS: u64 = 1 << 12;
 
 /// Most [`PairMemo`]s one thread keeps; a new pair past it drops them
@@ -284,21 +238,27 @@ const MEMO_MAX_ROWS: u64 = 1 << 12;
 /// memory without costing a fleet its hits.
 const MEMO_MAX_PAIRS: usize = 8;
 
-/// One thread's memo of one `(system, model)` pair: an alias for the
-/// pair's shard entries this thread has already probed, plus the PIM
-/// attention terms. Probes it answers count as cache hits and return the
-/// stored values, so results and stats are the same with or without it.
+/// One thread's memo of one `(system, model)` pair: every timing value
+/// this thread has computed for the pair since the last
+/// [`TimingCache::clear`], plus the pair's PIM attention terms. Each key
+/// holds exactly the integers its value depends on.
 struct PairMemo {
     system: u32,
     model: u32,
-    /// [`TimingQuery::GenParts`] values at index `rows`.
+    /// The rows-only aggregates of one `DGX+AttAccs` Gen iteration (see
+    /// [`AttAccGenParts`]) at index `rows`; the attention term is added
+    /// per `(count, context)` group at combine time, so one entry serves
+    /// every context mix with the same row total.
     parts: Vec<Option<AttAccGenParts>>,
     /// The pair's attention terms, made on its first `DGX+AttAccs` Gen
     /// call.
     attention: Option<AttentionMemo>,
-    /// [`TimingQuery::Sum`] values keyed by `(batch, l_in)`.
+    /// Sum-stage costs keyed by `(batch, l_in)`.
     sums: HashMap<(u64, u64), StageCost>,
-    /// [`TimingQuery::Gen`] values keyed by `(rows, ctx)`.
+    /// xPU-attention Gen breakdowns (`DGX_Base`, `DGX_Large`, `2xDGX`,
+    /// `DGX_CPU`) keyed by `(Σ count, Σ count · context)`: their op graph
+    /// sees the groups only through these two sums, so every regrouping
+    /// with the same sums has the same breakdown.
     gens: HashMap<(u64, u64), StageBreakdown>,
 }
 
@@ -332,9 +292,9 @@ impl TimingCache {
     pub(crate) fn new() -> TimingCache {
         static NEXT_CACHE_ID: AtomicU64 = AtomicU64::new(0);
         TimingCache {
-            shards: (0..CACHE_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            entries: AtomicU64::new(0),
             id: NEXT_CACHE_ID.fetch_add(1, Ordering::Relaxed),
             generation: AtomicU64::new(0),
         }
@@ -347,32 +307,15 @@ impl TimingCache {
         GLOBAL.get_or_init(TimingCache::new)
     }
 
-    fn shard_of(&self, key: &CacheKey) -> &Mutex<HashMap<CacheKey, TimingValue>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
-    }
-
-    fn lookup(&self, key: &CacheKey) -> Option<TimingValue> {
-        let found = self.shard_of(key).lock().expect("cache shard lock").get(key).copied();
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
-
-    fn store(&self, key: CacheKey, value: TimingValue) {
-        self.shard_of(&key).lock().expect("cache shard lock").insert(key, value);
+    /// Counts a miss and computes its value.
+    fn miss<T>(&self, compute: impl FnOnce() -> T) -> T {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        compute()
     }
 
     /// The memoized xPU Gen-stage breakdown of one iteration over
     /// `(count, context)` groups, keyed by their row total and
-    /// context-token total (see [`TimingQuery::Gen`]) and computing on
-    /// miss. The compute closure runs outside any shard lock; concurrent
-    /// misses of the same key may compute redundantly but always store
-    /// the same pure value.
+    /// context-token total (see [`PairMemo::gens`]) and computing on miss.
     ///
     /// Kept out of line: inlined into `SystemExecutor::gen_stage_detail`
     /// it slowed that function's `DGX+AttAccs` path, which `fleet-chaos`
@@ -393,12 +336,9 @@ impl TimingCache {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return b;
             }
-            let key = CacheKey { system, model, query: TimingQuery::Gen { rows, ctx } };
-            let TimingValue::Gen(b) = self.get_or_compute(key, || TimingValue::Gen(compute()))
-            else {
-                unreachable!("a Gen key holds a breakdown")
-            };
+            let b = self.miss(compute);
             memo.gens.insert((rows, ctx), b);
+            self.entries.fetch_add(1, Ordering::Relaxed);
             b
         })
     }
@@ -435,16 +375,6 @@ impl TimingCache {
         })
     }
 
-    /// The memoized value of `key`, computing and storing it on miss.
-    fn get_or_compute(&self, key: CacheKey, compute: impl FnOnce() -> TimingValue) -> TimingValue {
-        if let Some(value) = self.lookup(&key) {
-            return value;
-        }
-        let value = compute();
-        self.store(key, value);
-        value
-    }
-
     /// One `DGX+AttAccs` Gen iteration over `rows` decode rows:
     /// `combine` folds the attention term into the memoized rows-keyed
     /// aggregates (computed by `parts` on miss). Unlike
@@ -469,17 +399,13 @@ impl TimingCache {
                     p
                 }
                 None => {
-                    let key = CacheKey { system, model, query: TimingQuery::GenParts { rows } };
-                    let TimingValue::Parts(p) =
-                        self.get_or_compute(key, || TimingValue::Parts(parts()))
-                    else {
-                        unreachable!("a GenParts key holds parts")
-                    };
+                    let p = self.miss(parts);
                     if let Some(i) = slot {
                         if i >= memo.parts.len() {
                             memo.parts.resize(i + 1, None);
                         }
                         memo.parts[i] = Some(p);
+                        self.entries.fetch_add(1, Ordering::Relaxed);
                     }
                     p
                 }
@@ -502,36 +428,37 @@ impl TimingCache {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return c;
             }
-            let key = CacheKey { system, model, query: TimingQuery::Sum { batch, l_in } };
-            let TimingValue::Sum(c) = self.get_or_compute(key, || TimingValue::Sum(compute()))
-            else {
-                unreachable!("a Sum key holds a cost")
-            };
+            let c = self.miss(compute);
             memo.sums.insert((batch, l_in), c);
+            self.entries.fetch_add(1, Ordering::Relaxed);
             c
         })
     }
 
-    /// Number of memoized entries.
+    /// Number of values computed and stored since the last
+    /// [`TimingCache::clear`], counted over all threads. This is a running
+    /// count, not the size of one table: each thread keeps its own memos,
+    /// so a value two workers both computed counts twice, and values a
+    /// thread has since dropped (its memos are capped at eight pairs, and
+    /// end with the thread) still count. A `DGX+AttAccs` Gen probe over
+    /// 4,096 rows or more stores nothing and adds nothing.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("cache shard lock").len()).sum()
+        self.entries.load(Ordering::Relaxed) as usize
     }
 
-    /// Whether the cache holds no entries.
+    /// Whether no value has been computed and stored since the last
+    /// [`TimingCache::clear`] on any thread (see [`TimingCache::len`]).
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Drops every memoized entry (counters are kept; see
-    /// [`TimingCache::reset_stats`]).
+    /// Drops every memoized value: every thread drops its memos on its
+    /// next probe. Zeroes [`TimingCache::len`]; the hit/miss counters are
+    /// kept (see [`TimingCache::reset_stats`]).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("cache shard lock").clear();
-        }
-        // Invalidate every thread's pair memos: each thread records the
-        // generation it filled them at and rechecks it on use.
+        self.entries.store(0, Ordering::Relaxed);
         self.generation.fetch_add(1, Ordering::Relaxed);
     }
 

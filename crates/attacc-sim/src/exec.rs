@@ -44,7 +44,8 @@ pub struct StageBreakdown {
 /// Every decoder and head op except `Op::Attention` and `Op::KvAppend`
 /// depends only on the total decode row count (the op builder derives
 /// their shapes from `rows` plus model constants), so these sums are
-/// memoizable keyed by `rows` alone — see `TimingQuery::GenParts`. The
+/// memoizable keyed by `rows` alone: the timing cache holds one per row
+/// count in each thread's memo of the `(system, model)` pair. The
 /// per-`(count, context)` attention term is folded back in by the shared
 /// combine step. `tests/cache_props.rs` checks the decomposition: parts
 /// filled from one context mix must give the uncached walk's result for

@@ -7,10 +7,12 @@
 
 use attacc_pim::GemvPlacement;
 use attacc_sim::engine::TimingCache;
+use attacc_sim::exec::StageBreakdown;
 use attacc_sim::{System, SystemExecutor};
 use attacc_serving::StageExecutor;
 use proptest::prelude::*;
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
+use std::thread;
 
 /// Serializes tests that clear the process-wide cache.
 static CACHE_LOCK: Mutex<()> = Mutex::new(());
@@ -206,5 +208,91 @@ proptest! {
         TimingCache::global().clear();
         let cold = exec.gen_stage_detail(&groups);
         prop_assert_eq!(warm, cold);
+    }
+}
+
+/// Each thread keeps its own memos, so workers probing the same pairs
+/// each compute their own misses, and `clear()` from another thread makes
+/// every worker's next probe miss. Workers only probe and record; every
+/// check runs on the main thread after they are joined, so a failed
+/// check cannot leave a thread waiting at a barrier.
+#[test]
+fn concurrent_probes_match_the_walk_and_miss_again_after_clear() {
+    const WORKERS: u64 = 4;
+    let _guard = CACHE_LOCK.lock().expect("cache lock");
+    let model = attacc_model::ModelConfig::gpt3_175b();
+    let execs = [
+        SystemExecutor::new(System::dgx_base(), &model),
+        SystemExecutor::new(System::dgx_attacc_full(), &model),
+    ];
+    // Distinct row totals, so every probe is a distinct key on both
+    // systems.
+    let groups = [vec![(8u64, 512u64)], vec![(3, 128), (9, 2048)], vec![(16, 1024)]];
+    let keys = (execs.len() * groups.len()) as u64;
+    let probe_all = || -> Vec<StageBreakdown> {
+        execs.iter().flat_map(|e| groups.iter().map(|g| e.gen_stage_detail(g))).collect()
+    };
+    let walks: Vec<StageBreakdown> = execs
+        .iter()
+        .flat_map(|e| groups.iter().map(|g| e.gen_stage_detail_uncached(g)))
+        .collect();
+    let cache = TimingCache::global();
+    cache.clear();
+    cache.reset_stats();
+    let warmed = Barrier::new(WORKERS as usize + 1);
+    let cleared = Barrier::new(WORKERS as usize + 1);
+    let (outputs, warm_stats, warm_len, cleared_len) = thread::scope(|s| {
+        let workers: Vec<_> = (0..WORKERS)
+            .map(|_| {
+                s.spawn(|| {
+                    let cold = probe_all();
+                    let warm = probe_all();
+                    warmed.wait();
+                    cleared.wait();
+                    (cold, warm, probe_all())
+                })
+            })
+            .collect();
+        warmed.wait();
+        let (warm_stats, warm_len) = (cache.stats(), cache.len());
+        cache.clear();
+        let cleared_len = cache.len();
+        cleared.wait();
+        let outputs: Vec<_> =
+            workers.into_iter().map(|w| w.join().expect("worker panicked")).collect();
+        (outputs, warm_stats, warm_len, cleared_len)
+    });
+    for (cold, warm, after_clear) in &outputs {
+        assert_eq!(cold, &walks);
+        assert_eq!(warm, &walks);
+        assert_eq!(after_clear, &walks);
+    }
+    assert_eq!(warm_stats.misses, WORKERS * keys, "each worker computes its own misses");
+    assert_eq!(warm_stats.hits, WORKERS * keys, "each worker's second pass hits its memo");
+    assert_eq!(warm_len, (WORKERS * keys) as usize, "len() counts every stored value");
+    assert_eq!(cleared_len, 0);
+    let misses = cache.stats().misses - warm_stats.misses;
+    assert_eq!(misses, WORKERS * keys, "clear() must drop every worker's memos");
+}
+
+/// `DGX+AttAccs` Gen probes at or above the memo's 4,096-row bound store
+/// nothing: every call computes, counts a miss and leaves `len()` alone,
+/// and still equals the walk.
+#[test]
+fn attacc_gen_probes_above_the_rows_bound_compute_every_call() {
+    let _guard = CACHE_LOCK.lock().expect("cache lock");
+    let model = attacc_model::ModelConfig::gpt3_175b();
+    let exec = SystemExecutor::new(System::dgx_attacc_full(), &model);
+    let cache = TimingCache::global();
+    cache.clear();
+    for rows in [4096u64, 5000] {
+        let groups = spread(rows, &[128, 1024, 3000]);
+        let walk = exec.gen_stage_detail_uncached(&groups);
+        for call in 0..2 {
+            let (misses, len) = (cache.stats().misses, cache.len());
+            assert_eq!(exec.gen_stage_detail(&groups), walk, "rows {rows}, call {call}");
+            assert_eq!(cache.stats().misses, misses + 1, "rows {rows}, call {call} must miss");
+            assert_eq!(cache.len(), len, "rows {rows}, call {call} must store nothing");
+        }
     }
 }
