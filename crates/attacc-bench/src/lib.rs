@@ -21,7 +21,7 @@ use attacc_cluster::{
     simulate_cluster, simulate_fleet, AutoscalerConfig, ClusterConfig, FleetConfig, FleetMix,
     FleetReport, InterconnectModel, PoolConfig, RouterPolicy, ScaleSignal, SloSpec,
 };
-use attacc_model::{DataType, KvCacheSpec, ModelConfig, GIB};
+use attacc_model::{KvCacheSpec, ModelConfig, GIB};
 use attacc_pim::bitwise::{bank_pim_speedup, BankPimModel, BulkBitwiseModel};
 use attacc_pim::{AreaReport, GemvPlacement};
 use attacc_sim::experiment::{
@@ -932,7 +932,7 @@ pub fn chaos_policies() -> [ResiliencePolicy; 4] {
 const CHAOS_FAULT_SEEDS: [u64; 4] = [1, 2, 3, 5];
 
 /// Ensemble-mean outcomes of one chaos sweep cell (means over
-/// [`CHAOS_FAULT_SEEDS`]; count fields are fractional for that reason).
+/// `CHAOS_FAULT_SEEDS`; count fields are fractional for that reason).
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosCellStats {
     /// Mean goodput under failure (tokens/s of SLO-met unique requests).
@@ -951,8 +951,8 @@ pub struct ChaosCellStats {
     pub makespan_s: f64,
 }
 
-/// One chaos sweep cell: the [`cluster_cell`] configuration wrapped in a
-/// resilience policy, averaged over the [`CHAOS_FAULT_SEEDS`] ensemble of
+/// One chaos sweep cell: the `cluster_cell` configuration wrapped in a
+/// resilience policy, averaged over the `CHAOS_FAULT_SEEDS` ensemble of
 /// crash schedules drawn at the given per-node MTBF (a horizon generously
 /// covering the run; late faults past the drain are no-ops). Fully
 /// deterministic: fixed seeds, fixed accumulation order.
@@ -1160,7 +1160,7 @@ fn chaos_fleet_config(model: &ModelConfig) -> FleetConfig {
 }
 
 /// Ensemble-mean outcomes of one fleet-chaos sweep cell (means over
-/// [`CHAOS_FAULT_SEEDS`]; count fields are fractional for that reason).
+/// `CHAOS_FAULT_SEEDS`; count fields are fractional for that reason).
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosFleetCellStats {
     /// Mean goodput under failure (tokens/s of SLO-met unique requests).
@@ -1188,9 +1188,9 @@ pub struct ChaosFleetCellStats {
     pub makespan_s: f64,
 }
 
-/// One fleet-chaos sweep cell: the [`chaos_fleet_config`] fleet under a
+/// One fleet-chaos sweep cell: the `chaos_fleet_config` fleet under a
 /// crash schedule at the given per-node MTBF, averaged over the
-/// [`CHAOS_FAULT_SEEDS`] ensemble and billed through the paper-default
+/// `CHAOS_FAULT_SEEDS` ensemble and billed through the paper-default
 /// [`CostBook`] as `attacc-bank` nodes. Fully deterministic: fixed
 /// seeds, fixed accumulation order.
 #[must_use]
@@ -1657,12 +1657,6 @@ pub fn trace_opcode_table() -> Table {
     t
 }
 
-/// INT8 helper used by docs to show the quantized model family exists.
-#[must_use]
-pub fn int8_gpt3() -> ModelConfig {
-    ModelConfig::gpt3_175b().with_dtype(DataType::Int8)
-}
-
 // ---------------------------------------------------------------------
 // Provisioning: heterogeneous-fleet TCO search (attacc-provision)
 // ---------------------------------------------------------------------
@@ -1840,13 +1834,5 @@ mod tests {
             let saved: f64 = row[6].parse().unwrap();
             assert!(saved > 0.0, "row {row:?}");
         }
-    }
-
-    #[test]
-    fn int8_model_is_half_size() {
-        assert_eq!(
-            int8_gpt3().weight_bytes() * 2,
-            ModelConfig::gpt3_175b().weight_bytes()
-        );
     }
 }

@@ -61,8 +61,8 @@ pub struct ChaosReport {
 }
 
 impl ChaosReport {
-    /// The chaos summary as a two-column table (the cluster-level tables
-    /// remain available through [`ChaosReport::cluster`]).
+    /// The chaos summary as a two-column table (the cluster-level summary
+    /// remains available through [`ChaosReport::cluster`]).
     #[must_use]
     pub fn summary_table(&self) -> Table {
         let mut t = Table::new(
@@ -97,24 +97,6 @@ impl ChaosReport {
             Table::num(self.goodput_under_failure_tokens_per_s),
         ]);
         t.push_row(vec!["makespan (s)".into(), Table::num(self.cluster.makespan_s)]);
-        t
-    }
-
-    /// Per-node downtime table.
-    #[must_use]
-    pub fn downtime_table(&self) -> Table {
-        let mut t = Table::new(
-            format!("Per-node downtime (availability {:.2} %)", self.availability * 100.0),
-            &["node", "downtime (s)", "down %"],
-        );
-        for (node, &d) in self.node_downtime_s.iter().enumerate() {
-            let pct = if self.cluster.makespan_s > 0.0 {
-                d / self.cluster.makespan_s * 100.0
-            } else {
-                0.0
-            };
-            t.push_row(vec![node.to_string(), Table::num(d), Table::num(pct)]);
-        }
         t
     }
 }
@@ -273,8 +255,5 @@ mod tests {
         let r = sample();
         let s = r.summary_table();
         assert!(s.to_string().contains("goodput under failure"));
-        let d = r.downtime_table();
-        assert_eq!(d.rows.len(), 2);
-        assert_eq!(d.rows[0][0], "0");
     }
 }

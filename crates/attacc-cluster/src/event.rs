@@ -174,7 +174,7 @@ fn key_time(key: u64) -> f64 {
 }
 
 /// A min-priority queue over [`Event`]s with deterministic tie-breaking:
-/// a binary heap over one `u128` pop key per event, the [`time_key`] in
+/// a binary heap over one `u128` pop key per event, the `time_key` in
 /// the high 64 bits, then the kind rank, then the insertion sequence
 /// number. Sifts compare plain integers, never floats, and `seq` is
 /// unique, so the key is a total order.

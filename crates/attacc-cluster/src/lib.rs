@@ -96,8 +96,7 @@ pub use scale::{
     ScaleSignal,
 };
 pub use sim::{
-    kv_stride_for, simulate_cluster, ClusterConfig, FaultCounters, LoopOutcome, RequestOutcome,
-    ServingLoop,
+    simulate_cluster, ClusterConfig, FaultCounters, LoopOutcome, RequestOutcome, ServingLoop,
 };
 
 // Re-exported so downstream callers need only this crate for a full run.

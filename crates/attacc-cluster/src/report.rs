@@ -59,9 +59,6 @@ pub struct NodeReport {
     pub peak_kv_tokens: u64,
     /// Time-weighted mean KV reservation in tokens.
     pub mean_kv_tokens: f64,
-    /// `(time, reserved KV tokens)` at every reservation change — the
-    /// KV-occupancy timeline.
-    pub kv_timeline: Vec<(f64, u64)>,
 }
 
 /// Outcome of a cluster simulation.
@@ -164,7 +161,6 @@ impl ClusterReport {
                     energy_j: m.energy_j,
                     peak_kv_tokens: peak,
                     mean_kv_tokens: mean,
-                    kv_timeline: m.kv_timeline.clone(),
                 }
             })
             .collect();
@@ -254,71 +250,6 @@ impl ClusterReport {
         ]);
         t
     }
-
-    /// Per-node utilization / KV-occupancy table.
-    #[must_use]
-    pub fn per_node_table(&self) -> Table {
-        let mut t = Table::new(
-            format!("Per-node report ({})", self.policy),
-            &[
-                "node",
-                "completed",
-                "abandoned",
-                "tokens",
-                "util %",
-                "energy (kJ)",
-                "peak KV tokens",
-                "mean KV tokens",
-            ],
-        );
-        for nr in &self.nodes {
-            t.push_row(vec![
-                nr.node.to_string(),
-                nr.completed.to_string(),
-                nr.abandoned.to_string(),
-                nr.tokens.to_string(),
-                Table::num(nr.utilization * 100.0),
-                Table::num(nr.energy_j / 1e3),
-                nr.peak_kv_tokens.to_string(),
-                Table::num(nr.mean_kv_tokens),
-            ]);
-        }
-        t
-    }
-
-    /// The KV-occupancy timeline resampled onto `buckets` uniform time
-    /// buckets (last observation carried forward), one column per node —
-    /// compact enough to print, faithful enough to spot imbalance.
-    ///
-    /// # Panics
-    /// Panics if `buckets` is zero.
-    #[must_use]
-    pub fn kv_timeline_table(&self, buckets: usize) -> Table {
-        assert!(buckets > 0, "need at least one bucket");
-        let mut headers: Vec<String> = vec!["t (s)".into()];
-        headers.extend(self.nodes.iter().map(|n| format!("node{} KV tokens", n.node)));
-        let mut t = Table::new(
-            format!("KV occupancy timeline ({} buckets)", buckets),
-            &headers.iter().map(String::as_str).collect::<Vec<_>>(),
-        );
-        for b in 0..buckets {
-            // Sample at the *end* of each bucket so the final row reflects
-            // the drained cluster.
-            let at = self.makespan_s * (b + 1) as f64 / buckets as f64;
-            let mut row = vec![Table::num(at)];
-            for nr in &self.nodes {
-                let v = nr
-                    .kv_timeline
-                    .iter()
-                    .take_while(|&&(ts, _)| ts <= at)
-                    .last()
-                    .map_or(0, |&(_, v)| v);
-                row.push(v.to_string());
-            }
-            t.push_row(row);
-        }
-        t
-    }
 }
 
 #[cfg(test)]
@@ -351,7 +282,6 @@ mod tests {
                 energy_j: 1000.0,
                 peak_kv_tokens: 64,
                 mean_kv_tokens: 32.0,
-                kv_timeline: vec![(0.0, 0), (1.0, 64), (3.5, 0)],
             }],
         }
     }
@@ -361,14 +291,6 @@ mod tests {
         let r = sample_report();
         let s = r.summary_table();
         assert!(s.to_string().contains("p99.9"));
-        let n = r.per_node_table();
-        assert_eq!(n.rows.len(), 1);
-        let k = r.kv_timeline_table(4);
-        assert_eq!(k.rows.len(), 4);
-        // Bucket ending at t=2.0 carries the 64-token observation forward;
-        // the final bucket sees the release.
-        assert_eq!(k.rows[1][1], "64");
-        assert_eq!(k.rows[3][1], "0");
     }
 
     #[test]

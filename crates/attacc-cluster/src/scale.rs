@@ -20,7 +20,7 @@
 //!   than instantaneous spikes, trading lag for stability.
 //!
 //! Two guards apply to every signal: pool bounds (`[min, max]` nodes,
-//! enforced by the driver's [`PoolBounds`]) and a *hysteresis window* —
+//! set by each pool's [`crate::PoolConfig`]) and a *hysteresis window* —
 //! after a scale-out, scale-in is forbidden for `cooldown_s` seconds and
 //! vice versa, so an oscillating signal cannot flap nodes. Newly scaled
 //! out nodes pay `cold_start_s` before the router may send them work

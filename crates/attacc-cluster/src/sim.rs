@@ -237,19 +237,6 @@ struct Track {
     shed: bool,
 }
 
-/// The deterministic KV-timeline sampling stride for an `n_requests`
-/// workload: record every reservation change for small runs (byte-exact
-/// with the pre-sampling behavior below 1024 requests, where every
-/// golden table and equivalence pin lives), then thin linearly with the
-/// request count so the timeline holds on the order of a thousand
-/// samples per node however long the trace — report memory stays
-/// O(nodes · samples), not O(requests). The serving loop applies it on
-/// every entry point, so identical workloads always sample identically.
-#[must_use]
-pub fn kv_stride_for(n_requests: usize) -> u64 {
-    ((n_requests as u64 * 2) / 1024).max(1)
-}
-
 /// Global node `g`'s load as the router sees it: outstanding requests
 /// (in flight + queued + active) and committed KV tokens (in flight +
 /// pledged).
@@ -480,10 +467,8 @@ impl<'a> ServingLoop<'a> {
     /// simultaneous ones in list order.
     #[must_use]
     pub fn run(mut self, workload: &ArrivalWorkload) -> LoopOutcome {
-        let stride = kv_stride_for(workload.arrivals.len());
         let hint = workload.arrivals.len() / self.engines.len() + 1;
         for e in &mut self.engines {
-            e.set_kv_stride(stride);
             e.reserve_metrics(hint);
         }
         if self.track {

@@ -15,7 +15,7 @@
 //!   word's flip count into [`EccOutcome`]s, inflates streamed bytes by
 //!   its [`EccConfig::overhead_factor`] so the *existing* command engine
 //!   charges the timing cost of moving check bits, and derives a
-//!   protected [`EnergyModel`](crate::energy::EnergyModel) via
+//!   protected [`EnergyModel`] via
 //!   [`EnergyModel::with_ecc`](crate::energy::EnergyModel::with_ecc).
 //!
 //! The closed-form [`word_error_probs`] gives the exact binomial

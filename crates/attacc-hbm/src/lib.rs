@@ -41,7 +41,6 @@ pub mod engine;
 pub mod geometry;
 pub mod integrity;
 pub mod power;
-pub mod stack;
 pub mod stats;
 pub mod timing;
 
@@ -56,7 +55,6 @@ pub use integrity::{
     WordErrorProbs,
 };
 pub use power::PowerConstraint;
-pub use stack::{simulate_stack, StackOutcome, StackStreamSpec};
 pub use stats::ChannelStats;
 pub use timing::TimingParams;
 
@@ -100,40 +98,6 @@ impl HbmConfig {
     pub fn peak_power_w(&self, depth: AccessDepth) -> f64 {
         self.power
             .peak_stack_power_w(&self.geometry, &self.timing, &self.energy, depth)
-    }
-
-    /// A double-capacity stack (32 GB): the `DGX_Large` building block.
-    /// Bandwidth and timing are unchanged; only capacity doubles.
-    #[must_use]
-    pub fn hbm3_8hi_32gb() -> HbmConfig {
-        let mut cfg = HbmConfig::hbm3_8hi();
-        cfg.geometry.capacity_bytes *= 2;
-        cfg
-    }
-
-    /// A projected HBM4-class stack: doubled interface width (2,048 pins
-    /// over 64 pseudo-channels), 6.4 Gbps/pin, 32 GB. A what-if point for
-    /// the design space, not a paper configuration.
-    #[must_use]
-    pub fn hbm4_projected() -> HbmConfig {
-        let geometry = StackGeometry {
-            pseudo_channels: 64,
-            pins: 2048,
-            capacity_bytes: 32 * (1 << 30),
-            ..StackGeometry::hbm3_8hi()
-        };
-        let timing = TimingParams {
-            data_rate_gbps: 6.4,
-            ..TimingParams::hbm3()
-        };
-        let energy = EnergyModel::hbm3();
-        let power = PowerConstraint::from_idd7(&geometry, &timing, &energy);
-        HbmConfig {
-            geometry,
-            timing,
-            energy,
-            power,
-        }
     }
 
     /// External (off-chip) bandwidth of the stack in bytes per second.
@@ -187,32 +151,5 @@ mod tests {
         // §7.1: 242 TB/s aggregate for 40 stacks.
         let agg = 40.0 * hbm.pim_bank_bandwidth_bytes_per_s() / 1e12;
         assert!((agg - 242.0).abs() < 8.0, "aggregate = {agg} TB/s");
-    }
-
-    #[test]
-    fn large_stack_doubles_capacity_only() {
-        let a = HbmConfig::hbm3_8hi();
-        let b = HbmConfig::hbm3_8hi_32gb();
-        assert_eq!(b.geometry.capacity_bytes, 2 * a.geometry.capacity_bytes);
-        assert_eq!(
-            a.external_bandwidth_bytes_per_s(),
-            b.external_bandwidth_bytes_per_s()
-        );
-    }
-
-    #[test]
-    fn hbm4_projection_scales_both_bandwidths() {
-        let h3 = HbmConfig::hbm3_8hi();
-        let h4 = HbmConfig::hbm4_projected();
-        // External: 2048 pins × 6.4 Gbps ≈ 1.64 TB/s (2.46× HBM3).
-        let ext_ratio =
-            h4.external_bandwidth_bytes_per_s() / h3.external_bandwidth_bytes_per_s();
-        assert!((ext_ratio - 2.46).abs() < 0.05, "ext ratio = {ext_ratio}");
-        // PIM bandwidth scales with the doubled channel count; the
-        // power-derived per-channel concurrency stays put.
-        let pim_ratio =
-            h4.pim_bank_bandwidth_bytes_per_s() / h3.pim_bank_bandwidth_bytes_per_s();
-        assert!(pim_ratio > 1.8, "pim ratio = {pim_ratio}");
-        assert_eq!(h4.power.max_active_banks, h3.power.max_active_banks);
     }
 }

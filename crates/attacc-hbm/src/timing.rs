@@ -1,8 +1,5 @@
 //! DRAM timing parameters (picosecond granularity).
 
-/// One nanosecond in picoseconds.
-pub const NS: u64 = 1_000;
-
 /// DRAM timing parameters of an HBM stack, in picoseconds.
 ///
 /// The values follow the public HBM3 figures the paper quotes: 5.2 Gbps
@@ -51,26 +48,6 @@ impl TimingParams {
             t_rrd: 4_000,
             t_rl: 18_000,
             t_wr: 15_000,
-            t_refi: 3_900_000,
-            t_rfc: 260_000,
-        }
-    }
-
-    /// HBM2e timing (the real DGX A100's memory): 3.2 Gbps/pin, slightly
-    /// relaxed core timing. Used by the §7.1 validation configuration.
-    #[must_use]
-    pub fn hbm2e() -> TimingParams {
-        TimingParams {
-            data_rate_gbps: 3.2,
-            t_ccd_s: 2_000,
-            t_ccd_l: 4_000,
-            t_rcd: 14_000,
-            t_rp: 14_000,
-            t_ras: 33_000,
-            t_faw: 16_000,
-            t_rrd: 4_000,
-            t_rl: 18_000,
-            t_wr: 16_000,
             t_refi: 3_900_000,
             t_rfc: 260_000,
         }
@@ -142,14 +119,6 @@ mod tests {
         assert_eq!(t.with_refresh(t.t_refi), t.t_refi + t.t_rfc);
         let long = 10 * t.t_refi;
         assert_eq!(t.with_refresh(long), long + 10 * t.t_rfc);
-    }
-
-    #[test]
-    fn hbm2e_is_slower_than_hbm3() {
-        let e = TimingParams::hbm2e();
-        let h = TimingParams::hbm3();
-        assert!(e.data_rate_gbps < h.data_rate_gbps);
-        assert!(e.t_ccd_s > h.t_ccd_s);
     }
 
     #[test]

@@ -145,12 +145,6 @@ impl ModelConfig {
         self.n_params() * self.dtype.bytes()
     }
 
-    /// Weight bytes of one decoder block.
-    #[must_use]
-    pub fn decoder_weight_bytes(&self) -> u64 {
-        self.decoder_params() * self.dtype.bytes()
-    }
-
     /// Returns a copy of this configuration quantized to `dtype` for both
     /// weights and KV cache (the Fig. 16 sensitivity study).
     #[must_use]
@@ -325,7 +319,6 @@ pub struct ModelConfigBuilder {
     n_decoder: u32,
     d_emb: u64,
     n_head: u32,
-    d_head: Option<u64>,
     d_ff: u64,
     ff_kind: FeedForwardKind,
     vocab: u64,
@@ -342,7 +335,6 @@ impl ModelConfigBuilder {
             n_decoder: 0,
             d_emb: 0,
             n_head: 0,
-            d_head: None,
             d_ff: 0,
             ff_kind: FeedForwardKind::Gelu,
             vocab: 0,
@@ -371,13 +363,6 @@ impl ModelConfigBuilder {
     #[must_use]
     pub fn heads(mut self, n: u32) -> Self {
         self.n_head = n;
-        self
-    }
-
-    /// Overrides the per-head dimension (defaults to `d_emb / n_head`).
-    #[must_use]
-    pub fn head_dim(mut self, d: u64) -> Self {
-        self.d_head = Some(d);
         self
     }
 
@@ -433,9 +418,9 @@ impl ModelConfigBuilder {
     /// Validates the configuration and builds the [`ModelConfig`].
     ///
     /// # Errors
-    /// Returns [`ModelConfigError`] if a dimension is zero, if
-    /// `d_emb != n_head * d_head`, or if a GQA group size does not divide
-    /// the head count.
+    /// Returns [`ModelConfigError`] if a dimension is zero (`d_head =
+    /// d_emb / n_head` included), if `n_head` does not divide `d_emb`, or
+    /// if a GQA group size does not divide the head count.
     pub fn build(self) -> Result<ModelConfig, ModelConfigError> {
         if self.n_decoder == 0 {
             return Err(ModelConfigError::ZeroDimension("n_decoder"));
@@ -455,7 +440,7 @@ impl ModelConfigBuilder {
         if self.max_seq_len == 0 {
             return Err(ModelConfigError::ZeroDimension("max_seq_len"));
         }
-        let d_head = self.d_head.unwrap_or(self.d_emb / u64::from(self.n_head));
+        let d_head = self.d_emb / u64::from(self.n_head);
         if d_head == 0 {
             return Err(ModelConfigError::ZeroDimension("d_head"));
         }

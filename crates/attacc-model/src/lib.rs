@@ -42,7 +42,6 @@ mod kv_cache;
 mod ops;
 mod request;
 mod roofline;
-mod scaling;
 
 pub use attention_variant::AttentionVariant;
 pub use config::{FeedForwardKind, ModelConfig, ModelConfigBuilder, ModelConfigError};
@@ -52,8 +51,7 @@ pub use inventory::ModelSummary;
 pub use kv_cache::KvCacheSpec;
 pub use ops::{AttnShape, FcLayer, Op, OpClass, Traffic};
 pub use request::{Request, RequestState, SequenceStatus};
-pub use roofline::{arithmetic_intensity, RooflinePoint};
-pub use scaling::gpt_shaped;
+pub use roofline::RooflinePoint;
 
 /// Number of bytes in one gibibyte (2^30).
 ///

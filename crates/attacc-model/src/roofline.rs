@@ -2,13 +2,6 @@
 
 use crate::{Op, OpClass};
 
-/// Arithmetic intensity (FLOPs per off-chip byte) of an op, or `None` for
-/// pure data movement.
-#[must_use]
-pub fn arithmetic_intensity(op: &Op) -> Option<f64> {
-    op.op_per_byte()
-}
-
 /// A point on the roofline: an operation's intensity and the performance a
 /// machine with the given peaks would attain on it.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -45,12 +45,6 @@ pub mod unit_area {
     pub const DRAM_DIE_MM2: f64 = 121.0;
 }
 
-/// Area multiplier of a systolic-configured GEMV unit relative to the
-/// plain unit (§8: KV reuse for GQA "at a higher area cost": extra
-/// per-lane query registers and a wider accumulator file roughly double
-/// the arithmetic+buffer portion, which is 77% of the unit).
-pub const SYSTOLIC_AREA_FACTOR: f64 = 1.77;
-
 /// Area overhead of one design point.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaReport {
@@ -109,32 +103,6 @@ impl AreaReport {
         self.per_dram_die_mm2 * f64::from(cfg.geometry.dram_dies) + self.per_buffer_die_mm2
     }
 
-    /// Overhead of `placement` with the §8 systolic GEMV-unit extension:
-    /// every GEMV unit grows by [`SYSTOLIC_AREA_FACTOR`].
-    #[must_use]
-    pub fn for_placement_systolic(placement: GemvPlacement, cfg: &HbmConfig) -> AreaReport {
-        let base = AreaReport::for_placement(placement, cfg);
-        let g = &cfg.geometry;
-        let dies = f64::from(g.dram_dies);
-        let unit_extra = unit_area::GEMV_DRAM_MM2 * (SYSTOLIC_AREA_FACTOR - 1.0);
-        let (dram_extra, buffer_extra) = match placement {
-            GemvPlacement::Bank => (f64::from(g.total_banks()) / dies * unit_extra, 0.0),
-            GemvPlacement::BankGroup => {
-                (f64::from(g.total_bank_groups()) / dies * unit_extra, 0.0)
-            }
-            GemvPlacement::Buffer => (
-                0.0,
-                f64::from(g.pseudo_channels) * unit_extra / ProcessNode::Dram1z.density_penalty(),
-            ),
-        };
-        let per_dram_die_mm2 = base.per_dram_die_mm2 + dram_extra;
-        AreaReport {
-            per_dram_die_mm2,
-            per_buffer_die_mm2: base.per_buffer_die_mm2 + buffer_extra,
-            dram_die_overhead: per_dram_die_mm2 / unit_area::DRAM_DIE_MM2,
-        }
-    }
-
     /// Whole-stack silicon area (base dies plus overhead, mm²) — the area
     /// term of the Fig. 7(d) EDAP comparison, where each design point pays
     /// for the entire (modified) stack, not just the added units.
@@ -188,19 +156,6 @@ mod tests {
         let r = AreaReport::for_placement(GemvPlacement::Buffer, &cfg());
         assert_eq!(r.per_dram_die_mm2, 0.0);
         assert!(r.per_buffer_die_mm2 > unit_area::SOFTMAX_LOGIC_MM2);
-    }
-
-    #[test]
-    fn systolic_extension_costs_area() {
-        let c = cfg();
-        let plain = AreaReport::for_placement(GemvPlacement::Bank, &c);
-        let sys = AreaReport::for_placement_systolic(GemvPlacement::Bank, &c);
-        assert!(sys.per_dram_die_mm2 > plain.per_dram_die_mm2 * 1.5);
-        assert!(sys.dram_die_overhead < 0.25, "still plausible: {}", sys.dram_die_overhead);
-        // Buffer placement pays the systolic premium on the buffer die.
-        let buf = AreaReport::for_placement_systolic(GemvPlacement::Buffer, &c);
-        assert_eq!(buf.per_dram_die_mm2, 0.0);
-        assert!(buf.per_buffer_die_mm2 > AreaReport::for_placement(GemvPlacement::Buffer, &c).per_buffer_die_mm2);
     }
 
     #[test]

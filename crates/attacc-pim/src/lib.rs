@@ -36,7 +36,6 @@ pub mod bitwise;
 pub mod controller;
 pub mod device;
 pub mod gemv_unit;
-pub mod head_pipeline;
 pub mod integrity;
 pub mod isa;
 pub mod kv_store;
@@ -45,7 +44,6 @@ pub mod numeric;
 pub mod placement;
 pub mod schedule;
 pub mod softmax_unit;
-pub mod systolic;
 pub mod timing_exec;
 
 pub use area::{AreaReport, ProcessNode};
@@ -53,7 +51,6 @@ pub use attention::{AttentionTiming, HeadJob};
 pub use controller::{AttAccController, ConfigMemory};
 pub use device::{AttAccDevice, AttentionMemo};
 pub use gemv_unit::{GemvMode, GemvUnit, Precision};
-pub use head_pipeline::{schedule_stack, HeadPhase, HeadTimeline, Segment};
 pub use integrity::{
     flip_f16_cell, flip_f32, sample_single_fault, AbftGemv, AbftOutcome, AttentionIntegrity,
     BitFlip, FaultPlan, ProtectedAttention, Site, Stage,
@@ -64,7 +61,6 @@ pub use mapping::{HeadAllocator, LevelSpec, MappingPolicy, Partitioning};
 pub use placement::GemvPlacement;
 pub use schedule::{schedule_head, HeadSchedule, ScheduledCommand};
 pub use softmax_unit::SoftmaxUnit;
-pub use systolic::SystolicGemvUnit;
 pub use timing_exec::{execute_head, HeadTrace};
 
 #[cfg(test)]

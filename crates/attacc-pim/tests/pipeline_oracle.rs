@@ -1,19 +1,20 @@
-//! Attention-level pipelining as an explicit schedule (§6.1, Fig. 11(a)).
+//! Attention-level pipelining as an explicit schedule (§6.1, Fig. 11(a)),
+//! the oracle for the closed form.
 //!
 //! Within one stack, the GEMV units and the buffer-die softmax unit are
 //! independent resources: while head *i*'s scores run through softmax,
-//! head *i+1*'s `GEMV_score` already streams. This module builds the
-//! explicit (head, phase, start, end) timeline for a stack's head queue
-//! and proves the closed-form pipelined estimate of
-//! [`crate::attention::stack_attention_timing`] against it.
+//! head *i+1*'s `GEMV_score` already streams. [`schedule_stack`] builds
+//! the explicit (head, phase, start, end) timeline for a stack's head
+//! queue, and the tests prove the closed-form pipelined estimate of
+//! [`stack_attention_timing`] against it.
 
-use crate::attention::{HeadJob, HEAD_OVERHEAD_S};
-use crate::{GemvPlacement, SoftmaxUnit};
 use attacc_hbm::HbmConfig;
+use attacc_pim::attention::{stack_attention_timing, HeadJob, HEAD_OVERHEAD_S};
+use attacc_pim::{GemvPlacement, SoftmaxUnit};
 
 /// Which pipeline stage a segment occupies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum HeadPhase {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum HeadPhase {
     /// `GEMV_score` on the GEMV units.
     Score,
     /// Softmax on the buffer die.
@@ -24,28 +25,28 @@ pub enum HeadPhase {
 
 /// One scheduled segment of the timeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Segment {
+struct Segment {
     /// Index of the head in the stack's queue.
-    pub head: usize,
+    head: usize,
     /// Stage.
-    pub phase: HeadPhase,
+    phase: HeadPhase,
     /// Start time (s).
-    pub start_s: f64,
+    start_s: f64,
     /// End time (s).
-    pub end_s: f64,
+    end_s: f64,
 }
 
 /// The complete timeline of a stack's head queue.
 #[derive(Debug, Clone, PartialEq)]
-pub struct HeadTimeline {
+struct HeadTimeline {
     /// Segments in schedule order.
-    pub segments: Vec<Segment>,
+    segments: Vec<Segment>,
     /// Makespan (s).
-    pub total_s: f64,
+    total_s: f64,
     /// Busy fraction of the GEMV units.
-    pub gemv_utilization: f64,
+    gemv_utilization: f64,
     /// Busy fraction of the softmax unit.
-    pub softmax_utilization: f64,
+    softmax_utilization: f64,
 }
 
 /// Builds the attention-level-pipelined timeline of `heads` on one stack.
@@ -55,8 +56,7 @@ pub struct HeadTimeline {
 /// GEMV units serialize score/context segments across heads; the softmax
 /// unit serializes softmax segments. This is exactly the dataflow the
 /// paper sketches in Fig. 11(a).
-#[must_use]
-pub fn schedule_stack(
+fn schedule_stack(
     hbm: &HbmConfig,
     placement: GemvPlacement,
     softmax: &SoftmaxUnit,
@@ -145,87 +145,91 @@ pub fn schedule_stack(
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::attention::stack_attention_timing;
+fn setup() -> (HbmConfig, SoftmaxUnit) {
+    (HbmConfig::hbm3_8hi(), SoftmaxUnit::new())
+}
 
-    fn setup() -> (HbmConfig, SoftmaxUnit) {
-        (HbmConfig::hbm3_8hi(), SoftmaxUnit::new())
+fn jobs(n: usize, l: u64) -> Vec<HeadJob> {
+    vec![HeadJob::new(l, 128, 2); n]
+}
+
+#[test]
+fn timeline_respects_dependencies_and_resources() {
+    let (hbm, sm) = setup();
+    let tl = schedule_stack(&hbm, GemvPlacement::Bank, &sm, &jobs(6, 2048));
+    // Per head: score < softmax < context.
+    for h in 0..6 {
+        let find = |p| {
+            tl.segments
+                .iter()
+                .find(|s| s.head == h && s.phase == p)
+                .copied()
+                .unwrap()
+        };
+        let s = find(HeadPhase::Score);
+        let f = find(HeadPhase::Softmax);
+        let c = find(HeadPhase::Context);
+        assert!(s.end_s <= f.start_s + 1e-12);
+        assert!(f.end_s <= c.start_s + 1e-12);
     }
-
-    fn jobs(n: usize, l: u64) -> Vec<HeadJob> {
-        vec![HeadJob::new(l, 128, 2); n]
+    // GEMV segments never overlap; softmax segments never overlap.
+    let mut gemv: Vec<_> = tl
+        .segments
+        .iter()
+        .filter(|s| s.phase != HeadPhase::Softmax)
+        .collect();
+    gemv.sort_by(|a, b| a.start_s.partial_cmp(&b.start_s).unwrap());
+    for w in gemv.windows(2) {
+        assert!(w[0].end_s <= w[1].start_s + 1e-12, "{:?} {:?}", w[0], w[1]);
     }
+}
 
-    #[test]
-    fn timeline_respects_dependencies_and_resources() {
-        let (hbm, sm) = setup();
-        let tl = schedule_stack(&hbm, GemvPlacement::Bank, &sm, &jobs(6, 2048));
-        // Per head: score < softmax < context.
-        for h in 0..6 {
-            let find = |p| {
-                tl.segments
-                    .iter()
-                    .find(|s| s.head == h && s.phase == p)
-                    .copied()
-                    .unwrap()
-            };
-            let s = find(HeadPhase::Score);
-            let f = find(HeadPhase::Softmax);
-            let c = find(HeadPhase::Context);
-            assert!(s.end_s <= f.start_s + 1e-12);
-            assert!(f.end_s <= c.start_s + 1e-12);
+/// The closed form stays within 5% of the explicit schedule for every
+/// placement, context length and queue depth. Nothing here is random.
+/// The closed form reads high, most with the fewest heads, where its one
+/// exposed tail softmax weighs most: the widest gap is 4.75%, AttAcc_bank
+/// at L = 8,192 with 2 heads.
+#[test]
+fn timeline_matches_closed_form_pipelined_estimate() {
+    let (hbm, sm) = setup();
+    for placement in GemvPlacement::ALL {
+        for l in [512u64, 2048, 8192] {
+            for n in [2usize, 8, 32, 96] {
+                let tl = schedule_stack(&hbm, placement, &sm, &jobs(n, l));
+                let closed = stack_attention_timing(
+                    &hbm,
+                    placement,
+                    &sm,
+                    &[(n as u64, HeadJob::new(l, 128, 2))],
+                    true,
+                );
+                let err = (tl.total_s - closed.total_s).abs() / closed.total_s;
+                assert!(
+                    err < 0.05,
+                    "{placement:?} L={l} n={n}: timeline {:.3e} vs closed {:.3e} ({:.2}%)",
+                    tl.total_s,
+                    closed.total_s,
+                    err * 100.0
+                );
+            }
         }
-        // GEMV segments never overlap; softmax segments never overlap.
-        let mut gemv: Vec<_> = tl
-            .segments
-            .iter()
-            .filter(|s| s.phase != HeadPhase::Softmax)
-            .collect();
-        gemv.sort_by(|a, b| a.start_s.partial_cmp(&b.start_s).unwrap());
-        for w in gemv.windows(2) {
-            assert!(w[0].end_s <= w[1].start_s + 1e-12, "{:?} {:?}", w[0], w[1]);
-        }
     }
+}
 
-    #[test]
-    fn timeline_matches_closed_form_pipelined_estimate() {
-        let (hbm, sm) = setup();
-        for n in [2usize, 8, 32, 96] {
-            let tl = schedule_stack(&hbm, GemvPlacement::Bank, &sm, &jobs(n, 2048));
-            let closed = stack_attention_timing(
-                &hbm,
-                GemvPlacement::Bank,
-                &sm,
-                &[(n as u64, HeadJob::new(2048, 128, 2))],
-                true,
-            );
-            let err = (tl.total_s - closed.total_s).abs() / closed.total_s;
-            assert!(
-                err < 0.15,
-                "n={n}: timeline {:.3e} vs closed {:.3e}",
-                tl.total_s,
-                closed.total_s
-            );
-        }
-    }
+#[test]
+fn gemv_units_stay_nearly_saturated() {
+    // With many heads the GEMV stream is the bottleneck; the softmax
+    // unit idles (its bandwidth need is ~N_head/d_emb of GEMV's).
+    let (hbm, sm) = setup();
+    let tl = schedule_stack(&hbm, GemvPlacement::Bank, &sm, &jobs(64, 2048));
+    assert!(tl.gemv_utilization > 0.95, "gemv util {}", tl.gemv_utilization);
+    assert!(tl.softmax_utilization < 0.3, "sfm util {}", tl.softmax_utilization);
+}
 
-    #[test]
-    fn gemv_units_stay_nearly_saturated() {
-        // With many heads the GEMV stream is the bottleneck; the softmax
-        // unit idles (its bandwidth need is ~N_head/d_emb of GEMV's).
-        let (hbm, sm) = setup();
-        let tl = schedule_stack(&hbm, GemvPlacement::Bank, &sm, &jobs(64, 2048));
-        assert!(tl.gemv_utilization > 0.95, "gemv util {}", tl.gemv_utilization);
-        assert!(tl.softmax_utilization < 0.3, "sfm util {}", tl.softmax_utilization);
-    }
-
-    #[test]
-    fn empty_queue_is_empty_timeline() {
-        let (hbm, sm) = setup();
-        let tl = schedule_stack(&hbm, GemvPlacement::Bank, &sm, &[]);
-        assert!(tl.segments.is_empty());
-        assert_eq!(tl.total_s, 0.0);
-    }
+#[test]
+fn empty_queue_is_empty_timeline() {
+    let (hbm, sm) = setup();
+    let tl = schedule_stack(&hbm, GemvPlacement::Bank, &sm, &[]);
+    assert!(tl.segments.is_empty());
+    assert_eq!(tl.total_s, 0.0);
 }

@@ -2,10 +2,10 @@
 //!
 //! Every electrical constant here is *derived* from the tables the
 //! simulator already charges energy against — [`XpuEnergyModel`] for the
-//! GPU chassis, [`HbmConfig::peak_power_w`] (IDD7 budget) for the AttAcc
-//! stacks, [`attacc_sim::ATTACC_STATIC_W`] for the board idle — so the
-//! provisioning bill and the per-stage energy accounting can never
-//! drift apart. CapEx figures are the only new inputs, and they live
+//! GPU chassis, [`attacc_hbm::HbmConfig::peak_power_w`] (IDD7 budget)
+//! for the AttAcc stacks, [`attacc_sim::ATTACC_STATIC_W`] for the board
+//! idle — so the provisioning bill and the per-stage energy accounting
+//! can never drift apart. CapEx figures are the only new inputs, and they live
 //! here and nowhere else.
 
 use crate::variant::NodeVariant;

@@ -10,9 +10,12 @@ use attacc_provision::{
 };
 use attacc_sim::engine;
 use proptest::prelude::*;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
-/// Serializes tests that mutate the process-wide thread setting.
+/// Serializes tests that mutate the process-wide thread setting. A test
+/// that panics while holding it does not fail the ones after it: they
+/// take the lock past the poison, and each sets the thread count it runs
+/// at.
 static ENGINE_LOCK: Mutex<()> = Mutex::new(());
 
 fn traffic(rate: f64, seed: u64) -> TrafficSpec {
@@ -110,7 +113,7 @@ proptest! {
 /// serial, so thread count must be invisible.
 #[test]
 fn surrogate_pipeline_is_thread_invariant() {
-    let _guard = ENGINE_LOCK.lock().expect("engine lock");
+    let _guard = ENGINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let model = ModelConfig::gpt3_175b();
     let specs = [
         FleetSpec::homogeneous(NodeVariant::DgxBase, 1),
@@ -146,7 +149,8 @@ fn surrogate_pipeline_is_thread_invariant() {
 /// cells, then checks the constraint on a dense rate sweep.
 #[test]
 fn tail_surrogate_is_monotone_in_offered_load() {
-    let _guard = ENGINE_LOCK.lock().expect("engine lock");
+    let _guard = ENGINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    engine::set_threads(0);
     let model = ModelConfig::gpt3_175b();
     let spec = FleetSpec::homogeneous(NodeVariant::AttAccBank, 1);
     let rates = [1.0, 2.0, 4.0, 8.0, 16.0];

@@ -8,10 +8,9 @@
 //! different progress points mix freely within a Gen iteration.
 //!
 //! One scheduling round implements it, [`NodeEngine::run_round`] in
-//! [`node`]. [`simulate`] and [`simulate_with_policy`] drive one engine
-//! over a closed batch delivered at t = 0, [`simulate_open_loop`] over
-//! timed arrivals, and `attacc-cluster`'s event loop runs one engine per
-//! node.
+//! [`node`]. [`simulate`] drives one engine over a closed batch
+//! delivered at t = 0, [`simulate_open_loop`] over timed arrivals, and
+//! `attacc-cluster`'s event loop runs one engine per node.
 //!
 //! # Example
 //!
@@ -55,9 +54,7 @@ pub use metrics::ServingReport;
 pub use node::{CrashedWork, DisplacedRequest, NodeEngine, NodeMetrics, NodeRole, RoundOutcome};
 pub use pipeline::{ff_coprocess_speedup, head_level_pipelined_s, serial_s, DecoderPhases};
 pub use resilience::RetryPolicy;
-pub use scheduler::{
-    simulate, simulate_with_policy, AdmissionPolicy, SchedulerConfig, StageCost, StageExecutor,
-};
+pub use scheduler::{simulate, SchedulerConfig, StageCost, StageExecutor};
 pub use slo::max_batch_under_slo;
 pub use trace::{format_trace, parse_trace, FlashCrowd, ParseTraceError, TraceSpec};
 pub use workload::Workload;

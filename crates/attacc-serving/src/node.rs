@@ -6,10 +6,9 @@
 //! [`NodeEngine::run_round`], takes the virtual time at which the node
 //! wakes, runs one admission + Sum + Gen round (ORCA-style, §3) and
 //! reports when it finishes. Every serving entry point drives it:
-//! [`crate::simulate`] and [`crate::simulate_with_policy`] deliver a
-//! closed batch at t = 0, [`crate::simulate_open_loop`] delivers
-//! arrivals as their time comes, and `attacc-cluster`'s event loop runs
-//! one engine per node.
+//! [`crate::simulate`] delivers a closed batch at t = 0,
+//! [`crate::simulate_open_loop`] delivers arrivals as their time comes,
+//! and `attacc-cluster`'s event loop runs one engine per node.
 //!
 //! For fault runs the engine additionally supports failure semantics:
 //! [`NodeEngine::crash`] evicts all queued and active work (KV state is
@@ -110,9 +109,6 @@ pub struct NodeMetrics {
     pub tbt: Vec<f64>,
     /// Front-door arrival to admission, in admission order.
     pub queue_wait: Vec<f64>,
-    /// `(time, reserved KV tokens)` sampled every `kv_stride`-th
-    /// reservation change (stride 1 = every change).
-    pub kv_timeline: Vec<(f64, u64)>,
 }
 
 /// Length → position in a `(count, length)` group list, so each request
@@ -211,19 +207,11 @@ pub struct NodeEngine<'a> {
     /// Time-weighted integral of reserved tokens (token·seconds).
     kv_area: f64,
     last_kv_change_s: f64,
-    /// Reservation level at `last_kv_change_s` — tracked separately from
-    /// the (possibly stride-sampled) timeline so `kv_area` stays exact.
+    /// Reservation level since `last_kv_change_s`, the height that
+    /// `kv_area` integrates up to the next change.
     kv_last_value: u64,
-    /// Running maximum reservation over *every* change (exact regardless
-    /// of the sampling stride).
+    /// Running maximum reservation over every change.
     kv_peak: u64,
-    /// Reservation changes observed so far (the sampling counter).
-    kv_changes: u64,
-    /// Record every `kv_stride`-th reservation change in `kv_timeline`
-    /// (1 = record all). Peak and time-weighted mean stay exact; only the
-    /// plotted timeline is subsampled, keeping report memory O(samples)
-    /// instead of O(requests) on 10^5-request traces.
-    kv_stride: u64,
     /// `(prefill-done time, front-door arrival time, remaining request)`
     /// hand-off log for [`NodeRole::Prefill`] nodes, drained by the fleet
     /// layer after every round via
@@ -300,14 +288,11 @@ impl<'a> NodeEngine<'a> {
                 ttft_tokens: Vec::new(),
                 tbt: Vec::new(),
                 queue_wait: Vec::new(),
-                kv_timeline: vec![(0.0, 0)],
             },
             kv_area: 0.0,
             last_kv_change_s: 0.0,
             kv_last_value: 0,
             kv_peak: 0,
-            kv_changes: 0,
-            kv_stride: 1,
             prefilled: Vec::new(),
             first_tokens: Vec::new(),
             retired: Vec::new(),
@@ -358,18 +343,6 @@ impl<'a> NodeEngine<'a> {
         self.metrics.ttft_tokens.reserve(requests);
         self.metrics.queue_wait.reserve(requests);
         self.metrics.tbt.reserve(requests);
-    }
-
-    /// Records only every `stride`-th KV-reservation change in the
-    /// occupancy timeline (1 = record all, the default). The KV peak and
-    /// time-weighted mean remain exact; only the sampled timeline is
-    /// thinned, bounding report memory on very long traces.
-    ///
-    /// # Panics
-    /// Panics if `stride` is zero.
-    pub fn set_kv_stride(&mut self, stride: u64) {
-        assert!(stride > 0, "kv stride must be positive");
-        self.kv_stride = stride;
     }
 
     /// Requests waiting for admission.
@@ -477,16 +450,11 @@ impl<'a> NodeEngine<'a> {
         self.last_kv_change_s = now;
         self.kv_last_value = self.reserved_tokens;
         self.kv_peak = self.kv_peak.max(self.reserved_tokens);
-        self.kv_changes += 1;
-        if self.kv_changes.is_multiple_of(self.kv_stride) {
-            self.metrics.kv_timeline.push((now, self.reserved_tokens));
-        }
     }
 
     /// Closes the KV-occupancy integral at `end_s` and returns
-    /// `(peak tokens, time-weighted mean tokens)`. Both are exact over
-    /// every reservation change regardless of the timeline sampling
-    /// stride.
+    /// `(peak tokens, time-weighted mean tokens)`, both exact over every
+    /// reservation change.
     pub fn finish_kv(&mut self, end_s: f64) -> (u64, f64) {
         self.kv_area += self.kv_last_value as f64 * (end_s - self.last_kv_change_s);
         self.last_kv_change_s = end_s;
@@ -745,7 +713,7 @@ mod tests {
     }
 
     #[test]
-    fn kv_timeline_tracks_reservations() {
+    fn kv_peak_and_mean_track_reservations() {
         let cfg = SchedulerConfig::with_capacity(8, u64::MAX, 1);
         let mut node = NodeEngine::new(&Toy, cfg);
         node.deliver(0.0, Request::new(0, 8, 2));
@@ -756,11 +724,7 @@ mod tests {
         let (peak, mean) = node.finish_kv(t);
         assert_eq!(peak, 10, "final_len = l_in + l_out reserved up front");
         // Reserved at t=0, released at the very end: mean equals peak.
-        assert!(mean > 0.0 && mean <= 10.0);
-        // Timeline: initial 0, reservation to 10, release to 0.
-        assert_eq!(node.metrics().kv_timeline.first().unwrap().1, 0);
-        assert!(node.metrics().kv_timeline.iter().any(|&(_, v)| v == 10));
-        assert_eq!(node.metrics().kv_timeline.last().unwrap().1, 0);
+        assert!((mean - 10.0).abs() < 1e-12, "mean {mean}");
     }
 
     #[test]
@@ -782,7 +746,6 @@ mod tests {
         assert!(node.is_drained());
         assert_eq!(node.reserved_tokens(), 0);
         assert_eq!(node.pledged_tokens(), 0);
-        assert_eq!(node.metrics().kv_timeline.last().unwrap().1, 0);
         // Metrics survive the crash: the 2 produced tokens happened.
         assert_eq!(node.metrics().tokens, 2);
     }
@@ -854,28 +817,5 @@ mod tests {
         assert_eq!((rest.id, rest.l_in, rest.l_out), (0, 17, 2));
         node.drain_prefilled_into(&mut handoffs);
         assert_eq!(handoffs.len(), 1, "drained log stays drained");
-    }
-
-    #[test]
-    fn kv_stride_thins_timeline_but_keeps_peak_and_mean_exact() {
-        let run = |stride: u64| {
-            let cfg = SchedulerConfig::with_capacity(2, u64::MAX, 1);
-            let mut node = NodeEngine::new(&Toy, cfg);
-            node.set_kv_stride(stride);
-            for id in 0..8 {
-                node.deliver(0.0, Request::new(id, 8, 2));
-            }
-            let mut t = 0.0;
-            while !node.is_drained() {
-                t = node.run_round(t).end_s;
-            }
-            let (peak, mean) = node.finish_kv(t);
-            (peak, mean, node.metrics().kv_timeline.len())
-        };
-        let (peak1, mean1, full) = run(1);
-        let (peak4, mean4, thinned) = run(4);
-        assert_eq!(peak1, peak4, "peak is exact under sampling");
-        assert_eq!(mean1.to_bits(), mean4.to_bits(), "mean is bit-exact under sampling");
-        assert!(thinned < full, "stride 4 records fewer samples ({thinned} vs {full})");
     }
 }

@@ -74,18 +74,6 @@ impl SchedulerConfig {
     }
 }
 
-/// Which queued request is admitted when a batch slot frees.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmissionPolicy {
-    /// First come, first served (arrival order) — the default.
-    #[default]
-    Fcfs,
-    /// Shortest job first: admit the queued request with the smallest
-    /// `l_out`. Reduces mean turnaround for mixed-length populations at
-    /// the cost of starving long requests under sustained load.
-    ShortestJobFirst,
-}
-
 /// Simulates serving `requests` on `executor` under `cfg` using
 /// iteration-level scheduling: whenever a request finishes, the next
 /// queued request is admitted (its Sum stage runs batched with any other
@@ -95,6 +83,11 @@ pub enum AdmissionPolicy {
 /// KV admission control reserves each request's *final* footprint
 /// (`l_in + l_out`), guaranteeing no mid-flight eviction.
 ///
+/// The whole batch is delivered to one [`NodeEngine`] at t = 0 and
+/// admitted first come, first served, in list order. A request whose
+/// final footprint can never fit the KV capacity is abandoned, with
+/// everything queued behind it.
+///
 /// # Panics
 /// Panics if `cfg.max_batch` is zero.
 #[must_use]
@@ -103,32 +96,8 @@ pub fn simulate<E: StageExecutor>(
     requests: &[Request],
     cfg: &SchedulerConfig,
 ) -> ServingReport {
-    simulate_with_policy(executor, requests, cfg, AdmissionPolicy::Fcfs)
-}
-
-/// [`simulate`] with an explicit [`AdmissionPolicy`].
-///
-/// The whole batch is delivered to one [`NodeEngine`] at t = 0. On a
-/// closed batch, shortest-job-first admission is FCFS over the batch
-/// sorted stably by `(l_out, id)`. A request whose final footprint can
-/// never fit the KV capacity is abandoned, with everything queued behind
-/// it.
-///
-/// # Panics
-/// Panics if `cfg.max_batch` is zero.
-#[must_use]
-pub fn simulate_with_policy<E: StageExecutor>(
-    executor: &E,
-    requests: &[Request],
-    cfg: &SchedulerConfig,
-    policy: AdmissionPolicy,
-) -> ServingReport {
     let mut node = NodeEngine::new(executor, *cfg);
-    let mut batch = requests.to_vec();
-    if policy == AdmissionPolicy::ShortestJobFirst {
-        batch.sort_by_key(|r| (r.l_out, r.id));
-    }
-    for r in batch {
+    for &r in requests {
         node.deliver(0.0, r);
     }
     let mut now_s = 0.0f64;
@@ -232,27 +201,6 @@ mod tests {
         let r = simulate(&Affine, &wl.requests(), &cfg);
         assert_eq!(r.tokens_generated, 0);
         assert_eq!(r.requests_completed, 0);
-    }
-
-    #[test]
-    fn sjf_lowers_mean_turnaround_on_mixed_lengths() {
-        // One long request then many short ones: FCFS makes everyone
-        // queue behind the giant; SJF finishes the short ones first.
-        let mut reqs = vec![attacc_model::Request::new(0, 16, 512)];
-        for id in 1..20 {
-            reqs.push(attacc_model::Request::new(id, 16, 4));
-        }
-        let cfg = SchedulerConfig::unlimited(2);
-        let fcfs = simulate_with_policy(&Affine, &reqs, &cfg, AdmissionPolicy::Fcfs);
-        let sjf =
-            simulate_with_policy(&Affine, &reqs, &cfg, AdmissionPolicy::ShortestJobFirst);
-        assert_eq!(fcfs.tokens_generated, sjf.tokens_generated);
-        assert!(
-            sjf.mean_turnaround_s < fcfs.mean_turnaround_s,
-            "SJF {} vs FCFS {}",
-            sjf.mean_turnaround_s,
-            fcfs.mean_turnaround_s
-        );
     }
 
     #[test]

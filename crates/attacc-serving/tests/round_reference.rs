@@ -2,7 +2,7 @@
 //!
 //! [`reference_open_loop`] is a stand-alone iteration-level scheduler: it
 //! rebuilds every Gen group anew with a linear search and sweeps every
-//! status on every round. `NodeEngine::run_round`, which all three
+//! status on every round. `NodeEngine::run_round`, which both
 //! serving entry points drive, instead keeps its Gen groups current
 //! across rounds through a hashed length index (admissions append, a bare
 //! sweep advances every length, a retiring sweep re-lists the survivors),
@@ -14,8 +14,8 @@
 
 use attacc_model::{Request, RequestState, SequenceStatus};
 use attacc_serving::{
-    simulate_open_loop, simulate_with_policy, AdmissionPolicy, ArrivalWorkload, LatencyStats,
-    OpenLoopReport, SchedulerConfig, StageCost, StageExecutor,
+    simulate, simulate_open_loop, ArrivalWorkload, LatencyStats, OpenLoopReport,
+    SchedulerConfig, StageCost, StageExecutor,
 };
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -216,9 +216,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// `simulate_open_loop` equals the reference bit for bit, and
-    /// `simulate_with_policy` under FCFS (and under SJF, on the batch
-    /// sorted stably by `(l_out, id)`) equals the reference run on the
-    /// same requests arriving at t = 0.
+    /// `simulate` equals the reference run on the same requests arriving
+    /// at t = 0, in list order and sorted stably by `(l_out, id)`.
     #[test]
     fn serving_entry_points_match_the_reference_loop(
         n in 1u64..130,
@@ -235,22 +234,19 @@ proptest! {
         let cfg = config(max_batch, kv_tokens, bytes_per_token);
         prop_assert_eq!(simulate_open_loop(&Toy, &w, &cfg), reference_open_loop(&Toy, &w, &cfg));
 
-        let fcfs: Vec<Request> = w.arrivals.iter().map(|&(_, r)| r).collect();
-        let mut sjf = fcfs.clone();
-        sjf.sort_by_key(|r| (r.l_out, r.id));
-        for (policy, batch) in [
-            (AdmissionPolicy::Fcfs, &fcfs),
-            (AdmissionPolicy::ShortestJobFirst, &sjf),
-        ] {
-            let got = simulate_with_policy(&Toy, &fcfs, &cfg, policy);
+        let listed: Vec<Request> = w.arrivals.iter().map(|&(_, r)| r).collect();
+        let mut sorted = listed.clone();
+        sorted.sort_by_key(|r| (r.l_out, r.id));
+        for (order, batch) in [("listed", &listed), ("sorted", &sorted)] {
+            let got = simulate(&Toy, batch, &cfg);
             let want = reference_open_loop(&Toy, &closed(batch), &cfg);
             prop_assert_eq!(
-                (policy, got.requests_completed, got.total_time_s),
-                (policy, want.completed, want.makespan_s)
+                (order, got.requests_completed, got.total_time_s),
+                (order, want.completed, want.makespan_s)
             );
             prop_assert_eq!(
-                (policy, got.energy_j, got.max_iteration_latency_s),
-                (policy, want.energy_j, want.tbt.max_s)
+                (order, got.energy_j, got.max_iteration_latency_s),
+                (order, want.energy_j, want.tbt.max_s)
             );
         }
     }

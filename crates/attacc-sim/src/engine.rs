@@ -203,7 +203,7 @@ impl CacheStats {
 }
 
 /// The memoization table for the pure per-stage timing queries: one
-/// [`PairMemo`] per `(system, model)` pair on each thread that probes it.
+/// `PairMemo` per `(system, model)` pair on each thread that probes it.
 ///
 /// Pairs are interned ids — see [`intern_system`] / [`intern_model`] — so
 /// equal configurations share a memo across executors while distinct ones

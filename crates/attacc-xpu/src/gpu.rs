@@ -78,48 +78,6 @@ impl GpuSystem {
         s
     }
 
-    /// A next-generation DGX (H100-class): ~4× the FP16 compute,
-    /// ~1.3× the HBM bandwidth of the baseline. Faster FC layers make the
-    /// bandwidth-bound attention an even larger share of the Gen stage —
-    /// the AttAcc argument strengthens on newer GPUs.
-    #[must_use]
-    pub fn dgx_next_gen() -> GpuSystem {
-        let mut s = GpuSystem::dgx_base();
-        s.device.name = "DGX (next-gen)".into();
-        s.device.peak_flops_fp16 = 8.0e15;
-        s.device.mem_bw = 33.6e12;
-        s.capacity_bytes = 640 * GIB;
-        s.intra_node.bw_bytes_per_s = 7.2e12;
-        s
-    }
-
-    /// A TPU-v4-pod-slice-like xPU (§4: "high-performance compute units
-    /// (xPUs) such as GPUs or TPUs"): 8 chips ≈ 2.2 PFLOPS BF16,
-    /// 9.8 TB/s of HBM, 256 GB, ICI fabric.
-    #[must_use]
-    pub fn tpu_pod_slice() -> GpuSystem {
-        GpuSystem {
-            device: ComputeDevice {
-                name: "TPU pod slice".into(),
-                peak_flops_fp16: 2.2e15,
-                mem_bw: 9.8e12,
-                compute_eff: 0.85,
-                mem_eff: 0.80,
-                launch_s: 2e-6,
-            },
-            n_gpus: 8,
-            n_nodes: 1,
-            capacity_bytes: 256 * GIB,
-            intra_node: Interconnect {
-                name: "ICI".into(),
-                bw_bytes_per_s: 2.4e12,
-                latency_s: 2e-6,
-            },
-            inter_node: Interconnect::inter_node(),
-            energy: XpuEnergyModel::dgx(),
-        }
-    }
-
     /// `2×DGX`: two baseline boxes — doubled compute, bandwidth and
     /// capacity, but tensor parallelism now spans the inter-node fabric
     /// (§7.6).
@@ -276,36 +234,6 @@ mod tests {
         let free = dgx.kv_capacity_bytes(m.weight_bytes());
         assert!(free < dgx.capacity_bytes);
         assert!(free > 300 * GIB);
-    }
-
-    #[test]
-    fn newer_gpus_stay_bandwidth_walled() {
-        // 4× the compute buys at most the 1.26× bandwidth improvement on a
-        // Gen stage: the attention-vs-FC balance is unchanged (both are
-        // bandwidth-bound), so the PIM case carries over to newer GPUs.
-        let old = GpuSystem::dgx_base();
-        let new = GpuSystem::dgx_next_gen();
-        let m = ModelConfig::gpt3_175b();
-        let wl = StageWorkload::uniform(&m, Phase::gen(3072), 64);
-        let t_old = old.stage_time(&wl);
-        let t_new = new.stage_time(&wl);
-        let speedup = t_old.total_s / t_new.total_s;
-        assert!(speedup > 1.1 && speedup < 1.35, "speedup = {speedup}");
-        let balance = |t: StageTime| t.attn_s / (t.attn_s + t.fc_s);
-        assert!((balance(t_new) - balance(t_old)).abs() < 0.01);
-    }
-
-    #[test]
-    fn tpu_slice_is_bandwidth_starved_for_attention() {
-        // A TPU-class xPU has ~2.7× less memory bandwidth than the HBM3
-        // DGX, so the memory-bound Gen stage runs correspondingly slower —
-        // the same motivation for AttAcc applies to any xPU.
-        let dgx = GpuSystem::dgx_base();
-        let tpu = GpuSystem::tpu_pod_slice();
-        let m = ModelConfig::gpt3_175b();
-        let wl = StageWorkload::uniform(&m, Phase::gen(2048), 16);
-        let ratio = tpu.stage_time(&wl).total_s / dgx.stage_time(&wl).total_s;
-        assert!(ratio > 2.0 && ratio < 3.5, "ratio = {ratio}");
     }
 
     #[test]

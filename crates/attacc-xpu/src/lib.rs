@@ -33,13 +33,9 @@ pub mod energy;
 pub mod gpu;
 pub mod interconnect;
 pub mod roofline;
-pub mod sharding;
-pub mod tiling;
 
 pub use cpu::CpuSystem;
 pub use energy::XpuEnergyModel;
 pub use gpu::{GpuSystem, StageTime};
 pub use interconnect::Interconnect;
 pub use roofline::ComputeDevice;
-pub use sharding::{DecoderSharding, Shard, ShardAxis, ShardingError};
-pub use tiling::TilingPlan;

@@ -11,10 +11,13 @@ use attacc_sim::exec::StageBreakdown;
 use attacc_sim::{System, SystemExecutor};
 use attacc_serving::StageExecutor;
 use proptest::prelude::*;
-use std::sync::{Barrier, Mutex};
+use std::sync::{Barrier, Mutex, PoisonError};
 use std::thread;
 
-/// Serializes tests that clear the process-wide cache.
+/// Serializes tests that clear the process-wide cache. A test that panics
+/// while holding it does not fail the ones after it: they take the lock
+/// past the poison, and each reads the miss counter only after its own
+/// `clear()` or `reset_stats()`, or as a difference across its own calls.
 static CACHE_LOCK: Mutex<()> = Mutex::new(());
 
 fn systems() -> Vec<System> {
@@ -75,7 +78,7 @@ proptest! {
         groups in prop::collection::vec((0u64..=64, 16u64..=4096), 0..4),
         sys_idx in 0usize..3,
     ) {
-        let _guard = CACHE_LOCK.lock().expect("cache lock");
+        let _guard = CACHE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let model = attacc_model::ModelConfig::gpt3_175b();
         let exec = SystemExecutor::new(systems()[sys_idx].clone(), &model);
         let cached = exec.gen_stage_detail(&groups);
@@ -91,7 +94,7 @@ proptest! {
         contexts in prop::collection::vec(16u64..=4096, 1..4),
         sys_idx in 0usize..3,
     ) {
-        let _guard = CACHE_LOCK.lock().expect("cache lock");
+        let _guard = CACHE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let model = attacc_model::ModelConfig::gpt3_175b();
         let exec = SystemExecutor::new(attacc_systems()[sys_idx].clone(), &model);
         TimingCache::global().clear();
@@ -117,7 +120,7 @@ proptest! {
         shift in 0u64..4096,
         pick in (0usize..4, 0usize..2),
     ) {
-        let _guard = CACHE_LOCK.lock().expect("cache lock");
+        let _guard = CACHE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let models = [attacc_model::ModelConfig::gpt3_175b(), attacc_model::ModelConfig::llama2_70b()];
         let exec = SystemExecutor::new(xpu_systems()[pick.0].clone(), &models[pick.1]);
         let cache = TimingCache::global();
@@ -142,7 +145,7 @@ proptest! {
         l_in in 16u64..=4096,
         sys_idx in 0usize..3,
     ) {
-        let _guard = CACHE_LOCK.lock().expect("cache lock");
+        let _guard = CACHE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let model = attacc_model::ModelConfig::gpt3_175b();
         let exec = SystemExecutor::new(systems()[sys_idx].clone(), &model);
         let cached = exec.sum_stage(batch, l_in);
@@ -164,7 +167,7 @@ proptest! {
             1..24,
         ),
     ) {
-        let _guard = CACHE_LOCK.lock().expect("cache lock");
+        let _guard = CACHE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let models = [
             attacc_model::ModelConfig::gpt3_175b(),
             attacc_model::ModelConfig::llama2_70b(),
@@ -201,7 +204,7 @@ proptest! {
     fn clearing_the_cache_never_changes_results(
         groups in prop::collection::vec((0u64..=32, 16u64..=2048), 0..3),
     ) {
-        let _guard = CACHE_LOCK.lock().expect("cache lock");
+        let _guard = CACHE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let model = attacc_model::ModelConfig::gpt3_175b();
         let exec = SystemExecutor::new(System::dgx_attacc_full(), &model);
         let warm = exec.gen_stage_detail(&groups);
@@ -219,7 +222,7 @@ proptest! {
 #[test]
 fn concurrent_probes_match_the_walk_and_miss_again_after_clear() {
     const WORKERS: u64 = 4;
-    let _guard = CACHE_LOCK.lock().expect("cache lock");
+    let _guard = CACHE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let model = attacc_model::ModelConfig::gpt3_175b();
     let execs = [
         SystemExecutor::new(System::dgx_base(), &model),
@@ -280,7 +283,7 @@ fn concurrent_probes_match_the_walk_and_miss_again_after_clear() {
 /// and still equals the walk.
 #[test]
 fn attacc_gen_probes_above_the_rows_bound_compute_every_call() {
-    let _guard = CACHE_LOCK.lock().expect("cache lock");
+    let _guard = CACHE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let model = attacc_model::ModelConfig::gpt3_175b();
     let exec = SystemExecutor::new(System::dgx_attacc_full(), &model);
     let cache = TimingCache::global();

@@ -15,10 +15,12 @@ use attacc::serving::{
 };
 use attacc_sim::engine::{self, TimingCache};
 use attacc_sim::{System, SystemExecutor};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Serializes tests that mutate the process-wide thread override or the
-/// global timing cache.
+/// global timing cache. A test that panics while holding it does not fail
+/// the ones after it: they take the lock past the poison, and each sets
+/// the thread count it runs at and clears the cache before it reads it.
 static ENGINE_LOCK: Mutex<()> = Mutex::new(());
 
 /// A toy executor with irrational-valued costs so any divergence in
@@ -101,7 +103,7 @@ fn one_node_bit_exact_on_bursty_and_diurnal_shapes() {
 
 #[test]
 fn one_node_bit_exact_on_real_platform() {
-    let _guard = ENGINE_LOCK.lock().expect("engine lock");
+    let _guard = ENGINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let model = attacc::model::ModelConfig::gpt3_175b();
     let exec = SystemExecutor::new(System::dgx_attacc_full(), &model);
     let w = ArrivalWorkload::poisson(24, 8.0, 512, (16, 48), 5);
@@ -110,7 +112,7 @@ fn one_node_bit_exact_on_real_platform() {
 
 #[test]
 fn cluster_report_is_byte_identical_across_thread_counts() {
-    let _guard = ENGINE_LOCK.lock().expect("engine lock");
+    let _guard = ENGINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     engine::set_threads(1);
     let serial = attacc_bench::cluster_frontier(24).to_string();
     for threads in [2, 8] {
@@ -166,7 +168,7 @@ fn chaos_report_is_byte_identical_across_thread_counts() {
     // schedules, so this pins fault injection, recovery dispatch, retry
     // jitter and EWMA health state to byte-identical output at any
     // parallelism.
-    let _guard = ENGINE_LOCK.lock().expect("engine lock");
+    let _guard = ENGINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     engine::set_threads(1);
     let serial = attacc_bench::chaos_goodput_frontier(24).to_string();
     for threads in [2, 8] {
@@ -182,7 +184,8 @@ fn chaos_report_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn chaos_report_is_byte_identical_cold_and_warm_cache() {
-    let _guard = ENGINE_LOCK.lock().expect("engine lock");
+    let _guard = ENGINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    engine::set_threads(0);
     let cache = TimingCache::global();
     cache.clear();
     cache.reset_stats();
@@ -193,7 +196,8 @@ fn chaos_report_is_byte_identical_cold_and_warm_cache() {
 
 #[test]
 fn cluster_report_is_byte_identical_cold_and_warm_cache() {
-    let _guard = ENGINE_LOCK.lock().expect("engine lock");
+    let _guard = ENGINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    engine::set_threads(0);
     let cache = TimingCache::global();
     cache.clear();
     cache.reset_stats();
@@ -488,7 +492,7 @@ fn fleet_chaos_frontier_is_byte_identical_across_thread_counts() {
     // schedules through the autoscaled disaggregated fleet, so this pins
     // fault injection, recovery re-shipping, degradation and replacement
     // provisioning to byte-identical output at any parallelism.
-    let _guard = ENGINE_LOCK.lock().expect("engine lock");
+    let _guard = ENGINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     engine::set_threads(1);
     let serial = attacc_bench::chaos_fleet_frontier(24).to_string();
     for threads in [2, 8] {
@@ -504,7 +508,8 @@ fn fleet_chaos_frontier_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn fleet_chaos_frontier_is_byte_identical_cold_and_warm_cache() {
-    let _guard = ENGINE_LOCK.lock().expect("engine lock");
+    let _guard = ENGINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    engine::set_threads(0);
     let cache = TimingCache::global();
     cache.clear();
     cache.reset_stats();
@@ -515,7 +520,7 @@ fn fleet_chaos_frontier_is_byte_identical_cold_and_warm_cache() {
 
 #[test]
 fn autoscale_frontier_is_byte_identical_across_thread_counts() {
-    let _guard = ENGINE_LOCK.lock().expect("engine lock");
+    let _guard = ENGINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     engine::set_threads(1);
     let serial = attacc_bench::autoscale_frontier(2048).to_string();
     for threads in [2, 8] {
@@ -531,7 +536,8 @@ fn autoscale_frontier_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn autoscale_frontier_is_byte_identical_cold_and_warm_cache() {
-    let _guard = ENGINE_LOCK.lock().expect("engine lock");
+    let _guard = ENGINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    engine::set_threads(0);
     let cache = TimingCache::global();
     cache.clear();
     cache.reset_stats();
@@ -577,7 +583,7 @@ fn integrity_with_zero_ber_is_bit_exact_with_cluster() {
 
 #[test]
 fn integrity_report_is_byte_identical_across_thread_counts() {
-    let _guard = ENGINE_LOCK.lock().expect("engine lock");
+    let _guard = ENGINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     engine::set_threads(1);
     let serial = attacc_bench::integrity_frontier(24).to_string();
     for threads in [2, 8] {
@@ -593,7 +599,8 @@ fn integrity_report_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn integrity_report_is_byte_identical_cold_and_warm_cache() {
-    let _guard = ENGINE_LOCK.lock().expect("engine lock");
+    let _guard = ENGINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    engine::set_threads(0);
     let cache = TimingCache::global();
     cache.clear();
     cache.reset_stats();

@@ -7,10 +7,12 @@
 
 use attacc_sim::engine::{self, TimingCache};
 use attacc_sim::sweep::{grid_table, speedup_grid};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Serializes tests that mutate the process-wide thread override or the
-/// global timing cache.
+/// global timing cache. A test that panics while holding it does not fail
+/// the ones after it: they take the lock past the poison, and each sets
+/// the thread count it runs at and clears the cache before it reads it.
 static ENGINE_LOCK: Mutex<()> = Mutex::new(());
 
 fn render_drivers() -> String {
@@ -27,7 +29,7 @@ fn render_drivers() -> String {
 
 #[test]
 fn parallel_sweeps_are_byte_identical_to_serial() {
-    let _guard = ENGINE_LOCK.lock().expect("engine lock");
+    let _guard = ENGINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     engine::set_threads(1);
     let serial = render_drivers();
     for threads in [2, 3, 8] {
@@ -43,7 +45,8 @@ fn parallel_sweeps_are_byte_identical_to_serial() {
 
 #[test]
 fn warm_cache_runs_equal_cold_cache_runs() {
-    let _guard = ENGINE_LOCK.lock().expect("engine lock");
+    let _guard = ENGINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    engine::set_threads(0);
     let cache = TimingCache::global();
     cache.clear();
     cache.reset_stats();

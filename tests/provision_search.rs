@@ -12,9 +12,12 @@ use attacc_bench::{provision_specs, provision_traffic, PROVISION_USERS};
 use attacc_cluster::SloSpec;
 use attacc_model::ModelConfig;
 use attacc_sim::engine;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
-/// Serializes tests that mutate the process-wide thread override.
+/// Serializes tests that mutate the process-wide thread override. A test
+/// that panics while holding it does not fail the ones after it: they
+/// take the lock past the poison, and each sets the thread count it runs
+/// at.
 static ENGINE_LOCK: Mutex<()> = Mutex::new(());
 
 fn golden_outcome() -> SearchOutcome {
@@ -27,7 +30,7 @@ fn golden_traffic() -> TrafficSpec {
 
 #[test]
 fn pruned_search_matches_exhaustive_on_golden_grid() {
-    let _guard = ENGINE_LOCK.lock().expect("engine lock");
+    let _guard = ENGINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     engine::set_threads(1);
     let outcome = golden_outcome();
     let truth = exhaustive_search(
@@ -56,7 +59,8 @@ fn pruned_search_matches_exhaustive_on_golden_grid() {
 
 #[test]
 fn search_prunes_at_least_ninety_percent_of_the_grid() {
-    let _guard = ENGINE_LOCK.lock().expect("engine lock");
+    let _guard = ENGINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    engine::set_threads(0);
     let outcome = golden_outcome();
     assert!(
         outcome.pruned_frac >= 0.90,
@@ -74,7 +78,7 @@ fn search_prunes_at_least_ninety_percent_of_the_grid() {
 
 #[test]
 fn search_outcome_is_byte_identical_across_thread_counts() {
-    let _guard = ENGINE_LOCK.lock().expect("engine lock");
+    let _guard = ENGINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     engine::set_threads(1);
     let serial = golden_outcome();
     for threads in [2, 8] {
@@ -90,7 +94,8 @@ fn search_outcome_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn shortlist_picks_are_exactly_reverified_and_error_is_reported() {
-    let _guard = ENGINE_LOCK.lock().expect("engine lock");
+    let _guard = ENGINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    engine::set_threads(0);
     let outcome = golden_outcome();
     assert!(!outcome.picks.is_empty(), "search verified no candidates");
     assert_eq!(outcome.verified, outcome.picks.len());

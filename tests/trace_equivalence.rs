@@ -27,10 +27,12 @@ use attacc::trace::{
 use attacc_hbm::StackGeometry;
 use attacc_model::{DataType, ModelConfig};
 use attacc_sim::engine::{self, TimingCache};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Serializes tests that mutate the process-wide thread override or the
-/// global timing cache.
+/// global timing cache. A test that panics while holding it does not fail
+/// the ones after it: they take the lock past the poison, and each sets
+/// the thread count it runs at and clears the cache before it reads it.
 static ENGINE_LOCK: Mutex<()> = Mutex::new(());
 
 #[test]
@@ -188,7 +190,7 @@ fn render_trace_tables() -> String {
 
 #[test]
 fn trace_tables_are_byte_identical_across_thread_counts() {
-    let _guard = ENGINE_LOCK.lock().expect("engine lock");
+    let _guard = ENGINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     engine::set_threads(1);
     let serial = render_trace_tables();
     for threads in [2, 8] {
@@ -201,7 +203,8 @@ fn trace_tables_are_byte_identical_across_thread_counts() {
 
 #[test]
 fn trace_tables_are_cache_state_invariant() {
-    let _guard = ENGINE_LOCK.lock().expect("engine lock");
+    let _guard = ENGINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    engine::set_threads(0);
     TimingCache::global().clear();
     let cold = render_trace_tables();
     let warm = render_trace_tables();
