@@ -289,10 +289,11 @@ mod hotpath {
             for tok in 0..l {
                 let k: Vec<f32> = (0..d).map(|i| ((tok * 7 + i) % 13) as f32 * 0.1).collect();
                 let v: Vec<f32> = (0..d).map(|i| ((tok * 3 + i) % 11) as f32 * 0.1).collect();
+                let (k, v) = (Box::new(k), Box::new(v));
                 ctl.execute(AttInst::AppendKv { request: 0, head: 0, k, v }).unwrap();
             }
             let q: Vec<f32> = (0..d).map(|i| (i % 5) as f32 * 0.2).collect();
-            ctl.execute(AttInst::LoadQ { request: 0, head: 0, q }).unwrap();
+            ctl.execute(AttInst::LoadQ { request: 0, head: 0, q: Box::new(q) }).unwrap();
             ctl.execute(AttInst::RunAttention { request: 0, head: 0 }).unwrap();
             ctl.execute(AttInst::ReadOutput { request: 0, head: 0 }).unwrap()
         });

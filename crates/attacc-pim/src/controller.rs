@@ -250,8 +250,8 @@ impl AttAccController {
                     }
                 };
                 let store = self.head_mut(request, head)?;
-                store.keys.push(rounded(k));
-                store.values.push(rounded(v));
+                store.keys.push(rounded(*k));
+                store.values.push(rounded(*v));
                 // Mirror the append into the physical KV extents.
                 if let Some(&stack) = self.head_stacks.get(&(request, head)) {
                     let id = HeadId { request, head };
@@ -273,7 +273,7 @@ impl AttAccController {
             AttInst::LoadQ { request, head, q } => {
                 self.check_vec(&q)?;
                 let store = self.head_mut(request, head)?;
-                store.q = Some(q);
+                store.q = Some(*q);
                 Ok(None)
             }
             AttInst::DeclareKv { request, head, tokens } => {
@@ -468,8 +468,8 @@ mod tests {
             ctl.execute(AttInst::AppendKv {
                 request: 0,
                 head: 0,
-                k,
-                v,
+                k: Box::new(k),
+                v: Box::new(v),
             })
             .unwrap();
         }
@@ -477,7 +477,7 @@ mod tests {
         ctl.execute(AttInst::LoadQ {
             request: 0,
             head: 0,
-            q,
+            q: Box::new(q),
         })
         .unwrap();
         ctl.execute(AttInst::RunAttention {
@@ -537,7 +537,7 @@ mod tests {
             ctl.execute(AttInst::LoadQ {
                 request: 7,
                 head: 0,
-                q: vec![0.0; 4]
+                q: Box::new(vec![0.0; 4])
             }),
             Err(InstError::UnknownRequest(7))
         );
@@ -550,7 +550,7 @@ mod tests {
             ctl.execute(AttInst::LoadQ {
                 request: 7,
                 head: 5,
-                q: vec![0.0; 4]
+                q: Box::new(vec![0.0; 4])
             }),
             Err(InstError::UnknownHead(5))
         );
@@ -558,7 +558,7 @@ mod tests {
             ctl.execute(AttInst::LoadQ {
                 request: 7,
                 head: 0,
-                q: vec![0.0; 3]
+                q: Box::new(vec![0.0; 3])
             }),
             Err(InstError::DimensionMismatch {
                 expected: 4,
@@ -575,8 +575,8 @@ mod tests {
         ctl.execute(AttInst::AppendKv {
             request: 7,
             head: 0,
-            k: vec![1.0; 4],
-            v: vec![1.0; 4],
+            k: Box::new(vec![1.0; 4]),
+            v: Box::new(vec![1.0; 4]),
         })
         .unwrap();
         assert_eq!(
@@ -612,8 +612,8 @@ mod tests {
         ctl.execute(AttInst::AppendKv {
             request: 1,
             head: 0,
-            k: vec![0.0; 8],
-            v: vec![0.0; 8],
+            k: Box::new(vec![0.0; 8]),
+            v: Box::new(vec![0.0; 8]),
         })
         .unwrap();
         assert!(ctl.allocator().total_load() > 0);

@@ -90,10 +90,11 @@ proptest! {
                 kt[i * l + tok] = kvec[i];
                 v[tok * d + i] = vvec[i];
             }
-            ctl.execute(AttInst::AppendKv { request: 0, head: 0, k: kvec, v: vvec }).unwrap();
+            let (k, v) = (Box::new(kvec), Box::new(vvec));
+            ctl.execute(AttInst::AppendKv { request: 0, head: 0, k, v }).unwrap();
         }
         let qv: Vec<f32> = q[..d].to_vec();
-        ctl.execute(AttInst::LoadQ { request: 0, head: 0, q: qv.clone() }).unwrap();
+        ctl.execute(AttInst::LoadQ { request: 0, head: 0, q: Box::new(qv.clone()) }).unwrap();
         ctl.execute(AttInst::RunAttention { request: 0, head: 0 }).unwrap();
         let got = ctl.execute(AttInst::ReadOutput { request: 0, head: 0 }).unwrap().unwrap();
         let want = attention_ref(&qv, &kt, &v, l);
@@ -126,10 +127,11 @@ proptest! {
             for tok in 0..l {
                 let k: Vec<f32> = (0..d).map(|i| gen(tok as u64, i)).collect();
                 let v: Vec<f32> = (0..d).map(|i| gen(tok as u64 + 999, i)).collect();
+                let (k, v) = (Box::new(k), Box::new(v));
                 ctl.execute(AttInst::AppendKv { request: 0, head: 0, k, v }).unwrap();
             }
             let q: Vec<f32> = (0..d).map(|i| gen(777, i)).collect();
-            ctl.execute(AttInst::LoadQ { request: 0, head: 0, q }).unwrap();
+            ctl.execute(AttInst::LoadQ { request: 0, head: 0, q: Box::new(q) }).unwrap();
             ctl.execute(AttInst::RunAttention { request: 0, head: 0 }).unwrap();
             ctl.execute(AttInst::ReadOutput { request: 0, head: 0 }).unwrap().unwrap()
         };

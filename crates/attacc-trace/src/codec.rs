@@ -12,15 +12,19 @@
 //! `parse(format(t)) == t` and `format(parse(s)) == s` both hold
 //! byte-for-byte — the property the round-trip suite pins.
 //!
-//! Both directions are single passes over bytes. Formatting goes
-//! through [`attacc_pim::isa::write_line`] straight into one pre-sized
-//! `String`. Parsing walks each line with a byte cursor that matches the
-//! expected `key=` prefix and accumulates the integer value in the same
-//! step. Field separators are any Unicode whitespace, as with
-//! `str::split_whitespace`. Anything off the canonical path drops to a
-//! token-level slow path, which builds the error message.
+//! [`AttInst::LINES`] is the one table of canonical spellings. Formatting
+//! goes through [`attacc_pim::isa::write_line`], which writes each
+//! field's lead from it and then the digits, straight into one pre-sized
+//! `String`. Parsing first matches the same bytes in place at each line
+//! start: the opcode with its first key, then ` key=` and canonical
+//! digits for each field, then `\n` or the end of the text. Anything
+//! else — other whitespace (any Unicode whitespace separates fields, as
+//! with `str::split_whitespace`), `\r\n`, a leading `+` or zero, an
+//! out-of-range value, a wrong key, a float list — falls back to a token
+//! cursor that reads the line field by field, lets `str::parse` decide
+//! each value and builds the error message.
 
-use attacc_pim::isa::write_line;
+use attacc_pim::isa::{write_line, FieldKind};
 use attacc_pim::AttInst;
 use std::fmt;
 use std::str::FromStr;
@@ -31,6 +35,73 @@ const LINE_BYTES_HINT: usize = 40;
 
 /// The shortest instruction line, `admit req=0`, plus its newline.
 const MIN_LINE_BYTES: usize = 12;
+
+/// Where a line whose first and fourth bytes are `b0` and `b3` sits in
+/// [`LEAD_HINT`].
+const fn hint_slot(b0: u8, b3: u8) -> usize {
+    ((b0 as usize & 0x1f) << 5) | (b3 as usize & 0x1f)
+}
+
+/// `1 +` the opcode index of each line's first lead at the
+/// [`hint_slot`] of that lead's first and fourth bytes, `0` elsewhere.
+/// Every opcode has a slot of its own; the in-place reader confirms a
+/// hit against the whole lead.
+const LEAD_HINT: [u8; 1024] = {
+    let mut hint = [0u8; 1024];
+    let mut i = 0;
+    while i < AttInst::LINES.len() {
+        let lead = AttInst::LINES[i][0].lead.as_bytes();
+        let slot = hint_slot(lead[0], lead[3]);
+        assert!(hint[slot] == 0, "two opcodes share a hint slot");
+        hint[slot] = i as u8 + 1;
+        i += 1;
+    }
+    hint
+};
+
+/// Canonical decimal digits at `at`: no sign, no leading zero, no
+/// overflow. The value and the position after it.
+#[inline]
+fn canonical_digits(bytes: &[u8], at: usize) -> Option<(u64, usize)> {
+    let first = bytes.get(at)?.wrapping_sub(b'0');
+    if first > 9 {
+        return None;
+    }
+    let (mut n, mut i) = (u64::from(first), at + 1);
+    while let Some(d) = bytes.get(i).map(|b| b.wrapping_sub(b'0')).filter(|&d| d <= 9) {
+        if n == 0 {
+            return None;
+        }
+        n = n.checked_mul(10)?.checked_add(u64::from(d))?;
+        i += 1;
+    }
+    Some((n, i))
+}
+
+/// Reads the instruction line at `at` in place if it is spelled exactly
+/// as [`write_line`] writes it and ends at `\n` or the end of `bytes`.
+/// The instruction and the position of that end; `None` for any other
+/// bytes, which the token cursor then reads.
+#[inline]
+fn canonical_line(bytes: &[u8], at: usize) -> Option<(AttInst, usize)> {
+    let line = bytes.get(at..)?;
+    let hint = LEAD_HINT[hint_slot(*line.first()?, *line.get(3)?)];
+    let index = usize::from(hint).checked_sub(1)?;
+    let fields = AttInst::LINES[index];
+    let mut ints = [0u64; 3];
+    let mut i = 0;
+    for (value, field) in ints.iter_mut().zip(fields) {
+        let lead = field.lead.as_bytes();
+        if field.kind == FieldKind::F32s || line.get(i..i + lead.len())? != lead {
+            return None;
+        }
+        (*value, i) = canonical_digits(line, i + lead.len())?;
+    }
+    if !matches!(line.get(i), None | Some(b'\n')) {
+        return None;
+    }
+    Some((AttInst::from_fields(index, ints, Default::default())?, at + i))
+}
 
 /// A compiled instruction trace.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -81,18 +152,24 @@ impl Trace {
         let mut cur = Cursor { s: text, pos: 0, eol: b'\n' };
         let mut line = 1;
         loop {
-            // A `\r` before the `\n` is whitespace to the cursor, so `\r\n`
-            // files parse like `\n` files.
-            cur.skip_ws();
-            match text.as_bytes().get(cur.pos) {
-                None => break,
-                Some(b'\n') => {}
-                Some(b'#') => {
-                    cur.pos = text[cur.pos..].find('\n').map_or(text.len(), |n| cur.pos + n);
-                }
-                Some(_) => {
-                    let inst = cur.inst().map_err(|message| TraceParseError { line, message })?;
-                    insts.push(inst);
+            if let Some((inst, end)) = canonical_line(text.as_bytes(), cur.pos) {
+                insts.push(inst);
+                cur.pos = end;
+            } else {
+                // A `\r` before the `\n` is whitespace to the cursor, so
+                // `\r\n` files parse like `\n` files.
+                cur.skip_ws();
+                match text.as_bytes().get(cur.pos) {
+                    None => break,
+                    Some(b'\n') => {}
+                    Some(b'#') => {
+                        cur.pos = text[cur.pos..].find('\n').map_or(text.len(), |n| cur.pos + n);
+                    }
+                    Some(_) => {
+                        let inst =
+                            cur.inst().map_err(|message| TraceParseError { line, message })?;
+                        insts.push(inst);
+                    }
                 }
             }
             // The cursor now sits on this line's `\n` or at the end.
@@ -159,16 +236,6 @@ impl<'a> Cursor<'a> {
         (c.len_utf8(), c.is_whitespace())
     }
 
-    /// Whether the character at `i` ends a token.
-    #[inline]
-    fn delimits(&self, i: usize) -> bool {
-        match self.s.as_bytes().get(i) {
-            None => true,
-            Some(&b) if b.is_ascii() => ascii_ws(b),
-            Some(_) => self.wide_char_at(i).1,
-        }
-    }
-
     #[inline]
     fn skip_ws(&mut self) {
         let bytes = self.s.as_bytes();
@@ -232,49 +299,10 @@ impl<'a> Cursor<'a> {
         Ok(v)
     }
 
-    /// An unsigned integer field. Off the canonical path (a wrong key,
-    /// overflow, a stray character) the field is re-read as a token and
-    /// `str::parse` decides the result and the message.
-    #[inline(always)]
-    fn int<T: TryFrom<u64>>(&mut self, key: &str) -> Result<T, String> {
-        self.skip_ws();
-        match self.fast_int(key).and_then(|(n, end)| Some((T::try_from(n).ok()?, end))) {
-            Some((n, end)) => {
-                self.pos = end;
-                Ok(n)
-            }
-            None => self.slow_int(key),
-        }
-    }
-
-    /// Matches `key=` at the cursor, then reads an optional `+` and
-    /// decimal digits up to a delimiter in the same pass, returning the
-    /// value and the position after it.
-    #[inline(always)]
-    fn fast_int(&self, key: &str) -> Option<(u64, usize)> {
-        let bytes = self.s.as_bytes();
-        let eq = self.pos + key.len();
-        if bytes.get(self.pos..eq) != Some(key.as_bytes()) || bytes.get(eq) != Some(&b'=') {
-            return None;
-        }
-        let mut i = eq + 1 + usize::from(bytes.get(eq + 1) == Some(&b'+'));
-        let digits = i;
-        let mut n = 0u64;
-        while let Some(&b) = bytes.get(i).filter(|b| b.is_ascii_digit()) {
-            n = n.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
-            i += 1;
-        }
-        (i > digits && self.delimits(i)).then_some((n, i))
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn slow_int<T: TryFrom<u64>>(&mut self, key: &str) -> Result<T, String> {
+    /// An unsigned integer field no larger than `max`.
+    fn int(&mut self, key: &str, max: u64) -> Result<u64, String> {
         let v = self.value(key)?;
-        v.parse::<u64>()
-            .ok()
-            .and_then(|n| T::try_from(n).ok())
-            .ok_or_else(|| format!("bad {key} value {v:?}"))
+        v.parse::<u64>().ok().filter(|&n| n <= max).ok_or_else(|| format!("bad {key} value {v:?}"))
     }
 
     /// A comma-separated finite-f32 vector (empty value = empty vector).
@@ -302,63 +330,28 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// The instruction on the rest of the line.
+    /// The instruction on the rest of the line, its fields read in
+    /// [`AttInst::LINES`] order.
     fn inst(&mut self) -> Result<AttInst, String> {
-        let inst = match self.token() {
-            "" => return Err("empty instruction".to_string()),
-            "set_model" => AttInst::SetModel {
-                n_head: self.int("n_head")?,
-                d_head: self.int("d_head")?,
-                max_l: self.int("max_l")?,
-            },
-            "admit" => AttInst::UpdateRequest { request: self.int("req")?, remove: false },
-            "retire" => AttInst::UpdateRequest { request: self.int("req")?, remove: true },
-            "append" => AttInst::AppendKv {
-                request: self.int("req")?,
-                head: self.int("head")?,
-                k: self.vec_f32("k")?,
-                v: self.vec_f32("v")?,
-            },
-            "declare_kv" => AttInst::DeclareKv {
-                request: self.int("req")?,
-                head: self.int("head")?,
-                tokens: self.int("tokens")?,
-            },
-            "load_q" => AttInst::LoadQ {
-                request: self.int("req")?,
-                head: self.int("head")?,
-                q: self.vec_f32("q")?,
-            },
-            "run" => AttInst::RunAttention { request: self.int("req")?, head: self.int("head")? },
-            "run_batch" => AttInst::RunAttentionBatch {
-                request: self.int("req")?,
-                head0: self.int("head0")?,
-                n_heads: self.int("n_heads")?,
-            },
-            "read" => AttInst::ReadOutput { request: self.int("req")?, head: self.int("head")? },
-            "evict_kv" => AttInst::EvictKv {
-                request: self.int("req")?,
-                head: self.int("head")?,
-                keep_last: self.int("keep_last")?,
-            },
-            "config_pages" => {
-                AttInst::ConfigPages { tokens_per_page: self.int("tokens_per_page")? }
-            }
-            "map_page" => AttInst::MapPage {
-                request: self.int("req")?,
-                head: self.int("head")?,
-                page: self.int("page")?,
-            },
-            "unmap_page" => AttInst::UnmapPage {
-                request: self.int("req")?,
-                head: self.int("head")?,
-                page: self.int("page")?,
-            },
-            "barrier" => AttInst::Barrier { tag: self.int("tag")? },
-            other => return Err(format!("unknown opcode {other:?}")),
-        };
+        let mnemonic = self.token();
+        if mnemonic.is_empty() {
+            return Err("empty instruction".to_string());
+        }
+        let index = AttInst::OPCODES
+            .binary_search(&mnemonic)
+            .map_err(|_| format!("unknown opcode {mnemonic:?}"))?;
+        let fields = AttInst::LINES[index];
+        let (int_fields, float_fields) =
+            fields.split_at(fields.partition_point(|f| f.kind != FieldKind::F32s));
+        let (mut ints, mut floats) = ([0u64; 3], [Vec::new(), Vec::new()]);
+        for (value, field) in ints.iter_mut().zip(int_fields) {
+            *value = self.int(field.key(), field.kind.max())?;
+        }
+        for (value, field) in floats.iter_mut().zip(float_fields) {
+            *value = self.vec_f32(field.key())?;
+        }
         self.end()?;
-        Ok(inst)
+        Ok(AttInst::from_fields(index, ints, floats).expect("every field is within its type"))
     }
 }
 
@@ -381,11 +374,11 @@ mod tests {
             AttInst::AppendKv {
                 request: 0,
                 head: 3,
-                k: vec![0.5, -1.25, 3.0e-8],
-                v: vec![0.0, -0.0, 1.0],
+                k: Box::new(vec![0.5, -1.25, 3.0e-8]),
+                v: Box::new(vec![0.0, -0.0, 1.0]),
             },
             AttInst::DeclareKv { request: 0, head: 3, tokens: 512 },
-            AttInst::LoadQ { request: 0, head: 3, q: vec![1.5, f32::MIN_POSITIVE] },
+            AttInst::LoadQ { request: 0, head: 3, q: Box::new(vec![1.5, f32::MIN_POSITIVE]) },
             AttInst::RunAttention { request: 0, head: 3 },
             AttInst::RunAttentionBatch { request: 0, head0: 0, n_heads: 96 },
             AttInst::ReadOutput { request: 0, head: 3 },
@@ -418,10 +411,10 @@ mod tests {
     #[test]
     fn shortest_float_notation_preserves_bits() {
         let vals = [0.1f32, -0.0, 1.0 / 3.0, f32::MAX, f32::MIN_POSITIVE, 2.5e-38];
-        let inst = AttInst::LoadQ { request: 0, head: 0, q: vals.to_vec() };
+        let inst = AttInst::LoadQ { request: 0, head: 0, q: Box::new(vals.to_vec()) };
         let back = parse_inst(&inst.to_string()).unwrap();
         let AttInst::LoadQ { q, .. } = back else { panic!("wrong opcode") };
-        for (a, b) in vals.iter().zip(&q) {
+        for (a, b) in vals.iter().zip(q.iter()) {
             assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
         }
     }
@@ -453,7 +446,7 @@ mod tests {
 
     #[test]
     fn empty_vectors_round_trip() {
-        let inst = AttInst::LoadQ { request: 1, head: 0, q: vec![] };
+        let inst = AttInst::LoadQ { request: 1, head: 0, q: Box::default() };
         assert_eq!(parse_inst(&inst.to_string()).unwrap(), inst);
     }
 }

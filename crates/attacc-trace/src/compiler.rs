@@ -214,7 +214,7 @@ pub fn compile(model: &ModelConfig, schedule: &DecodeSchedule) -> Trace {
     {
         TracePayload::Functional { seed } => {
             let (k, v) = kv_pair(seed, request, head, token, d_head);
-            insts.push(AttInst::AppendKv { request, head, k, v });
+            insts.push(AttInst::AppendKv { request, head, k: Box::new(k), v: Box::new(v) });
         }
         TracePayload::Timing => {
             insts.push(AttInst::DeclareKv { request, head, tokens: 1 });
@@ -302,7 +302,7 @@ pub fn compile(model: &ModelConfig, schedule: &DecodeSchedule) -> Trace {
                         insts.push(AttInst::LoadQ {
                             request,
                             head,
-                            q: q_vector(seed, request, head, step, d_head),
+                            q: Box::new(q_vector(seed, request, head, step, d_head)),
                         });
                     }
                     insts.push(AttInst::RunAttentionBatch { request, head0: 0, n_heads: n_head });

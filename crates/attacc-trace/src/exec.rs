@@ -102,7 +102,6 @@ mod tests {
             ],
         };
         let err = replay(&mut controller(), &trace).unwrap_err();
-        assert_eq!(err.trace_index(), Some(2));
         assert_eq!(
             err,
             InstError::Trace { index: 2, cause: Box::new(InstError::EmptyKv) }

@@ -6,8 +6,12 @@
 
 mod oracle;
 
+use attacc_model::ModelConfig;
 use attacc_pim::{AttInst, InstError};
-use attacc_trace::{execute_timing, head_cost, parse_inst, TimingConfig, Trace};
+use attacc_trace::{
+    compile, execute_timing, head_cost, parse_inst, DecodeSchedule, KvPolicy, TimingConfig, Trace,
+    TracePayload,
+};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -37,12 +41,13 @@ fn arb_inst() -> impl Strategy<Value = AttInst> {
         }),
         (any_u64(), 0u32..2)
             .prop_map(|(request, remove)| AttInst::UpdateRequest { request, remove: remove == 1 }),
-        (any_u64(), any_u32(), arb_vec_f32(), arb_vec_f32())
-            .prop_map(|(request, head, k, v)| AttInst::AppendKv { request, head, k, v }),
+        (any_u64(), any_u32(), arb_vec_f32(), arb_vec_f32()).prop_map(|(request, head, k, v)| {
+            AttInst::AppendKv { request, head, k: Box::new(k), v: Box::new(v) }
+        }),
         (any_u64(), any_u32(), any_u64())
             .prop_map(|(request, head, tokens)| AttInst::DeclareKv { request, head, tokens }),
         (any_u64(), any_u32(), arb_vec_f32())
-            .prop_map(|(request, head, q)| AttInst::LoadQ { request, head, q }),
+            .prop_map(|(request, head, q)| AttInst::LoadQ { request, head, q: Box::new(q) }),
         (any_u64(), any_u32()).prop_map(|(request, head)| AttInst::RunAttention { request, head }),
         (any_u64(), any_u32(), any_u32()).prop_map(|(request, head0, n_heads)| {
             AttInst::RunAttentionBatch { request, head0, n_heads }
@@ -284,10 +289,46 @@ fn mutation_examples_agree_with_the_reference_parser() {
         "barrier tag=1\nwarp req=0\n",
         "run req=0 head=0\n\u{85}\n",
         "",
+        // Off the in-place reader's canonical bytes: a longer mnemonic,
+        // other whitespace, a leading zero or `+`, integers past their
+        // type, a last line without `\n`, `\r\n` endings.
+        "declare_kvx req=0 head=0 tokens=1\n",
+        "map_page\treq=0 head=0 page=1\n",
+        "declare_kv req=0 head=0\u{3000}tokens=1\n",
+        "evict_kv req=0 head=0 keep_last=007\n",
+        "run_batch req=0 head0=+0 n_heads=96\n",
+        "map_page req=0 head=4294967296 page=0\n",
+        "unmap_page req=0 head=0 page=18446744073709551616\n",
+        "barrier tag=0\ndeclare_kv req=1 head=2 tokens=3",
+        "declare_kv req=0 head=0 tokens=1\r\nrun req=0 head=0\r\nwarp req=0\r\n",
     ];
     for text in cases {
         assert_eq!(Trace::parse(text), oracle::parse(text), "{text:?}");
         assert_eq!(parse_inst(text), oracle::parse_inst(text), "{text:?}");
+    }
+}
+
+/// The codec on real compiler output: timing traces of GPT-3 under each
+/// KV policy, so every opcode a compiled trace holds crosses the
+/// in-place reader.
+#[test]
+fn compiled_traces_agree_with_the_reference_codec() {
+    let model = ModelConfig::gpt3_175b();
+    let policies = [
+        KvPolicy::Full,
+        KvPolicy::SlidingWindow { window: 256 },
+        KvPolicy::Paged { tokens_per_page: 256, recent_pages: 2 },
+    ];
+    for policy in policies {
+        for prompt_l in [512, 2048] {
+            let schedule = DecodeSchedule::uniform(8, prompt_l, 4, policy, TracePayload::Timing);
+            let trace = compile(&model, &schedule);
+            let text = trace.to_text();
+            assert!(text == oracle::to_text(&trace), "{policy:?}, L_in {prompt_l}");
+            let parsed = Trace::parse(&text);
+            assert!(parsed == oracle::parse(&text), "{policy:?}, L_in {prompt_l}");
+            assert!(parsed.is_ok_and(|p| p == trace), "{policy:?}, L_in {prompt_l}");
+        }
     }
 }
 
@@ -308,14 +349,18 @@ fn arb_replay_inst() -> impl Strategy<Value = AttInst> {
             .prop_map(|(n_head, d_head, max_l)| AttInst::SetModel { n_head, d_head, max_l }),
         (0u64..4).prop_map(|request| AttInst::UpdateRequest { request, remove: false }),
         (0u64..4).prop_map(|request| AttInst::UpdateRequest { request, remove: true }),
-        (req(), 0u32..3)
-            .prop_map(|(request, head)| AttInst::AppendKv { request, head, k: vec![], v: vec![] }),
+        (req(), 0u32..3).prop_map(|(request, head)| AttInst::AppendKv {
+            request,
+            head,
+            k: Box::default(),
+            v: Box::default(),
+        }),
         (req(), head(), 0u64..40)
             .prop_map(|(request, head, tokens)| AttInst::DeclareKv { request, head, tokens }),
         (req(), head(), 1u64..40)
             .prop_map(|(request, head, tokens)| AttInst::DeclareKv { request, head, tokens }),
         (req(), 0u32..3, 0u32..2).prop_map(|(request, head, read)| match read {
-            0 => AttInst::LoadQ { request, head, q: vec![] },
+            0 => AttInst::LoadQ { request, head, q: Box::default() },
             _ => AttInst::ReadOutput { request, head },
         }),
         (req(), head()).prop_map(|(request, head)| AttInst::RunAttention { request, head }),
@@ -390,8 +435,12 @@ fn arb_live_inst() -> impl Strategy<Value = AttInst> {
     prop_oneof![
         (req(), head(), 0u64..40)
             .prop_map(|(request, head, tokens)| AttInst::DeclareKv { request, head, tokens }),
-        (req(), head())
-            .prop_map(|(request, head)| AttInst::AppendKv { request, head, k: vec![], v: vec![] }),
+        (req(), head()).prop_map(|(request, head)| AttInst::AppendKv {
+            request,
+            head,
+            k: Box::default(),
+            v: Box::default(),
+        }),
         (req(), head()).prop_map(|(request, head)| AttInst::RunAttention { request, head }),
         (req(), 1u32..3).prop_map(|(request, n_heads)| {
             AttInst::RunAttentionBatch { request, head0: 0, n_heads }

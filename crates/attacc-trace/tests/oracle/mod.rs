@@ -195,8 +195,8 @@ pub fn parse_inst(line: &str) -> Result<AttInst, String> {
         "append" => AttInst::AppendKv {
             request: f.u64("req")?,
             head: f.u32("head")?,
-            k: f.vec_f32("k")?,
-            v: f.vec_f32("v")?,
+            k: Box::new(f.vec_f32("k")?),
+            v: Box::new(f.vec_f32("v")?),
         },
         "declare_kv" => AttInst::DeclareKv {
             request: f.u64("req")?,
@@ -206,7 +206,7 @@ pub fn parse_inst(line: &str) -> Result<AttInst, String> {
         "load_q" => AttInst::LoadQ {
             request: f.u64("req")?,
             head: f.u32("head")?,
-            q: f.vec_f32("q")?,
+            q: Box::new(f.vec_f32("q")?),
         },
         "run" => AttInst::RunAttention { request: f.u64("req")?, head: f.u32("head")? },
         "run_batch" => AttInst::RunAttentionBatch {

@@ -84,11 +84,16 @@ fn arb_inst() -> impl Strategy<Value = AttInst> {
         (u64::MIN..=u64::MAX, 0u32..2)
             .prop_map(|(request, remove)| AttInst::UpdateRequest { request, remove: remove == 1 }),
         (0u64..8, 0u32..8, arb_vec_f32(), arb_vec_f32())
-            .prop_map(|(request, head, k, v)| AttInst::AppendKv { request, head, k, v }),
+            .prop_map(|(request, head, k, v)| AttInst::AppendKv {
+                request,
+                head,
+                k: Box::new(k),
+                v: Box::new(v),
+            }),
         (0u64..8, 0u32..8, 0u64..1000)
             .prop_map(|(request, head, tokens)| AttInst::DeclareKv { request, head, tokens }),
         (0u64..8, 0u32..8, arb_vec_f32())
-            .prop_map(|(request, head, q)| AttInst::LoadQ { request, head, q }),
+            .prop_map(|(request, head, q)| AttInst::LoadQ { request, head, q: Box::new(q) }),
         (0u64..8, 0u32..8).prop_map(|(request, head)| AttInst::RunAttention { request, head }),
         (0u64..8, 0u32..8, 1u32..16).prop_map(|(request, head0, n_heads)| {
             AttInst::RunAttentionBatch { request, head0, n_heads }

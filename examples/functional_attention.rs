@@ -27,10 +27,11 @@ fn main() {
         for tok in 0..l {
             let k: Vec<f32> = (0..d_head).map(|i| gen(tok, i)).collect();
             let v: Vec<f32> = (0..d_head).map(|i| gen(tok + 7919, i)).collect();
+            let (k, v) = (Box::new(k), Box::new(v));
             ctl.execute(AttInst::AppendKv { request: 0, head: 0, k, v }).expect("append");
         }
         let q: Vec<f32> = (0..d_head).map(|i| gen(424_242, i)).collect();
-        ctl.execute(AttInst::LoadQ { request: 0, head: 0, q }).expect("load q");
+        ctl.execute(AttInst::LoadQ { request: 0, head: 0, q: Box::new(q) }).expect("load q");
         ctl.execute(AttInst::RunAttention { request: 0, head: 0 }).expect("run");
         ctl.execute(AttInst::ReadOutput { request: 0, head: 0 })
             .expect("read")

@@ -14,10 +14,13 @@
 #
 # For each workload and end-to-end metric it prints every run, both
 # medians with q1-q3, the ratio change/parent, how many pairs the change
-# won, and whether the change's median is worse than the parent's by
-# more than the metric's BENCHMARK.json bound. Timing is reported, not
-# gated: the script fails only when a run exits non-zero, prints
-# "correct": false or a non-zero "failed".
+# won, whether the change's median is worse than the parent's by more
+# than the metric's BENCHMARK.json bound, and whether a gain is shown:
+# the change won at least nine tenths of the pairs (ties count for
+# neither side) and its median beats the parent's by more than the
+# parent's q1-q3 spread. Timing is reported, not gated: the script fails
+# only when a run exits non-zero, prints "correct": false or a non-zero
+# "failed".
 set -euo pipefail
 
 usage() {
@@ -116,11 +119,15 @@ for w in (w["name"] for w in spec["workloads"]):
         wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
         ratio = quantile(c, 0.5) / quantile(p, 0.5) if quantile(p, 0.5) else float("nan")
         worse = sign * (ratio - 1) < -m["bound"]
+        parent_spread = quantile(p, 0.75) - quantile(p, 0.25)
+        gain = (10 * wins >= 9 * len(p)
+                and sign * (quantile(c, 0.5) - quantile(p, 0.5)) > parent_spread)
         print(f"{w} {m['name']} ({m['unit']}, {m['better']} is better, bound {m['bound']}):")
         print(f"  parent runs: {' '.join(f'{v:.6g}' for v in p)}")
         print(f"  change runs: {' '.join(f'{v:.6g}' for v in c)}")
         print(f"  parent {spread(p)}  change {spread(c)}  ratio {ratio:.4f}  "
-              f"change wins {wins}/{len(p)}  worse than bound: {'YES' if worse else 'no'}")
+              f"change wins {wins}/{len(p)}  worse than bound: {'YES' if worse else 'no'}  "
+              f"gain shown: {'yes' if gain else 'no'}")
 for b in bad:
     print(f"bench-ab: incorrect or failed run: {b}", file=sys.stderr)
 sys.exit(1 if bad else 0)

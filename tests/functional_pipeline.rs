@@ -42,6 +42,7 @@ fn multi_request_multi_head_generation_matches_reference() {
             for h in 0..n_head {
                 let k: Vec<f32> = (0..d).map(|i| gen_val(r, h, stage, i, 1)).collect();
                 let v: Vec<f32> = (0..d).map(|i| gen_val(r, h, stage, i, 2)).collect();
+                let (k, v) = (Box::new(k), Box::new(v));
                 ctl.execute(AttInst::AppendKv { request: r, head: h, k, v }).unwrap();
             }
             lens[ri] = stage + 1;
@@ -49,7 +50,8 @@ fn multi_request_multi_head_generation_matches_reference() {
         for &r in &requests {
             for h in 0..n_head {
                 let q: Vec<f32> = (0..d).map(|i| gen_val(r, h, stage, i, 3)).collect();
-                ctl.execute(AttInst::LoadQ { request: r, head: h, q: q.clone() }).unwrap();
+                let boxed = Box::new(q.clone());
+                ctl.execute(AttInst::LoadQ { request: r, head: h, q: boxed }).unwrap();
                 ctl.execute(AttInst::RunAttention { request: r, head: h }).unwrap();
                 let out = ctl
                     .execute(AttInst::ReadOutput { request: r, head: h })
@@ -87,7 +89,7 @@ fn multi_request_multi_head_generation_matches_reference() {
 
     // The survivors keep generating correctly.
     let q: Vec<f32> = (0..d).map(|i| gen_val(10, 0, 6, i, 3)).collect();
-    ctl.execute(AttInst::LoadQ { request: 10, head: 0, q }).unwrap();
+    ctl.execute(AttInst::LoadQ { request: 10, head: 0, q: Box::new(q) }).unwrap();
     ctl.execute(AttInst::RunAttention { request: 10, head: 0 }).unwrap();
     assert!(ctl
         .execute(AttInst::ReadOutput { request: 10, head: 0 })
@@ -113,9 +115,10 @@ fn fp16_pipeline_tracks_exact_pipeline() {
         for stage in 0..10usize {
             let k: Vec<f32> = (0..d).map(|i| gen_val(0, 0, stage, i, 1)).collect();
             let v: Vec<f32> = (0..d).map(|i| gen_val(0, 0, stage, i, 2)).collect();
+            let (k, v) = (Box::new(k), Box::new(v));
             ctl.execute(AttInst::AppendKv { request: 0, head: 0, k, v }).unwrap();
             let q: Vec<f32> = (0..d).map(|i| gen_val(0, 0, stage, i, 3)).collect();
-            ctl.execute(AttInst::LoadQ { request: 0, head: 0, q }).unwrap();
+            ctl.execute(AttInst::LoadQ { request: 0, head: 0, q: Box::new(q) }).unwrap();
             ctl.execute(AttInst::RunAttention { request: 0, head: 0 }).unwrap();
             outs.push(
                 ctl.execute(AttInst::ReadOutput { request: 0, head: 0 })
