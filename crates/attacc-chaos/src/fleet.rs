@@ -402,8 +402,10 @@ mod tests {
             autoscaler: Some(AutoscalerConfig::queue_depth(0.01)),
             ..disagg_cfg()
         };
-        let spec = crate::fault::FaultSpec::crashes_only(0.4, 0.2).with_zones(2, 1.0, 0.3);
-        let faults = FaultSchedule::generate(4, 2.0, &spec, 9);
+        let spec = crate::fault::FaultSpec::crashes_only(0.4, 0.2);
+        let mut faults = FaultSchedule::generate(4, 2.0, &spec, 9);
+        // A zone outage: both decode nodes go down at the same instant.
+        faults.crash(2, 1.0, 0.3).crash(3, 1.0, 0.3);
         let cfg = FleetChaosConfig {
             recovery: RecoveryMode::KvMigrate,
             degrade: DegradePolicy::full(24.0),

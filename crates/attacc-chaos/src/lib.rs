@@ -2,25 +2,23 @@
 //! simulator.
 //!
 //! The paper's throughput and SLO conclusions assume a perfectly reliable
-//! fleet. This crate stress-tests them: a seeded [`FaultSchedule`]
-//! (crashes with repair times, straggler windows, interconnect
-//! degradation) is lowered into first-class events on the queue of
-//! `attacc-cluster`'s one serving loop, a [`ResiliencePolicy`] decides
-//! what the front door does about it (timeouts + retries with backoff and
-//! seeded jitter, hedged duplicates, EWMA health-aware routing,
-//! re-prefill vs. KV-migration recovery), and [`simulate_chaos`] /
-//! [`simulate_fleet_chaos`] report what survived — availability, lost and
-//! recomputed tokens, and goodput under failure. The loop and the
-//! policies it reads live in `attacc-cluster`; this crate keeps fault
-//! generation, data integrity and the two reports.
+//! fleet. This crate stress-tests them: a seeded [`FaultSchedule`] of
+//! node crashes with repair times is lowered into first-class events on
+//! the queue of `attacc-cluster`'s one serving loop, a
+//! [`ResiliencePolicy`] decides what the front door does about it
+//! (timeouts + retries with backoff and seeded jitter, hedged duplicates,
+//! EWMA health-aware routing, re-prefill vs. KV-migration recovery), and
+//! [`simulate_chaos`] / [`simulate_fleet_chaos`] report what survived —
+//! availability, lost and recomputed tokens, and goodput under failure.
+//! The loop and the policies it reads live in `attacc-cluster`; this
+//! crate keeps crash generation, data integrity and the two reports.
 //!
 //! Two contracts hold by construction and are pinned by tests:
 //!
 //! 1. **Zero-fault equivalence.** With an empty schedule and
 //!    [`ResiliencePolicy::off`], the run is *bit-exact* with
-//!    [`attacc_cluster::simulate_cluster`]: it is the same loop, its fault
-//!    paths are never entered, and a link factor of `1.0` multiplies by
-//!    exactly `1.0`.
+//!    [`attacc_cluster::simulate_cluster`]: it is the same loop and its
+//!    fault paths are never entered.
 //! 2. **Seeded determinism.** Faults, jitter, and session placement all
 //!    draw from SplitMix64 streams — no wall clock, no hash-map
 //!    iteration — so the same inputs give byte-identical reports at any

@@ -5,8 +5,7 @@
 //! ([`attacc_cluster::ServingLoop::cluster`]) with the fault transitions
 //! pre-loaded. Under a zero-fault schedule and [`ResiliencePolicy::off`]
 //! every fault and policy path is inert — an all-up cluster routes
-//! exactly as `simulate_cluster`, a link factor of `1.0` multiplies
-//! delays by exactly `1.0`, and no timers exist — so the zero-fault
+//! exactly as `simulate_cluster` and no timers exist — so the zero-fault
 //! equivalence contract (pinned in `tests/cluster_equivalence.rs`) is
 //! bit-exact rather than merely close.
 
@@ -293,19 +292,21 @@ mod tests {
     }
 
     #[test]
-    fn straggler_and_link_windows_stretch_the_run() {
+    fn a_crash_inside_another_keeps_the_node_down_for_the_longer_one() {
         let w = workload();
-        let cfg = ChaosConfig::inert(ClusterConfig {
-            policy: RouterPolicy::RoundRobin,
-            interconnect: attacc_cluster::InterconnectModel::ethernet_400g(),
-            ..cluster_cfg(RouterPolicy::RoundRobin)
-        });
-        let clean = simulate_chaos(&[&Toy, &Toy], &w, &cfg, &FaultSchedule::none());
-        let mut faults = FaultSchedule::none();
-        faults.straggle(0, 0.0, 10.0, 8.0).degrade_link(0.0, 10.0, 50.0);
-        let hit = simulate_chaos(&[&Toy, &Toy], &w, &cfg, &faults);
-        assert_eq!(hit.unique_completed, 40);
-        assert!(hit.cluster.makespan_s > clean.cluster.makespan_s);
-        assert!(hit.cluster.ttft.p99_s > clean.cluster.ttft.p99_s);
+        let cfg = ChaosConfig::inert(cluster_cfg(RouterPolicy::JoinShortestQueue));
+        let mut outer = FaultSchedule::none();
+        outer.crash(0, 0.05, 0.5);
+        let mut nested = outer.clone();
+        nested.crash(0, 0.1, 0.05);
+        let one = simulate_chaos(&[&Toy, &Toy], &w, &cfg, &outer);
+        let two = simulate_chaos(&[&Toy, &Toy], &w, &cfg, &nested);
+        // The inner repair at 0.15 s must not end the outage that runs to
+        // 0.55 s: node 0 is down exactly as long as under the outer crash
+        // alone, and one more crash never makes the fleet more available.
+        assert_eq!(two.crashes, 2);
+        assert_eq!(two.node_downtime_s, one.node_downtime_s);
+        assert!(two.availability <= one.availability);
+        assert_eq!(two.unique_completed, 40);
     }
 }

@@ -11,10 +11,10 @@
 //! no hash iteration, no thread interleaving — which is what makes the
 //! whole simulator replayable.
 //!
-//! The fault-transition kinds (`NodeDown`, `NodeUp`, `Slowdown`,
-//! `LinkFactor`) enter the queue only when a run pre-loads a fault
-//! schedule, and a `Timer` only when a policy arms one; a fault-free run
-//! never emits them, so they cannot perturb it.
+//! The fault-transition kinds (`NodeDown`, `NodeUp`) enter the queue
+//! only when a run pre-loads a crash schedule, and a `Timer` only when a
+//! policy arms one; a fault-free run never emits them, so they cannot
+//! perturb it.
 
 use attacc_model::Request;
 use std::cmp::{Ordering, Reverse};
@@ -34,22 +34,6 @@ pub enum EventKind {
     NodeUp {
         /// The recovering node.
         node: usize,
-    },
-    /// A node's execution slows down by a multiplicative factor
-    /// (straggler start at `factor > 1`, end at `factor = 1`; fault runs
-    /// only).
-    Slowdown {
-        /// The straggling node.
-        node: usize,
-        /// Multiplier applied to every stage latency from now on.
-        factor: f64,
-    },
-    /// The front-door interconnect degrades: every transfer delay is
-    /// multiplied by `factor` (degradation start at `factor > 1`, end at
-    /// `factor = 1`; fault runs only).
-    LinkFactor {
-        /// Multiplier applied to every interconnect transfer from now on.
-        factor: f64,
     },
     /// A request reaches the front door and must be routed.
     Arrival {
@@ -105,13 +89,11 @@ impl EventKind {
         match self {
             EventKind::NodeDown { .. } => 0,
             EventKind::NodeUp { .. } => 1,
-            EventKind::Slowdown { .. } => 2,
-            EventKind::LinkFactor { .. } => 3,
-            EventKind::Arrival { .. } => 4,
-            EventKind::Deliver { .. } => 5,
-            EventKind::Timer { .. } => 6,
-            EventKind::NodeReady { .. } => 7,
-            EventKind::ScaleTick => 8,
+            EventKind::Arrival { .. } => 2,
+            EventKind::Deliver { .. } => 3,
+            EventKind::Timer { .. } => 4,
+            EventKind::NodeReady { .. } => 5,
+            EventKind::ScaleTick => 6,
         }
     }
 }
@@ -288,8 +270,6 @@ mod tests {
         q.push(1.0, EventKind::Timer { id: 0, attempt: 1, hedge: false });
         q.push(1.0, EventKind::NodeUp { node: 0 });
         q.push(1.0, EventKind::NodeDown { node: 0 });
-        q.push(1.0, EventKind::LinkFactor { factor: 2.0 });
-        q.push(1.0, EventKind::Slowdown { node: 0, factor: 4.0 });
         let ranks: Vec<u16> = std::iter::from_fn(|| q.pop())
             .map(|e| e.kind.rank())
             .collect();
@@ -297,7 +277,8 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(ranks, sorted, "fault events must precede work events");
         assert_eq!(ranks[0], 0, "NodeDown first");
-        assert_eq!(*ranks.last().unwrap(), 7, "NodeReady last");
+        assert_eq!(ranks[1], 1, "NodeUp next");
+        assert_eq!(*ranks.last().unwrap(), 5, "NodeReady last");
     }
 
     #[test]

@@ -37,15 +37,17 @@ impl RecoveryMode {
     }
 }
 
+/// Weight of the newest sample in each node's EWMA of per-token round
+/// latency, the degraded-node signal (1 would keep the latest sample
+/// only).
+pub(crate) const HEALTH_EWMA_WEIGHT: f64 = 0.3;
+
 /// EWMA-based node-health signal configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthConfig {
     /// Whether routing masks out down and degraded nodes at all. Off
     /// means the front door is failure-blind (the pessimistic baseline).
     pub enabled: bool,
-    /// EWMA smoothing factor in `(0, 1]` applied to each node's
-    /// per-token round latency (1 = latest sample only).
-    pub ewma_alpha: f64,
     /// A node is degraded (and masked out) when its EWMA per-token
     /// latency exceeds this multiple of the healthiest up node's.
     pub degraded_factor: f64,
@@ -55,14 +57,14 @@ impl HealthConfig {
     /// Failure-blind routing.
     #[must_use]
     pub fn off() -> HealthConfig {
-        HealthConfig { enabled: false, ewma_alpha: 0.3, degraded_factor: f64::INFINITY }
+        HealthConfig { enabled: false, degraded_factor: f64::INFINITY }
     }
 
-    /// Health-aware routing: 0.3 smoothing, nodes 3× slower than the
-    /// best are excluded.
+    /// Health-aware routing: nodes whose smoothed per-token latency is
+    /// over 3× the best up node's are excluded.
     #[must_use]
     pub fn aware() -> HealthConfig {
-        HealthConfig { enabled: true, ewma_alpha: 0.3, degraded_factor: 3.0 }
+        HealthConfig { enabled: true, degraded_factor: 3.0 }
     }
 }
 

@@ -32,7 +32,7 @@ pub enum RouterPolicy {
     },
     /// Throughput-normalized least load for heterogeneous pools: argmin
     /// of `(backlog + 1) / weight` where `weight` is the node's relative
-    /// decode throughput (see [`Router::route_weighted`]). With unit
+    /// decode throughput (see [`Router::route_by`]). With unit
     /// weights this ranks nodes exactly like
     /// [`RouterPolicy::JoinShortestQueue`]; with a mixed fleet it sends a
     /// 2×-faster node 2× the queue before considering it equally loaded.
@@ -135,58 +135,31 @@ impl Router {
         self.route_by(id, loads, |_| true, &[])
     }
 
-    /// Picks a destination for request `id` among the nodes whose
-    /// `eligible` flag is `true` (health-aware routing: the serving loop
-    /// masks out cold, down and degraded nodes). With an all-`true` mask
-    /// this is exactly [`Router::route`].
+    /// Picks a destination for request `id` among the nodes `i` with
+    /// `eligible(i)`, given per-node relative throughput `weights`
+    /// (empty = all weigh 1.0). The serving loop masks out cold, down and
+    /// degraded nodes; the predicate is asked during the scan, so JSQ,
+    /// least-KV and weighted least-load route in one pass. With an
+    /// always-`true` predicate and no weights this is exactly
+    /// [`Router::route`].
     ///
     /// Eligible-set semantics per policy:
     /// - pass-through: lowest eligible index;
     /// - round-robin: next eligible node at or after the cursor;
     /// - JSQ / least-KV: argmin over eligible nodes, low index on ties;
+    /// - weighted least-load: argmin of `(backlog + 1) / weight` over
+    ///   eligible nodes, low index on ties; the only policy that reads
+    ///   `weights`, so passing them through a homogeneous pool is
+    ///   byte-identical to not passing them;
     /// - session-affinity: the home node is the `splitmix64(id) % k`-th
     ///   *eligible* node in ascending index order (`k` = eligible count),
     ///   so a session remaps deterministically — and returns home — as
     ///   the healthy set shrinks and regrows.
     ///
     /// # Panics
-    /// Panics if `loads` is empty, `eligible.len() != loads.len()`, or no
-    /// node is eligible.
-    pub fn route_among(&mut self, id: u64, loads: &[NodeLoad], eligible: &[bool]) -> RouteDecision {
-        self.route_weighted(id, loads, eligible, &[])
-    }
-
-    /// [`Router::route_among`] with per-node relative throughput
-    /// `weights` (empty = all nodes weigh 1.0). Only
-    /// [`RouterPolicy::WeightedLeastLoad`] consults the weights; every
-    /// other policy routes exactly as [`Router::route_among`], so passing
-    /// weights through a homogeneous pool is byte-identical to not
-    /// passing them.
-    ///
-    /// # Panics
-    /// Panics if `loads` is empty, `eligible.len() != loads.len()`,
-    /// `weights` is neither empty nor `loads.len()` long, or no node is
-    /// eligible.
-    pub fn route_weighted(
-        &mut self,
-        id: u64,
-        loads: &[NodeLoad],
-        eligible: &[bool],
-        weights: &[f64],
-    ) -> RouteDecision {
-        assert_eq!(eligible.len(), loads.len(), "one eligibility flag per node");
-        self.route_by(id, loads, |i| eligible[i], weights)
-    }
-
-    /// [`Router::route_weighted`] with eligibility given as a predicate on
-    /// the node index, so the serving loop decides it while the router
-    /// scans instead of filling a mask first: JSQ, least-KV and weighted
-    /// least-load route in one pass over the nodes.
-    ///
-    /// # Panics
     /// Panics if `loads` is empty, `weights` is neither empty nor
     /// `loads.len()` long, or no node is eligible.
-    pub(crate) fn route_by(
+    pub fn route_by(
         &mut self,
         id: u64,
         loads: &[NodeLoad],
@@ -315,14 +288,15 @@ mod tests {
     fn route_among_skips_ineligible_nodes() {
         let view = loads(&[0, 0, 0, 0]);
         let mask = [true, false, true, false];
+        let up = |i: usize| mask[i];
         let mut rr = Router::new(RouterPolicy::RoundRobin);
-        let picks: Vec<usize> = (0..4).map(|i| rr.route_among(i, &view, &mask).node).collect();
+        let picks: Vec<usize> = (0..4).map(|i| rr.route_by(i, &view, up, &[]).node).collect();
         assert_eq!(picks, vec![0, 2, 0, 2], "round-robin cycles eligible nodes only");
         let mut jsq = Router::new(RouterPolicy::JoinShortestQueue);
         let hot = loads(&[5, 0, 3, 0]);
-        assert_eq!(jsq.route_among(0, &hot, &mask).node, 2, "node 1 is down despite backlog 0");
+        assert_eq!(jsq.route_by(0, &hot, up, &[]).node, 2, "node 1 is down despite backlog 0");
         let mut pt = Router::new(RouterPolicy::PassThrough);
-        assert_eq!(pt.route_among(0, &view, &[false, true, true, true]).node, 1);
+        assert_eq!(pt.route_by(0, &view, |i| i > 0, &[]).node, 1);
     }
 
     #[test]
@@ -337,11 +311,10 @@ mod tests {
             let mut a = Router::new(policy);
             let mut b = Router::new(policy);
             let view = loads(&[3, 1, 2, 0, 2]);
-            let all = [true; 5];
             for id in 0..64 {
                 assert_eq!(
                     a.route(id, &view),
-                    b.route_among(id, &view, &all),
+                    b.route_by(id, &view, |_| true, &[]),
                     "policy {} id {id}",
                     policy.name()
                 );
@@ -353,17 +326,14 @@ mod tests {
     fn affinity_remaps_deterministically_when_healthy_set_shrinks() {
         let mut r = Router::new(RouterPolicy::SessionAffinity { spill_backlog: 100 });
         let view = loads(&[0, 0, 0, 0]);
-        let full = [true; 4];
-        let home = r.route_among(7, &view, &full).node;
+        let home = r.route(7, &view).node;
         // Take the home node down: the session lands on an eligible node,
         // the same one every time.
-        let mut mask = full;
-        mask[home] = false;
-        let remapped = r.route_among(7, &view, &mask).node;
+        let remapped = r.route_by(7, &view, |i| i != home, &[]).node;
         assert_ne!(remapped, home);
-        assert_eq!(r.route_among(7, &view, &mask).node, remapped);
+        assert_eq!(r.route_by(7, &view, |i| i != home, &[]).node, remapped);
         // Healthy again: the session returns to its original home.
-        assert_eq!(r.route_among(7, &view, &full).node, home);
+        assert_eq!(r.route(7, &view).node, home);
     }
 
     #[test]
@@ -371,11 +341,10 @@ mod tests {
         let mut wll = Router::new(RouterPolicy::WeightedLeastLoad);
         let mut jsq = Router::new(RouterPolicy::JoinShortestQueue);
         let view = loads(&[3, 1, 2, 1, 0, 4]);
-        let all = [true; 6];
         for id in 0..32 {
             assert_eq!(
-                wll.route_weighted(id, &view, &all, &[]),
-                jsq.route_among(id, &view, &all),
+                wll.route(id, &view),
+                jsq.route(id, &view),
                 "unit-weight WLL must rank exactly like JSQ"
             );
         }
@@ -387,25 +356,24 @@ mod tests {
         // Node 1 is 4× faster: a 2-deep queue there normalizes below
         // node 0's empty queue, and a 3-deep queue exactly ties it
         // (ties break toward the lower index).
-        let all = [true, true];
         let w = [1.0, 4.0];
         let view = vec![
             NodeLoad { backlog: 0, kv_tokens: 0 },
             NodeLoad { backlog: 2, kv_tokens: 0 },
         ];
-        assert_eq!(r.route_weighted(0, &view, &all, &w).node, 1, "(2+1)/4 < (0+1)/1");
+        assert_eq!(r.route_by(0, &view, |_| true, &w).node, 1, "(2+1)/4 < (0+1)/1");
         let tied = vec![
             NodeLoad { backlog: 0, kv_tokens: 0 },
             NodeLoad { backlog: 3, kv_tokens: 0 },
         ];
-        assert_eq!(r.route_weighted(1, &tied, &all, &w).node, 0, "exact tie breaks low");
+        assert_eq!(r.route_by(1, &tied, |_| true, &w).node, 0, "exact tie breaks low");
     }
 
     #[test]
     fn weighted_least_load_respects_eligibility() {
         let mut r = Router::new(RouterPolicy::WeightedLeastLoad);
         let view = loads(&[0, 5]);
-        assert_eq!(r.route_weighted(0, &view, &[false, true], &[10.0, 0.1]).node, 1);
+        assert_eq!(r.route_by(0, &view, |i| i == 1, &[10.0, 0.1]).node, 1);
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! own [`Router`], over a shared [`InterconnectModel`], advancing a
 //! virtual clock through a deterministic [`EventQueue`]. It handles every
 //! [`EventKind`]: traffic (arrivals, deliveries, node wake-ups), the
-//! autoscaler's ticks, fault transitions (crashes, repairs, stragglers,
-//! link degradation) and timers (retries, hedges, storm-guard
-//! re-dispatches). The policies it obeys are plain data — a
-//! [`ResiliencePolicy`] and a [`DegradePolicy`] — read directly.
+//! autoscaler's ticks, fault transitions (crashes and repairs) and
+//! timers (retries, hedges, storm-guard re-dispatches). The policies it
+//! obeys are plain data — a [`ResiliencePolicy`] and a
+//! [`DegradePolicy`] — read directly.
 //!
 //! Five entry points wrap it: [`simulate_cluster`] here,
 //! [`crate::simulate_fleet`] and [`crate::simulate_fleet_mix`] in the
@@ -22,16 +22,17 @@
 //! at any thread count and with a cold or warm timing cache.
 //!
 //! Every fault and policy path is exactly inert when unused: routing
-//! skips the up-mask while every node is up, a link factor of `1.0`
-//! multiplies delays by exactly `1.0`, and no timer exists unless a
-//! policy arms one. That is what pins a fault-free run of every shape to
-//! the same floats (`tests/cluster_equivalence.rs`).
+//! skips the up-mask while every node is up, and no timer exists unless
+//! a policy arms one. That is what pins a fault-free run of every shape
+//! to the same floats (`tests/cluster_equivalence.rs`).
 //!
 //! [`Router`]: crate::Router
 
 use crate::event::{EventKind, EventQueue};
 use crate::interconnect::InterconnectModel;
-use crate::policy::{BrownoutConfig, DegradePolicy, HealthConfig, RecoveryMode, ResiliencePolicy};
+use crate::policy::{
+    BrownoutConfig, DegradePolicy, HealthConfig, RecoveryMode, ResiliencePolicy, HEALTH_EWMA_WEIGHT,
+};
 use crate::pools::{FleetConfig, FleetMix, FleetReport, Pool, PoolConfig, PoolMix};
 use crate::report::{ClusterReport, SloSpec};
 use crate::router::{splitmix64, NodeLoad, RouterPolicy};
@@ -299,7 +300,10 @@ pub struct ServingLoop<'a> {
     up: Vec<bool>,
     /// Nodes currently down; routing skips the up-mask while it is zero.
     n_down: usize,
-    link_factor: f64,
+    /// Unrepaired crashes per node. A node is up exactly while its count
+    /// is zero, so a crash nested in another keeps it down until both
+    /// are repaired.
+    outages: Vec<u32>,
     /// EWMA of per-token round latency per node, the degraded-node
     /// signal; empty unless health routing excludes degraded nodes.
     ewma: Vec<Option<f64>>,
@@ -366,8 +370,7 @@ impl<'a> ServingLoop<'a> {
     ) -> ServingLoop<'a> {
         // Crash-aware routing is health routing that never deems an up
         // node degraded.
-        let health =
-            HealthConfig { enabled: true, ewma_alpha: 0.3, degraded_factor: f64::INFINITY };
+        let health = HealthConfig { enabled: true, degraded_factor: f64::INFINITY };
         let resilience = ResiliencePolicy { retry: RetryPolicy::off(), health, recovery };
         ServingLoop::new(prefill_nodes, decode_nodes, mix, cfg, resilience, degrade)
     }
@@ -430,7 +433,7 @@ impl<'a> ServingLoop<'a> {
             first_route_s: vec![None; n],
             up: vec![true; n],
             n_down: 0,
-            link_factor: 1.0,
+            outages: vec![0; n],
             ewma: if health.enabled && health.degraded_factor.is_finite() {
                 vec![None; n]
             } else {
@@ -455,9 +458,9 @@ impl<'a> ServingLoop<'a> {
     }
 
     /// The event queue, for pre-loading fault transitions (`NodeDown`,
-    /// `NodeUp`, `Slowdown`, `LinkFactor`) before [`ServingLoop::run`];
-    /// the loop pushes every other kind itself. Their lower event ranks
-    /// order them before traffic at the same instant.
+    /// `NodeUp`) before [`ServingLoop::run`]; the loop pushes every other
+    /// kind itself. Their lower event ranks order them before traffic at
+    /// the same instant.
     pub fn queue(&mut self) -> &mut EventQueue {
         &mut self.q
     }
@@ -515,8 +518,6 @@ impl<'a> ServingLoop<'a> {
                 EventKind::ScaleTick => self.on_scale_tick(now),
                 EventKind::NodeDown { node } => self.on_node_down(now, node),
                 EventKind::NodeUp { node } => self.on_node_up(now, node),
-                EventKind::Slowdown { node, factor } => self.engines[node].set_slowdown(factor),
-                EventKind::LinkFactor { factor } => self.link_factor = factor,
                 EventKind::Timer { id, attempt, hedge } => self.on_timer(now, id, attempt, hedge),
             }
         }
@@ -615,7 +616,7 @@ impl<'a> ServingLoop<'a> {
             if warm || migrated {
                 d += ic.migrate_kv_s(request.l_in);
             }
-            d * self.link_factor
+            d
         };
         self.in_flight[node] += 1;
         self.in_flight_tokens[node] += request.final_len();
@@ -633,7 +634,7 @@ impl<'a> ServingLoop<'a> {
         self.in_flight_tokens[node] += request.final_len();
         self.refresh_load(node);
         let ic = &self.fleet.interconnect;
-        let at = t + ic.migrate_kv_s(request.l_in) * self.link_factor;
+        let at = t + ic.migrate_kv_s(request.l_in);
         let arrival_s = arrival_s.unwrap_or(at);
         self.q.push(at, EventKind::Deliver { node, arrival_s, request, warm: true });
         request.l_in * ic.kv_bytes_per_token
@@ -760,9 +761,9 @@ impl<'a> ServingLoop<'a> {
             self.makespan = self.makespan.max(out.end_s);
             if !self.ewma.is_empty() && out.tokens > 0 {
                 let sample = (out.end_s - t) / out.tokens as f64;
-                let alpha = self.resilience.health.ewma_alpha;
-                self.ewma[node] =
-                    Some(self.ewma[node].map_or(sample, |e| alpha * sample + (1.0 - alpha) * e));
+                self.ewma[node] = Some(self.ewma[node].map_or(sample, |e| {
+                    HEALTH_EWMA_WEIGHT * sample + (1.0 - HEALTH_EWMA_WEIGHT) * e
+                }));
             }
             t = out.end_s;
             if self.track {
@@ -822,6 +823,7 @@ impl<'a> ServingLoop<'a> {
 
     fn on_node_down(&mut self, now: f64, node: usize) {
         self.c.crashes += 1;
+        self.outages[node] += 1;
         if self.up[node] {
             self.up[node] = false;
             self.n_down += 1;
@@ -889,7 +891,10 @@ impl<'a> ServingLoop<'a> {
     }
 
     fn on_node_up(&mut self, now: f64, node: usize) {
-        if self.up[node] {
+        self.outages[node] = self.outages[node].saturating_sub(1);
+        // The node stays down while another of its crashes is unrepaired;
+        // a repair that finds it up changes nothing.
+        if self.up[node] || self.outages[node] > 0 {
             return;
         }
         self.up[node] = true;

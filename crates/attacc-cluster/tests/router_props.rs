@@ -1,8 +1,7 @@
 //! Property tests for health-masked routing.
 //!
-//! The chaos layer routes every request through
-//! [`Router::route_among`] with an eligibility mask that excludes down
-//! and degraded nodes. Whatever the policy, the mask, or the loads, the
+//! The serving loop routes every request through [`Router::route_by`]
+//! with an eligibility predicate that excludes down and degraded nodes. Whatever the policy, the mask, or the loads, the
 //! router must never select an excluded node — a single violation would
 //! dispatch work to a crashed node — and session placement must remap
 //! deterministically (and return home) as the healthy set shrinks and
@@ -58,16 +57,15 @@ proptest! {
             // A request *stream* (not one arrival) so the round-robin
             // cursor walks through masked regions of the ring.
             for &id in &ids {
-                let d = masked.route_among(id, &loads, &eligible);
+                let d = masked.route_by(id, &loads, |i| eligible[i], &[]);
                 prop_assert!(
                     eligible[d.node],
                     "{} routed request {} to excluded node {} (mask {:?})",
                     policy.name(), id, d.node, eligible
                 );
-                let all = vec![true; n];
                 let free = unmasked.route(id, &loads);
-                let free_masked = unmasked.route_among(id, &loads, &all);
-                // Alternating route/route_among on one router: the
+                let free_masked = unmasked.route_by(id, &loads, |_| true, &[]);
+                // Alternating route/route_by on one router: the
                 // all-true mask is the identity, including cursor motion.
                 prop_assert_eq!(free.node < n && free_masked.node < n, true);
             }
@@ -85,7 +83,8 @@ proptest! {
     ) {
         let loads = to_loads(&backlogs[..n]);
         let eligible = to_mask(n, mask_bits, id as usize);
-        let d = Router::new(RouterPolicy::JoinShortestQueue).route_among(id, &loads, &eligible);
+        let d = Router::new(RouterPolicy::JoinShortestQueue)
+            .route_by(id, &loads, |i| eligible[i], &[]);
         let best = (0..n)
             .filter(|&i| eligible[i])
             .min_by_key(|&i| (loads[i].backlog, i))
@@ -107,18 +106,18 @@ proptest! {
         let policy = RouterPolicy::SessionAffinity { spill_backlog: 64 };
         let loads = to_loads(&backlogs[..n]);
         let full = vec![true; n];
-        let home = Router::new(policy).route_among(id, &loads, &full).node;
+        let home = Router::new(policy).route_by(id, &loads, |i| full[i], &[]).node;
 
         let mut shrunk = full.clone();
         shrunk[home] = false;
-        let a = Router::new(policy).route_among(id, &loads, &shrunk).node;
-        let b = Router::new(policy).route_among(id, &loads, &shrunk).node;
+        let a = Router::new(policy).route_by(id, &loads, |i| shrunk[i], &[]).node;
+        let b = Router::new(policy).route_by(id, &loads, |i| shrunk[i], &[]).node;
         prop_assert_eq!(a, b);
         prop_assert!(shrunk[a], "remapped home must be eligible");
         prop_assert!(a != home, "remap must leave the down node");
 
         // Healthy set regrows: the session returns to its original home.
-        let back = Router::new(policy).route_among(id, &loads, &full).node;
+        let back = Router::new(policy).route_by(id, &loads, |i| full[i], &[]).node;
         prop_assert_eq!(back, home);
     }
 }

@@ -42,8 +42,6 @@ pub use dataset::{
     RATE_FEATURE,
 };
 pub use fleet::{simulate_cell, CellResult, FleetSpec, TrafficSpec, CELL_MAX_BATCH};
-pub use search::{
-    enumerate_specs, exhaustive_search, run_search, SearchConfig, SearchOutcome, VerifiedPick,
-};
+pub use search::{enumerate_specs, run_search, SearchConfig, SearchOutcome, VerifiedPick};
 pub use surrogate::{Gbt, GbtParams};
 pub use variant::NodeVariant;

@@ -281,35 +281,6 @@ pub fn run_search(
     }
 }
 
-/// Exhaustively simulates every spec and returns the cheapest feasible
-/// one with its grid index (ties break by index) — the ground truth the
-/// pruned search is validated against.
-#[must_use]
-pub fn exhaustive_search(
-    model: &ModelConfig,
-    specs: &[FleetSpec],
-    traffic: &TrafficSpec,
-    slo: SloSpec,
-    book: &CostBook,
-) -> Option<(usize, CellResult)> {
-    let mut builder = DatasetBuilder::new(model.clone(), slo, book.clone());
-    for s in specs {
-        builder.cell(*s, *traffic);
-    }
-    let data = builder.build();
-    data.results
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| r.feasible)
-        .min_by(|(ia, a), (ib, b)| {
-            a.cost
-                .usd_per_mtok
-                .total_cmp(&b.cost.usd_per_mtok)
-                .then(ia.cmp(ib))
-        })
-        .map(|(i, r)| (i, r.clone()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,13 +12,11 @@
 //!
 //! For fault runs the engine additionally supports failure semantics:
 //! [`NodeEngine::crash`] evicts all queued and active work (KV state is
-//! lost; the displaced requests return to the front door),
-//! [`NodeEngine::set_slowdown`] applies a straggler's multiplicative
-//! latency factor, and [`NodeEngine::deliver_warm`] admits a request
-//! whose KV image was shipped in so it skips its Sum stage. All three are
-//! float-neutral when unused: a slowdown factor of `1.0` multiplies
-//! latencies by exactly `1.0` (an IEEE identity), and crashes never occur
-//! in a fault-free run.
+//! lost; the displaced requests return to the front door), and
+//! [`NodeEngine::deliver_warm`] admits a request whose KV image was
+//! shipped in so it skips its Sum stage. Both are inert when unused:
+//! crashes never occur in a fault-free run, and only crash recovery and
+//! prefill hand-offs deliver warm.
 
 use crate::scheduler::{SchedulerConfig, StageExecutor};
 use attacc_model::{Request, RequestState, SequenceStatus};
@@ -200,9 +198,6 @@ pub struct NodeEngine<'a> {
     /// `final_len` of everything queued or active — the committed-KV
     /// figure the router's `LeastKvBytes` policy balances on.
     pledged_tokens: u64,
-    /// Straggler latency multiplier (1.0 = healthy). Applied to every
-    /// stage latency; exactly neutral at 1.0.
-    slowdown: f64,
     metrics: NodeMetrics,
     /// Time-weighted integral of reserved tokens (token·seconds).
     kv_area: f64,
@@ -277,7 +272,6 @@ impl<'a> NodeEngine<'a> {
             active: Vec::new(),
             reserved_tokens: 0,
             pledged_tokens: 0,
-            slowdown: 1.0,
             metrics: NodeMetrics {
                 energy_j: 0.0,
                 tokens: 0,
@@ -373,20 +367,6 @@ impl<'a> NodeEngine<'a> {
     #[must_use]
     pub fn pledged_tokens(&self) -> u64 {
         self.pledged_tokens
-    }
-
-    /// Sets the straggler latency multiplier (1.0 restores full speed).
-    /// Takes effect from the next round; a factor of exactly 1.0 is
-    /// float-neutral.
-    ///
-    /// # Panics
-    /// Panics if `factor` is not finite and positive.
-    pub fn set_slowdown(&mut self, factor: f64) {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "slowdown factor must be finite and positive, got {factor}"
-        );
-        self.slowdown = factor;
     }
 
     /// Everything this node has measured so far.
@@ -527,7 +507,7 @@ impl<'a> NodeEngine<'a> {
         if !admitted.is_empty() {
             for &(c, l_in) in &admitted {
                 let cost = self.executor.sum_stage(c, l_in);
-                now += cost.latency_s * self.slowdown;
+                now += cost.latency_s;
                 self.metrics.energy_j += cost.energy_j;
             }
             for (arrival, s) in
@@ -575,10 +555,9 @@ impl<'a> NodeEngine<'a> {
         let gen_ran = !self.groups.is_empty();
         if gen_ran {
             let cost = self.executor.gen_stage(&self.groups);
-            let latency = cost.latency_s * self.slowdown;
-            now += latency;
+            now += cost.latency_s;
             self.metrics.energy_j += cost.energy_j;
-            self.metrics.tbt.push(latency);
+            self.metrics.tbt.push(cost.latency_s);
         }
 
         if gen_ran && self.min_remaining > 1 {
@@ -751,20 +730,6 @@ mod tests {
     }
 
     #[test]
-    fn slowdown_scales_round_latency() {
-        let mut fast = NodeEngine::new(&Toy, SchedulerConfig::unlimited(4));
-        let mut slow = NodeEngine::new(&Toy, SchedulerConfig::unlimited(4));
-        slow.set_slowdown(3.0);
-        fast.deliver(0.0, Request::new(0, 16, 4));
-        slow.deliver(0.0, Request::new(0, 16, 4));
-        let f = fast.run_round(0.0);
-        let s = slow.run_round(0.0);
-        assert!((s.end_s - 3.0 * f.end_s).abs() < 1e-12, "3x straggler takes 3x the round");
-        // Energy is unchanged — stragglers are slow, not hungry.
-        assert_eq!(fast.metrics().energy_j, slow.metrics().energy_j);
-    }
-
-    #[test]
     fn warm_delivery_skips_sum_stage() {
         let mut node = NodeEngine::new(&Toy, SchedulerConfig::unlimited(4));
         // 20 tokens of context already computed elsewhere, 3 to go.
@@ -783,13 +748,6 @@ mod tests {
         assert_eq!(node.metrics().tokens, 3);
         assert_eq!(node.metrics().completed, 1);
         assert_eq!(node.retired_log(), [(7, t)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "slowdown factor")]
-    fn non_finite_slowdown_rejected() {
-        let mut node = NodeEngine::new(&Toy, SchedulerConfig::unlimited(1));
-        node.set_slowdown(f64::INFINITY);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property tests pinning the fleet-chaos contracts.
 //!
-//! Over random fault schedules (crash / straggler / link / correlated
-//! zone processes), pool bounds, degradation policies and recovery
-//! modes, every fleet-chaos run must honor:
+//! Over random crash schedules (per-node crash processes, plus a block
+//! of contiguous nodes crashing at one instant, as a zone outage does),
+//! pool bounds, degradation policies and recovery modes, every
+//! fleet-chaos run must honor:
 //!
 //! 1. **Bounds**: applied scale actions stay inside `[min, max]` and
 //!    move exactly one node at a time — faults never push a pool out of
@@ -81,6 +82,8 @@ proptest! {
         mtbf_s in 0.05f64..5.0,
         mttr_s in 0.01f64..0.5,
         zones_pick in 0usize..3,
+        zone_draw in 0usize..3,
+        zone_at_s in 0.0f64..2.0,
         scaled_pick in 0usize..2,
     ) {
         let decode = PoolConfig::elastic(d_min, d_min, d_min + d_max_extra);
@@ -104,21 +107,18 @@ proptest! {
 
         let p_max = prefill.map_or(0, |p| p.max_nodes);
         let n = p_max + decode.max_nodes;
-        let mut spec = FaultSpec {
-            mtbf_s,
-            mttr_s,
-            straggler_mtbf_s: 2.0 * mtbf_s,
-            straggler_duration_s: mttr_s,
-            straggler_factor: 3.0,
-            link_mtbf_s: 4.0 * mtbf_s,
-            link_duration_s: mttr_s,
-            link_factor: 2.0,
-            ..FaultSpec::crashes_only(mtbf_s, mttr_s)
-        };
+        let spec = FaultSpec::crashes_only(mtbf_s, mttr_s);
+        let mut faults = FaultSchedule::generate(n, 2.0, &spec, fault_seed);
         if zones_pick > 0 {
-            spec = spec.with_zones(zones_pick + 1, 4.0 * mtbf_s, mttr_s);
+            // A zone outage: one of `zones_pick + 1` contiguous blocks of
+            // global nodes goes down at a single instant, possibly inside
+            // a member's own crash window.
+            let zones = (zones_pick + 1).min(n);
+            let z = zone_draw % zones;
+            for node in (z * n / zones)..((z + 1) * n / zones) {
+                faults.crash(node, zone_at_s, mttr_s);
+            }
         }
-        let faults = FaultSchedule::generate(n, 2.0, &spec, fault_seed);
 
         let toys: Vec<Toy> = (0..n).map(|_| Toy).collect();
         let refs: Vec<&dyn StageExecutor> = toys.iter().map(|t| t as &dyn StageExecutor).collect();

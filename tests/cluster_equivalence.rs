@@ -651,7 +651,7 @@ proptest::proptest! {
         let toys: Vec<Toy> = (0..n_nodes).map(|_| Toy).collect();
         let nodes: Vec<&dyn StageExecutor> = toys.iter().map(|t| t as &dyn StageExecutor).collect();
 
-        let health = HealthConfig { enabled: true, ewma_alpha: 0.3, degraded_factor: f64::INFINITY };
+        let health = HealthConfig { enabled: true, degraded_factor: f64::INFINITY };
         let cfg = ChaosConfig {
             cluster,
             policy: ResiliencePolicy { health, ..ResiliencePolicy::off() },

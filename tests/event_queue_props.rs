@@ -25,13 +25,11 @@ fn rank(kind: &EventKind) -> u16 {
     match kind {
         EventKind::NodeDown { .. } => 0,
         EventKind::NodeUp { .. } => 1,
-        EventKind::Slowdown { .. } => 2,
-        EventKind::LinkFactor { .. } => 3,
-        EventKind::Arrival { .. } => 4,
-        EventKind::Deliver { .. } => 5,
-        EventKind::Timer { .. } => 6,
-        EventKind::NodeReady { .. } => 7,
-        EventKind::ScaleTick => 8,
+        EventKind::Arrival { .. } => 2,
+        EventKind::Deliver { .. } => 3,
+        EventKind::Timer { .. } => 4,
+        EventKind::NodeReady { .. } => 5,
+        EventKind::ScaleTick => 6,
     }
 }
 
@@ -71,27 +69,25 @@ impl Rng {
     }
 }
 
-/// One of the nine event kinds, chosen by `pick` (covers every rank,
+/// One of the seven event kinds, chosen by `pick` (covers every rank,
 /// including the payload-carrying arrival/delivery kinds).
 fn kind_of(pick: u64) -> EventKind {
-    match pick % 9 {
+    match pick % 7 {
         0 => EventKind::NodeDown { node: (pick / 8 % 5) as usize },
         1 => EventKind::NodeUp { node: (pick / 8 % 5) as usize },
-        2 => EventKind::Slowdown { node: (pick / 8 % 5) as usize, factor: 2.0 },
-        3 => EventKind::LinkFactor { factor: 1.5 },
-        4 => EventKind::Arrival { request: Request::new(pick, 64, 8) },
-        5 => EventKind::Deliver {
+        2 => EventKind::Arrival { request: Request::new(pick, 64, 8) },
+        3 => EventKind::Deliver {
             node: (pick / 8 % 5) as usize,
             arrival_s: 0.0,
             request: Request::new(pick, 64, 8),
             warm: pick % 16 >= 8,
         },
-        6 => EventKind::Timer {
+        4 => EventKind::Timer {
             id: pick / 8,
             attempt: (pick % 3) as u32,
             hedge: pick.is_multiple_of(2),
         },
-        7 => EventKind::NodeReady { node: (pick / 8 % 5) as usize },
+        5 => EventKind::NodeReady { node: (pick / 8 % 5) as usize },
         _ => EventKind::ScaleTick,
     }
 }

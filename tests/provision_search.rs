@@ -6,7 +6,7 @@
 //! re-simulation next to the surrogate's own reported error.
 
 use attacc::provision::{
-    exhaustive_search, simulate_cell, CostBook, SearchOutcome, TrafficSpec,
+    simulate_cell, CellResult, CostBook, DatasetBuilder, FleetSpec, SearchOutcome, TrafficSpec,
 };
 use attacc_bench::{provision_specs, provision_traffic, PROVISION_USERS};
 use attacc_cluster::SloSpec;
@@ -26,6 +26,31 @@ fn golden_outcome() -> SearchOutcome {
 
 fn golden_traffic() -> TrafficSpec {
     provision_traffic(PROVISION_USERS)
+}
+
+/// The ground truth the pruned search is validated against: exactly
+/// simulates every spec and returns the cheapest feasible one with its
+/// grid index (ties break by index).
+fn exhaustive_search(
+    model: &ModelConfig,
+    specs: &[FleetSpec],
+    traffic: &TrafficSpec,
+    slo: SloSpec,
+    book: &CostBook,
+) -> Option<(usize, CellResult)> {
+    let mut builder = DatasetBuilder::new(model.clone(), slo, book.clone());
+    for s in specs {
+        builder.cell(*s, *traffic);
+    }
+    builder
+        .build()
+        .results
+        .into_iter()
+        .enumerate()
+        .filter(|(_, r)| r.feasible)
+        .min_by(|(ia, a), (ib, b)| {
+            a.cost.usd_per_mtok.total_cmp(&b.cost.usd_per_mtok).then(ia.cmp(ib))
+        })
 }
 
 #[test]
