@@ -3,8 +3,8 @@
 //! `attacc-bench <experiment> [flags]` looks the experiment up in the
 //! binary's name → [`Driver`] table and runs it. [`parse_args`] reads
 //! the flags: `--serial` forces single-threaded sweeps, `--quiet`
-//! suppresses the stats footer, `--budget <BENCH_*.json>` enforces a
-//! wall-time budget, `--json` (for `all` only) dumps JSON, and
+//! suppresses the stats footer, `--budget BENCH_integrity.json` enforces
+//! a wall-time budget, `--json` (for `all` only) dumps JSON, and
 //! `--users N` (for `provision` only) sets the session count. A bad
 //! command line is an error, never a silent default. A [`Driver::Tables`]
 //! driver runs through [`run`] as a named phase on the sweep engine and
@@ -15,13 +15,14 @@
 //!
 //! # Budget mode
 //!
-//! `--budget BENCH_cluster.json` compares this run's per-phase wall
+//! `--budget BENCH_integrity.json` compares this run's per-phase wall
 //! times against the `phase_wall_s` entries recorded in the blessed
 //! baseline file and exits non-zero when any phase runs more than
 //! [`BUDGET_HEADROOM`] over its baseline (or a baselined phase did not
-//! run at all). CI runs each `*_sim` experiment and `provision` this
-//! way so a performance regression fails the build instead of rotting
-//! silently.
+//! run at all). CI runs `integrity_sim` this way because no benchmark
+//! workload times its HBM stream engine work; every other experiment's
+//! work is timed by a benchmark workload, which `scripts/bench-ab.sh`
+//! gates in CI against `BENCHMARK.json`'s bounds.
 
 use attacc_sim::engine::{self, TimingCache};
 use attacc_sim::Table;

@@ -10,7 +10,8 @@ use attacc_sim::Table;
 use std::process::ExitCode;
 
 /// Every experiment, by name. A `Tables` driver is timed as a wall-time
-/// phase of the same name, the key of its `BENCH_*.json` budget.
+/// phase of the same name, the key `--budget` looks up in
+/// `BENCH_integrity.json`.
 const EXPERIMENTS: &[Experiment] = &[
     ("table1", Tables(|_| vec![table1()])),
     ("fig02", Tables(|_| vec![fig02()])),
@@ -133,26 +134,24 @@ fn model_card() {
 
 /// Wall-time instrumentation for the simulation hot path.
 ///
-/// Times the per-call cost of each component the cluster/chaos event
-/// loops lean on — Gen-stage timing resolution (the cached rows-keyed
-/// path, and the full op-graph walk of `gen_stage_detail_uncached` that
-/// a cache hit saves), the fused PIM attention model, and the
-/// binary-heap event queue — and of the simulator's core kernels
+/// Times the per-call cost of the cached Gen- and Sum-stage timing
+/// paths, the single-node scheduler and the simulator's core kernels
 /// below them, so a wall-clock regression can be localized to a
-/// component without an external profiler. Numbers are
-/// machine-dependent and printed for inspection only; the enforced
-/// regression gate is the harness `--budget` mode.
+/// component without an external profiler. The benchmark's per-layer
+/// probes time the op-graph walk, PIM attention, the scheduling round
+/// and the event queue. Numbers are machine-dependent and printed for
+/// inspection only; the enforced regression gate is
+/// `scripts/bench-ab.sh` in CI, against `BENCHMARK.json`'s bounds.
 mod hotpath {
-    use attacc_cluster::{EventKind, EventQueue};
     use attacc_hbm::engine::{simulate_stream, stream_time_estimate_ps};
     use attacc_hbm::{AddressMap, HbmConfig, Interleave, StackGeometry, StreamSpec};
-    use attacc_model::{ModelConfig, Request};
+    use attacc_model::ModelConfig;
     use attacc_pim::accumulator::Accumulator;
     use attacc_pim::mapping::hierarchical_gemv;
     use attacc_pim::numeric::Matrix;
     use attacc_pim::{
-        AttAccController, AttAccDevice, AttInst, GemvMode, GemvPlacement, GemvUnit, LevelSpec,
-        MappingPolicy, Partitioning, Precision, SoftmaxUnit,
+        AttAccController, AttInst, GemvMode, GemvUnit, LevelSpec, MappingPolicy, Partitioning,
+        Precision, SoftmaxUnit,
     };
     use attacc_serving::{
         simulate, simulate_open_loop, ArrivalWorkload, SchedulerConfig, StageExecutor, Workload,
@@ -174,7 +173,6 @@ mod hotpath {
     pub fn run() {
         let model = ModelConfig::gpt3_175b();
         let exec = SystemExecutor::new(System::dgx_attacc_full(), &model);
-        let dev = AttAccDevice::paper_40_stacks(GemvPlacement::Bank);
 
         // Steady-state decode: rows constant, contexts advancing one token a
         // round — every call resolves through one GenParts probe plus the
@@ -185,49 +183,9 @@ mod hotpath {
             exec.gen_stage(&[(8, 512 + (i % 512))])
         });
 
-        // The same shapes through the uncached op-graph walk: the cost the
-        // rows-keyed cache entry saves on every call after the first.
-        time("gen_stage_detail_uncached (op-graph walk)", 2_000, |i| {
-            exec.gen_stage_detail_uncached(&[(8, 512 + (i % 512))])
-        });
-
-        // The fused PIM attention model alone (runs inside every cached
-        // combine).
-        time("attention_decoder_time (one group)", 100_000, |i| {
-            dev.attention_decoder_time(&model, &[(8, 512 + (i % 512))], true)
-        });
-
         // Sum-stage probe on a warm cache (prefill admissions).
         TimingCache::global().clear();
         time("sum_stage warm probe", 100_000, |i| exec.sum_stage(1 + (i % 4), 512));
-
-        // A full scheduling round in steady-state decode: 16 active
-        // sequences, no admissions, contexts advancing one token per call —
-        // the NodeReady handler's dominant work item.
-        TimingCache::global().clear();
-        let mut node = attacc_cluster::NodeEngine::new(&exec, SchedulerConfig::unlimited(16));
-        for i in 0..16u64 {
-            node.deliver(0.0, Request::new(i, 256 + i, 1 << 40));
-        }
-        let mut t = node.run_round(0.0).end_s;
-        time("node run_round (16-way steady decode)", 100_000, |_| {
-            let out = node.run_round(t);
-            t = out.end_s;
-            t
-        });
-
-        // Event-queue churn: a standing population with one pop + one push
-        // per step, time strictly advancing — the cluster loop's access
-        // pattern.
-        let mut q = EventQueue::new();
-        for i in 0..1024u64 {
-            q.push(1e-3 * i as f64, EventKind::NodeReady { node: 0 });
-        }
-        time("event queue pop+push (standing population)", 1_000_000, |i| {
-            let ev = q.pop().expect("queue never drains");
-            q.push(ev.time_s + 1e-3 * ((i % 7) as f64 + 1.0), EventKind::NodeReady { node: 0 });
-            ev.time_s
-        });
 
         // The DRAM command engine streaming 4 MiB: event-driven, and the
         // closed form that stands in for it.

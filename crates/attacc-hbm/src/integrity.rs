@@ -1,15 +1,10 @@
-//! Data-plane integrity: seeded bit-fault injection and on-die SEC-DED
-//! ECC (HBM3-style).
+//! Data-plane integrity: raw bit errors under on-die SEC-DED ECC
+//! (HBM3-style).
 //!
 //! AttAcc consumes cell reads *inside* the stack, so a flipped bit never
 //! crosses a link-level CRC — it flows straight into a MAC lane. This
-//! module supplies the two device-level halves of the integrity story:
+//! module supplies the device-level half of the integrity story:
 //!
-//! * [`BitFaultModel`] — a seeded raw-bit-error process over read words.
-//!   Same determinism contract as the chaos layer: every draw comes from
-//!   a SplitMix64 counter stream keyed by `(seed, word index)`, no wall
-//!   clock, no hash-map iteration, so a given `(seed, index)` always
-//!   yields the same flips at any thread count.
 //! * [`EccConfig`] — an on-die SEC-DED code (the HBM3 default is the
 //!   (136, 128) code: 128 data bits + 8 check bits). It classifies a
 //!   word's flip count into [`EccOutcome`]s, inflates streamed bytes by
@@ -17,14 +12,13 @@
 //!   charges the timing cost of moving check bits, and derives a
 //!   protected [`EnergyModel`] via
 //!   [`EnergyModel::with_ecc`](crate::energy::EnergyModel::with_ecc).
-//!
-//! The closed-form [`word_error_probs`] gives the exact binomial
-//! probability of each outcome per word, and
-//! [`WordErrorProbs::over_words`] lifts it to a many-word read (e.g. all
-//! KV words behind one generated token). The serving-layer sweeps use
-//! these analytic rates so that vanishingly rare events (an SDC under
-//! ECC) still produce exact, strictly ordered figures instead of sampled
-//! zeros.
+//! * [`word_error_probs`] — the exact binomial probability of each
+//!   outcome per word at a raw bit error rate, and
+//!   [`WordErrorProbs::over_words`], which lifts it to a many-word read
+//!   (e.g. all KV words behind one generated token). The serving-layer
+//!   sweeps use these analytic rates, not sampled flips, so that
+//!   vanishingly rare events (an SDC under ECC) still produce exact,
+//!   strictly ordered figures instead of sampled zeros.
 
 use crate::energy::EnergyModel;
 use crate::engine::StreamSpec;
@@ -40,136 +34,6 @@ pub fn splitmix64(mut x: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// A counter-mode uniform stream over `splitmix64`.
-#[derive(Debug, Clone, Copy)]
-struct Stream {
-    state: u64,
-    counter: u64,
-}
-
-impl Stream {
-    fn new(seed: u64) -> Stream {
-        Stream { state: seed, counter: 0 }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let v = splitmix64(self.state ^ self.counter.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        self.counter += 1;
-        v
-    }
-
-    /// Uniform in `[0, 1)` with 53 random bits (the chaos-layer idiom).
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
-    }
-}
-
-/// Whether a fault site produces fresh flips on every read or the same
-/// flips on every read of the same word.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FaultKind {
-    /// Soft errors: independent draws per *read*. Callers pass a
-    /// monotonically increasing read sequence number as the word index.
-    Transient,
-    /// Hard faults: a pure function of the *cell address*. Re-reading the
-    /// same word reproduces the same flips.
-    StuckAt,
-}
-
-/// A seeded raw-bit-error process over read words.
-///
-/// `ber` is the probability that any single stored bit is read inverted.
-/// Flip counts per word follow the exact binomial distribution (drawn by
-/// CDF inversion from one uniform), and flip positions are drawn without
-/// replacement — all from the `(seed, index)` stream, so the model is a
-/// pure function of its inputs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BitFaultModel {
-    /// Raw bit error rate (probability per stored bit per read).
-    pub ber: f64,
-    /// Stream seed.
-    pub seed: u64,
-    /// Transient (per-read) vs stuck-at (per-cell) semantics.
-    pub kind: FaultKind,
-}
-
-impl BitFaultModel {
-    /// No faults at all — the inert model.
-    #[must_use]
-    pub fn none() -> BitFaultModel {
-        BitFaultModel { ber: 0.0, seed: 0, kind: FaultKind::Transient }
-    }
-
-    /// A transient (soft-error) model.
-    #[must_use]
-    pub fn transient(ber: f64, seed: u64) -> BitFaultModel {
-        BitFaultModel { ber, seed, kind: FaultKind::Transient }
-    }
-
-    /// A stuck-at (hard-fault) model.
-    #[must_use]
-    pub fn stuck_at(ber: f64, seed: u64) -> BitFaultModel {
-        BitFaultModel { ber, seed, kind: FaultKind::StuckAt }
-    }
-
-    fn stream(&self, index: u64) -> Stream {
-        // Distinct kinds get distinct streams so switching semantics also
-        // reseeds (a stuck-at map is not a replay of the transient one).
-        let tag = match self.kind {
-            FaultKind::Transient => 0x54u64 << 56,
-            FaultKind::StuckAt => 0x53u64 << 56,
-        };
-        Stream::new(splitmix64(self.seed ^ tag ^ index))
-    }
-
-    /// Number of flipped bits when reading word `index` of `word_bits`
-    /// bits: an exact binomial draw via CDF inversion.
-    #[must_use]
-    pub fn flip_count(&self, index: u64, word_bits: u32) -> u32 {
-        if self.ber <= 0.0 || word_bits == 0 {
-            return 0;
-        }
-        if self.ber >= 1.0 {
-            return word_bits;
-        }
-        let u = self.stream(index).next_f64();
-        let n = f64::from(word_bits);
-        let p = self.ber;
-        // Walk the binomial CDF: pmf(0) = (1-p)^n, then the usual ratio
-        // recurrence. Tiny p makes pmf(0) ≈ 1, so this loop almost always
-        // stops at k = 0.
-        let mut pmf = (1.0 - p).powf(n);
-        let mut cdf = pmf;
-        let mut k = 0u32;
-        while u >= cdf && k < word_bits {
-            pmf *= (n - f64::from(k)) / f64::from(k + 1) * (p / (1.0 - p));
-            cdf += pmf;
-            k += 1;
-            if pmf == 0.0 {
-                break;
-            }
-        }
-        k
-    }
-
-    /// The flipped bit positions (distinct, in draw order) for word
-    /// `index`. Length equals [`BitFaultModel::flip_count`].
-    #[must_use]
-    pub fn flip_positions(&self, index: u64, word_bits: u32) -> Vec<u32> {
-        let count = self.flip_count(index, word_bits);
-        let mut s = self.stream(index);
-        s.next_f64(); // burn the flip-count draw to decorrelate positions
-        let mut out: Vec<u32> = Vec::with_capacity(count as usize);
-        while out.len() < count as usize {
-            let bit = (s.next_u64() % u64::from(word_bits)) as u32;
-            if !out.contains(&bit) {
-                out.push(bit);
-            }
-        }
-        out
-    }
 }
 
 /// What the on-die decoder concluded about one word read.
@@ -384,101 +248,11 @@ pub fn word_error_probs(ber: f64, data_bits: u32, ecc: Option<&EccConfig>) -> Wo
     probs
 }
 
-/// Running outcome counts for a stream of decoded words.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IntegrityCounters {
-    /// Words read.
-    pub words: u64,
-    /// Raw bits flipped before decoding.
-    pub flipped_bits: u64,
-    /// Words corrected in-line.
-    pub corrected: u64,
-    /// Detected-uncorrectable words.
-    pub detected: u64,
-    /// Silently corrupted words.
-    pub silent: u64,
-}
-
-impl IntegrityCounters {
-    /// Records one decoded word.
-    pub fn record(&mut self, flips: u32, outcome: EccOutcome) {
-        self.words += 1;
-        self.flipped_bits += u64::from(flips);
-        match outcome {
-            EccOutcome::Clean => {}
-            EccOutcome::Corrected => self.corrected += 1,
-            EccOutcome::Detected => self.detected += 1,
-            EccOutcome::Silent => self.silent += 1,
-        }
-    }
-
-    /// Component-wise accumulation.
-    pub fn absorb(&mut self, other: &IntegrityCounters) {
-        self.words += other.words;
-        self.flipped_bits += other.flipped_bits;
-        self.corrected += other.corrected;
-        self.detected += other.detected;
-        self.silent += other.silent;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::simulate_stream;
     use crate::HbmConfig;
-
-    #[test]
-    fn zero_ber_never_flips() {
-        let m = BitFaultModel::none();
-        for i in 0..1000 {
-            assert_eq!(m.flip_count(i, 136), 0);
-            assert!(m.flip_positions(i, 136).is_empty());
-        }
-    }
-
-    #[test]
-    fn flips_are_deterministic_per_seed_and_index() {
-        let a = BitFaultModel::transient(1e-3, 42);
-        let b = BitFaultModel::transient(1e-3, 42);
-        let c = BitFaultModel::transient(1e-3, 43);
-        let mut diverged = false;
-        for i in 0..5000 {
-            assert_eq!(a.flip_count(i, 136), b.flip_count(i, 136));
-            assert_eq!(a.flip_positions(i, 136), b.flip_positions(i, 136));
-            diverged |= a.flip_count(i, 136) != c.flip_count(i, 136);
-        }
-        assert!(diverged, "different seeds must give different flip maps");
-    }
-
-    #[test]
-    fn transient_and_stuck_at_streams_differ() {
-        let t = BitFaultModel::transient(0.5, 9);
-        let s = BitFaultModel::stuck_at(0.5, 9);
-        let differs = (0..64).any(|i| t.flip_count(i, 136) != s.flip_count(i, 136));
-        assert!(differs);
-    }
-
-    #[test]
-    fn flip_rate_tracks_ber() {
-        let m = BitFaultModel::transient(0.01, 7);
-        let total: u64 = (0..20_000).map(|i| u64::from(m.flip_count(i, 136))).sum();
-        let rate = total as f64 / (20_000.0 * 136.0);
-        assert!((rate - 0.01).abs() < 0.002, "observed rate {rate}");
-    }
-
-    #[test]
-    fn positions_are_distinct_and_in_range() {
-        let m = BitFaultModel::transient(0.05, 3);
-        for i in 0..2000 {
-            let pos = m.flip_positions(i, 136);
-            assert_eq!(pos.len() as u32, m.flip_count(i, 136));
-            for (a, &p) in pos.iter().enumerate() {
-                assert!(p < 136);
-                assert!(!pos[a + 1..].contains(&p), "duplicate bit {p}");
-            }
-        }
-    }
 
     #[test]
     fn sec_ded_classification() {
@@ -572,22 +346,5 @@ mod tests {
         assert!(prot.tsv_pj_per_bit > base.tsv_pj_per_bit);
         assert_eq!(prot.io_pj_per_bit, base.io_pj_per_bit);
         assert_eq!(prot.mac_pj_per_bit, base.mac_pj_per_bit);
-    }
-
-    #[test]
-    fn counters_record_and_absorb() {
-        let mut c = IntegrityCounters::default();
-        c.record(0, EccOutcome::Clean);
-        c.record(1, EccOutcome::Corrected);
-        c.record(2, EccOutcome::Detected);
-        c.record(3, EccOutcome::Silent);
-        let mut total = IntegrityCounters::default();
-        total.absorb(&c);
-        total.absorb(&c);
-        assert_eq!(total.words, 8);
-        assert_eq!(total.flipped_bits, 12);
-        assert_eq!(total.corrected, 2);
-        assert_eq!(total.detected, 2);
-        assert_eq!(total.silent, 2);
     }
 }

@@ -50,10 +50,7 @@ pub use command::{DramCommand, PimCommand};
 pub use energy::{AccessDepth, EnergyCounter, EnergyModel};
 pub use engine::{ChannelEngine, PimIssueOutcome, StreamOutcome, StreamSpec, TimingViolation};
 pub use geometry::{BankAddr, StackGeometry};
-pub use integrity::{
-    word_error_probs, BitFaultModel, EccConfig, EccOutcome, FaultKind, IntegrityCounters,
-    WordErrorProbs,
-};
+pub use integrity::{word_error_probs, EccConfig, EccOutcome, WordErrorProbs};
 pub use power::PowerConstraint;
 pub use stats::ChannelStats;
 pub use timing::TimingParams;

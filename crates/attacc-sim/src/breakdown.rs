@@ -38,24 +38,6 @@ impl EnergyBreakdown {
             + self.static_j
             + self.link_j
     }
-
-    /// The largest component's name (for reports).
-    #[must_use]
-    pub fn dominant(&self) -> &'static str {
-        let parts = [
-            (self.weights_j, "weights"),
-            (self.kv_j, "kv"),
-            (self.activations_j, "activations"),
-            (self.compute_j, "compute"),
-            (self.static_j, "static"),
-            (self.link_j, "link"),
-        ];
-        parts
-            .iter()
-            .max_by(|a, b| a.0.partial_cmp(&b.0).expect("finite energies"))
-            .expect("non-empty")
-            .1
-    }
 }
 
 /// Decomposes the energy of one Gen iteration over `(count, context)`

@@ -18,9 +18,9 @@
 # than the metric's BENCHMARK.json bound, and whether a gain is shown:
 # the change won at least nine tenths of the pairs (ties count for
 # neither side) and its median beats the parent's by more than the
-# parent's q1-q3 spread. Timing is reported, not gated: the script fails
-# only when a run exits non-zero, prints "correct": false or a non-zero
-# "failed".
+# parent's q1-q3 spread. It exits 1, naming each workload and metric at
+# fault, when a run exits non-zero, prints "correct": false or a
+# non-zero "failed", or a metric's median is worse than its bound.
 set -euo pipefail
 
 usage() {
@@ -111,7 +111,8 @@ for w in (w["name"] for w in spec["workloads"]):
         side[name] = [json.loads(line) for line in open(f"{runs}/{w}.{name}")]
         for i, r in enumerate(side[name]):
             if r["correct"] is not True or r["failed"] != 0:
-                bad.append(f"{w} {name} pair {i}: correct={r['correct']} failed={r['failed']}")
+                bad.append(f"{w} {name} pair {i}: incorrect or failed run: "
+                           f"correct={r['correct']} failed={r['failed']}")
     for m in spec["end_to_end"]:
         p = [r["metrics"][m["name"]]["value"] for r in side["parent"]]
         c = [r["metrics"][m["name"]]["value"] for r in side["change"]]
@@ -119,6 +120,9 @@ for w in (w["name"] for w in spec["workloads"]):
         wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
         ratio = quantile(c, 0.5) / quantile(p, 0.5) if quantile(p, 0.5) else float("nan")
         worse = sign * (ratio - 1) < -m["bound"]
+        if worse:
+            bad.append(f"{w} {m['name']}: median ratio {ratio:.4f} is worse than "
+                       f"its bound {m['bound']}")
         parent_spread = quantile(p, 0.75) - quantile(p, 0.25)
         gain = (10 * wins >= 9 * len(p)
                 and sign * (quantile(c, 0.5) - quantile(p, 0.5)) > parent_spread)
@@ -129,6 +133,6 @@ for w in (w["name"] for w in spec["workloads"]):
               f"change wins {wins}/{len(p)}  worse than bound: {'YES' if worse else 'no'}  "
               f"gain shown: {'yes' if gain else 'no'}")
 for b in bad:
-    print(f"bench-ab: incorrect or failed run: {b}", file=sys.stderr)
+    print(f"bench-ab: FAIL: {b}", file=sys.stderr)
 sys.exit(1 if bad else 0)
 EOF
