@@ -2,15 +2,17 @@
 //! chaos run's request outcomes.
 //!
 //! The HBM layer ([`attacc_hbm::integrity`]) models *word*-level error
-//! physics (BER, SEC-DED outcomes) and the PIM layer models dataflow
-//! repair (ABFT, guards). This module lifts both to *token* granularity:
-//! each generated token streams `words_per_token` protected words, and
-//! the per-word outcome probabilities compose analytically into a
-//! per-token fate — clean, corrected, detected, or silent. Sampled fates
+//! physics (BER, SEC-DED outcomes). This module lifts it to *token*
+//! granularity, where dataflow repair (ABFT, guards) enters as an
+//! assumption, not a model: [`Protection::EccAbftGuards`] counts every
+//! word SEC-DED leaves silent as detected. Each generated token streams
+//! `words_per_token` protected words, and the per-word outcome
+//! probabilities compose analytically into a per-token fate — clean,
+//! corrected, detected, or silent. Sampled fates
 //! then reshape the chaos run's per-request outcomes without re-running
 //! the event loop:
 //!
-//! * **silent** words that ABFT does not cover become *silent data
+//! * **silent** words, below the third rung, become *silent data
 //!   corruption* (SDC): the token is delivered wrong, and the whole
 //!   request stops counting toward goodput.
 //! * **detected** words (DUE) are recoverable: with a retry budget the
@@ -36,9 +38,10 @@ pub enum Protection {
     /// On-die SEC-DED only: single flips corrected, even multi-flips
     /// detected (DUE), odd ≥ 3 flips miscorrected into silent errors.
     EccOnly,
-    /// SEC-DED plus ABFT checksums and numeric guards: the dataflow
-    /// catches what ECC miscorrects, turning residual silent errors into
-    /// localized recomputes.
+    /// SEC-DED plus ABFT checksums and numeric guards, assumed to catch
+    /// everything ECC miscorrects: every residual silent error becomes a
+    /// localized recompute, so the rung's analytic SDC rate is 0 by
+    /// construction. No functional datapath checks that assumption.
     EccAbftGuards,
 }
 
@@ -68,8 +71,8 @@ impl Protection {
         }
     }
 
-    /// Whether the ABFT + guard layer is armed (it converts residual
-    /// silent errors into detected-and-recomputed ones).
+    /// Whether the ABFT + guard rung is armed: a flag under which every
+    /// residual silent error counts as detected and recomputed.
     #[must_use]
     pub fn abft(self) -> bool {
         matches!(self, Protection::EccAbftGuards)

@@ -8,7 +8,6 @@
 //! concatenated.
 
 use crate::gemv_unit::Precision;
-use crate::integrity::{flip_f32, FaultPlan};
 use crate::numeric::f16_round;
 
 /// A functional reduction/concatenation node of the accumulator tree.
@@ -48,31 +47,15 @@ impl Accumulator {
     /// Panics if the parts have different lengths.
     #[must_use]
     pub fn reduce(&self, parts: &[Vec<f32>]) -> Vec<f32> {
-        self.reduce_with_faults(parts, &FaultPlan::none())
-    }
-
-    /// [`Accumulator::reduce`] with an integrity-layer fault hook: each
-    /// partial-register read `parts[part][i]` consults `plan` for a
-    /// planned bit flip. With an empty plan the arithmetic is identical
-    /// to [`Accumulator::reduce`].
-    ///
-    /// # Panics
-    /// Panics if the parts have different lengths.
-    #[must_use]
-    pub fn reduce_with_faults(&self, parts: &[Vec<f32>], plan: &FaultPlan) -> Vec<f32> {
         let Some(first) = parts.first() else {
             return Vec::new();
         };
         let n = first.len();
         let mut out = vec![0.0f32; n];
-        for (part, p) in parts.iter().enumerate() {
+        for p in parts {
             assert_eq!(p.len(), n, "partial results must have equal length");
-            for (i, (o, v)) in out.iter_mut().zip(p).enumerate() {
-                let val = match plan.partial_flip(part, i) {
-                    Some(bit) => flip_f32(*v, bit),
-                    None => *v,
-                };
-                *o = self.rnd(*o + val);
+            for (o, v) in out.iter_mut().zip(p) {
+                *o = self.rnd(*o + *v);
             }
         }
         out

@@ -26,7 +26,8 @@ pub struct ConfigMemory {
     pub n_head: u32,
     /// Per-head dimension.
     pub d_head: usize,
-    /// Maximum context length a request may reach (sizes KV extents).
+    /// Tokens a head may receive over its life, evictions included: an
+    /// eviction frees no room for later appends. Sizes the KV extents.
     pub max_l: u64,
     /// Context length of each resident request.
     pub request_len: HashMap<u64, u64>,
@@ -41,6 +42,9 @@ struct HeadStore {
     values: Vec<Vec<f32>>,
     q: Option<Vec<f32>>,
     out: Option<Vec<f32>>,
+    /// Tokens appended or declared over the head's life; bounded by
+    /// [`ConfigMemory::max_l`].
+    received: u64,
 }
 
 /// The functional AttAcc controller.
@@ -154,7 +158,9 @@ impl AttAccController {
         Ok(())
     }
 
-    fn head_mut(&mut self, request: u64, head: u32) -> Result<&mut HeadStore, InstError> {
+    /// The config memory, once `request` is resident and `head` is one of
+    /// its heads.
+    fn check_head(&self, request: u64, head: u32) -> Result<&ConfigMemory, InstError> {
         let cfg = self.cfg()?;
         if !cfg.request_len.contains_key(&request) {
             return Err(InstError::UnknownRequest(request));
@@ -162,7 +168,31 @@ impl AttAccController {
         if head >= cfg.n_head {
             return Err(InstError::UnknownHead(head));
         }
+        Ok(cfg)
+    }
+
+    fn head_mut(&mut self, request: u64, head: u32) -> Result<&mut HeadStore, InstError> {
+        self.check_head(request, head)?;
         Ok(self.heads.entry((request, head)).or_default())
+    }
+
+    /// The head's store, counting `tokens` more as received. A head that
+    /// would pass [`ConfigMemory::max_l`] is refused before anything
+    /// changes.
+    fn receive(
+        &mut self,
+        request: u64,
+        head: u32,
+        tokens: u64,
+    ) -> Result<&mut HeadStore, InstError> {
+        let max_l = self.check_head(request, head)?.max_l;
+        let received = self.heads.get(&(request, head)).map_or(0, |h| h.received);
+        if tokens > max_l - received {
+            return Err(InstError::CapacityExceeded);
+        }
+        let store = self.heads.entry((request, head)).or_default();
+        store.received += tokens;
+        Ok(store)
     }
 
     /// Executes one instruction. `ReadOutput` returns the context vector;
@@ -173,13 +203,18 @@ impl AttAccController {
     pub fn execute(&mut self, inst: AttInst) -> Result<Option<Vec<f32>>, InstError> {
         match inst {
             AttInst::SetModel { n_head, d_head, max_l } => {
+                if d_head == 0 || max_l == 0 {
+                    return Err(InstError::InvalidModel);
+                }
+                let kv_bytes_per_vector =
+                    (d_head as u64).checked_mul(2).ok_or(InstError::InvalidModel)?;
                 self.config = Some(ConfigMemory {
                     n_head,
                     d_head,
                     max_l,
                     request_len: HashMap::new(),
                 });
-                self.kv_bytes_per_vector = d_head as u64 * 2;
+                self.kv_bytes_per_vector = kv_bytes_per_vector;
                 let n_stacks = self.allocator.n_stacks();
                 self.stores = (0..n_stacks)
                     .map(|_| KvStore::new(self.geom.clone(), d_head as u64, 2, max_l))
@@ -207,6 +242,9 @@ impl AttAccController {
                     }
                     self.allocator.release(request);
                 } else {
+                    if cfg.request_len.contains_key(&request) {
+                        return Err(InstError::AlreadyResident(request));
+                    }
                     if self.allocator.total_load() >= self.kv_capacity_bytes {
                         return Err(InstError::CapacityExceeded);
                     }
@@ -249,7 +287,7 @@ impl AttAccController {
                         Precision::Fp16 => vec.into_iter().map(f16_round).collect(),
                     }
                 };
-                let store = self.head_mut(request, head)?;
+                let store = self.receive(request, head, 1)?;
                 store.keys.push(rounded(*k));
                 store.values.push(rounded(*v));
                 // Mirror the append into the physical KV extents.
@@ -278,7 +316,7 @@ impl AttAccController {
             }
             AttInst::DeclareKv { request, head, tokens } => {
                 let d_head = self.cfg()?.d_head;
-                let store = self.head_mut(request, head)?;
+                let store = self.receive(request, head, tokens)?;
                 for _ in 0..tokens {
                     store.keys.push(vec![0.0; d_head]);
                     store.values.push(vec![0.0; d_head]);
@@ -405,9 +443,9 @@ impl AttAccController {
                 kt.set(r, j, val);
             }
         }
-        // GEMV_score with the 1/√d scale folded in. The scale is applied
-        // in f64 exactly as `ProtectedAttention::scores` does, so the
-        // controller path is bit-identical to the integrity path.
+        // GEMV_score with the 1/√d scale folded in, applied in f64 and
+        // cast to f32 once per score, so on a flat mapping the controller
+        // is bit-identical to calling the units one after another.
         let mut scores = hierarchical_gemv(&gemv, &accum, &score_policy, &q, &kt);
         let scale = 1.0 / (d_head as f64).sqrt();
         for s in &mut scores {

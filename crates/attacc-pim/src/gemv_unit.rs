@@ -9,7 +9,6 @@
 //! The paper maps `Kᵀ` row-wise and `V` column-wise at this level to keep
 //! appended KV vectors load-balanced (§4.2).
 
-use crate::integrity::FaultPlan;
 use crate::numeric::{f16_round, Matrix};
 
 /// Numeric behaviour of the functional datapath.
@@ -74,86 +73,32 @@ impl GemvUnit {
     /// Computes `y[n] = Σ_k x[k] · m[k][n]` through the lane datapath in
     /// the given `mode`. Both modes produce the same mathematical result;
     /// in `Fp16` precision the rounding points differ slightly, exactly as
-    /// they would in hardware.
+    /// they would in hardware. Columns accumulate in `f64` and are written
+    /// back as `f32` once.
     ///
     /// # Panics
     /// Panics if `x.len() != m.rows()`.
     #[must_use]
     pub fn gemv(&self, mode: GemvMode, x: &[f32], m: &Matrix) -> Vec<f32> {
-        self.gemv_with_faults(mode, x, m, &FaultPlan::none())
-    }
-
-    /// [`GemvUnit::gemv`] with an integrity-layer fault hook: cell reads,
-    /// input-register reads and product registers consult `plan` and flip
-    /// the planned bits. With an empty plan the arithmetic is *identical*
-    /// to the unhooked path — the lookups return `None` and every operand
-    /// flows through unchanged, which is what keeps the faults-disabled
-    /// contract bit-exact.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != m.rows()`.
-    #[must_use]
-    pub fn gemv_with_faults(
-        &self,
-        mode: GemvMode,
-        x: &[f32],
-        m: &Matrix,
-        plan: &FaultPlan,
-    ) -> Vec<f32> {
-        self.gemv_with_faults_wide(mode, x, m, plan)
-            .into_iter()
-            .map(|v| v as f32)
-            .collect()
-    }
-
-    /// [`GemvUnit::gemv_with_faults`] exposing the accumulator-width
-    /// (pre-writeback-quantization) column values. The ABFT checker reads
-    /// these: checking before the output quantizer keeps the fault-free
-    /// residual at f64 noise level instead of f32 rounding level, which is
-    /// what lets the checksum tolerance sit tight enough to catch
-    /// single-bit product flips.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != m.rows()`.
-    #[must_use]
-    pub fn gemv_with_faults_wide(
-        &self,
-        mode: GemvMode,
-        x: &[f32],
-        m: &Matrix,
-        plan: &FaultPlan,
-    ) -> Vec<f64> {
         assert_eq!(x.len(), m.rows(), "input length must equal matrix rows");
-        match mode {
-            GemvMode::AdderTree => self.gemv_tree(x, m, plan),
-            GemvMode::Accumulator => self.gemv_acc(x, m, plan),
-        }
+        let out = match mode {
+            GemvMode::AdderTree => self.gemv_tree(x, m),
+            GemvMode::Accumulator => self.gemv_acc(x, m),
+        };
+        out.into_iter().map(|v| v as f32).collect()
     }
 
-    /// One fused multiply step with fault hooks on all three registers:
-    /// the stored f16 cell, the f32 input register, and the rounded
-    /// product.
-    fn product(&self, x: &[f32], m: &Matrix, r: usize, j: usize, plan: &FaultPlan) -> f64 {
-        let xv = match plan.input_flip(r) {
-            Some(bit) => crate::integrity::flip_f32(x[r], bit),
-            None => x[r],
-        };
-        let mv = match plan.cell_flip(r, j) {
-            Some(bit) => crate::integrity::flip_f16_cell(m.get(r, j), bit),
-            None => m.get(r, j),
-        };
-        let mut prod = self.rnd(f64::from(xv) * f64::from(mv));
-        if let Some(bit) = plan.product_flip(r, j) {
-            prod = f64::from(crate::integrity::flip_f32(prod as f32, bit));
-        }
-        prod
+    /// One multiply step: the stored cell times the input register,
+    /// rounded to the datapath precision.
+    fn product(&self, x: &[f32], m: &Matrix, r: usize, j: usize) -> f64 {
+        self.rnd(f64::from(x[r]) * f64::from(m.get(r, j)))
     }
 
     /// Row-partitioned: each lane owns a contiguous slab of reduction rows;
     /// per output element the lane partials are combined by a binary adder
     /// tree.
     #[allow(clippy::needless_range_loop)] // dual-operand indexing reads clearest
-    fn gemv_tree(&self, x: &[f32], m: &Matrix, plan: &FaultPlan) -> Vec<f64> {
+    fn gemv_tree(&self, x: &[f32], m: &Matrix) -> Vec<f64> {
         let k = m.rows();
         let n = m.cols();
         let lanes = self.lanes.min(k.max(1));
@@ -167,7 +112,7 @@ impl GemvUnit {
                 let rows = base + usize::from(lane < extra);
                 let mut acc = 0.0f64;
                 for r in r0..r0 + rows {
-                    let prod = self.product(x, m, r, j, plan);
+                    let prod = self.product(x, m, r, j);
                     acc = self.rnd(acc + prod);
                 }
                 partials.push(acc);
@@ -193,7 +138,7 @@ impl GemvUnit {
     /// Column-partitioned: each lane owns whole output columns and
     /// accumulates over the full reduction dimension.
     #[allow(clippy::needless_range_loop)] // dual-operand indexing reads clearest
-    fn gemv_acc(&self, x: &[f32], m: &Matrix, plan: &FaultPlan) -> Vec<f64> {
+    fn gemv_acc(&self, x: &[f32], m: &Matrix) -> Vec<f64> {
         let k = m.rows();
         let n = m.cols();
         let mut out = vec![0.0f64; n];
@@ -203,7 +148,7 @@ impl GemvUnit {
         for (j, out_j) in out.iter_mut().enumerate() {
             let mut acc = 0.0f64;
             for r in 0..k {
-                let prod = self.product(x, m, r, j, plan);
+                let prod = self.product(x, m, r, j);
                 acc = self.rnd(acc + prod);
             }
             *out_j = acc;

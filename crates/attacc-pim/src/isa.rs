@@ -486,8 +486,14 @@ pub enum InstError {
     MissingQ,
     /// `ReadOutput` before `RunAttention`.
     NoOutput,
-    /// Admitting the request would exceed device KV capacity.
+    /// Admitting the request would exceed device KV capacity, or a head
+    /// would receive more than `max_l` tokens over its life.
     CapacityExceeded,
+    /// `SetModel` with a zero `d_head` or `max_l`, or a `d_head` whose
+    /// KV vector size in bytes overflows `u64`.
+    InvalidModel,
+    /// Admission of a request that is already resident.
+    AlreadyResident(u64),
     /// `MapPage`/`UnmapPage` before `ConfigPages`.
     PagingNotConfigured,
     /// `UnmapPage` of a page that is not mapped.
@@ -531,6 +537,10 @@ impl fmt::Display for InstError {
             InstError::MissingQ => write!(f, "attention launched before the Q vector was loaded"),
             InstError::NoOutput => write!(f, "no attention output available to read"),
             InstError::CapacityExceeded => write!(f, "device KV capacity exceeded"),
+            InstError::InvalidModel => {
+                write!(f, "SetModel needs a non-zero max_l and a non-zero, addressable d_head")
+            }
+            InstError::AlreadyResident(r) => write!(f, "request {r} is already resident"),
             InstError::PagingNotConfigured => {
                 write!(f, "page instruction before ConfigPages")
             }
@@ -567,6 +577,8 @@ mod tests {
             InstError::MissingQ,
             InstError::NoOutput,
             InstError::CapacityExceeded,
+            InstError::InvalidModel,
+            InstError::AlreadyResident(2),
             InstError::PagingNotConfigured,
             InstError::PageNotMapped(7),
             InstError::EmptyKv.at_index(12),

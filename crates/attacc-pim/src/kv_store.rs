@@ -118,9 +118,9 @@ impl KvStore {
             }
             return Ok(start);
         }
-        if self.next_beat + beats > self.capacity_beats() {
+        if beats > self.capacity_beats() - self.next_beat {
             return Err(KvStoreFull {
-                requested: beats * self.geom.prefetch_bytes,
+                requested: beats.saturating_mul(self.geom.prefetch_bytes),
                 available: self.available_beats() * self.geom.prefetch_bytes,
             });
         }
@@ -135,7 +135,8 @@ impl KvStore {
     /// Returns [`KvStoreFull`] if either extent cannot be reserved; no
     /// partial reservation survives.
     pub fn open_head(&mut self, head: HeadId) -> Result<(), KvStoreFull> {
-        let beats = self.beats_per_token * self.extent_tokens;
+        // A product past `u64` saturates, and no stack holds that many.
+        let beats = self.beats_per_token.saturating_mul(self.extent_tokens);
         let k_start = self.reserve(beats)?;
         match self.reserve(beats) {
             Ok(v_start) => {
@@ -160,8 +161,8 @@ impl KvStore {
     /// beats it occupies.
     ///
     /// # Panics
-    /// Panics if the head was not opened or its extent is exhausted
-    /// (requests never exceed their provisioned length by construction).
+    /// Panics if the head was not opened or its extent is exhausted. The
+    /// controller rejects an append past `max_l` before it gets here.
     pub fn append(&mut self, head: HeadId, half: KvHalf) -> Vec<PhysicalAddr> {
         let bpt = self.beats_per_token;
         let ext = self

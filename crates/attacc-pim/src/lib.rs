@@ -5,8 +5,10 @@
 //! * **Functional**: GEMV units (16 FP16 multiply lanes with adder-tree and
 //!   accumulator modes), the 3-stage softmax unit, hierarchical
 //!   accumulators, and the §4.2 data-mapping policies, all executing on
-//!   real numbers. Property tests prove the partitioned dataflow is
-//!   numerically equivalent to a reference attention implementation.
+//!   real numbers. Like §5.1 the datapath has no fault model: each unit
+//!   operation has one entry point. Property tests prove the partitioned
+//!   dataflow is numerically equivalent to a reference attention
+//!   implementation.
 //! * **Timing/energy**: the design-space points AttAcc_buffer / AttAcc_BG /
 //!   AttAcc_bank with their power-constrained internal bandwidths, the area
 //!   model of §7.7, per-head attention execution with attention-level
@@ -36,7 +38,6 @@ pub mod bitwise;
 pub mod controller;
 pub mod device;
 pub mod gemv_unit;
-pub mod integrity;
 pub mod isa;
 pub mod kv_store;
 pub mod mapping;
@@ -51,10 +52,6 @@ pub use attention::{AttentionTiming, HeadJob};
 pub use controller::{AttAccController, ConfigMemory};
 pub use device::{AttAccDevice, AttentionMemo};
 pub use gemv_unit::{GemvMode, GemvUnit, Precision};
-pub use integrity::{
-    flip_f16_cell, flip_f32, sample_single_fault, AbftGemv, AbftOutcome, AttentionIntegrity,
-    BitFlip, FaultPlan, ProtectedAttention, Site, Stage,
-};
 pub use isa::{AttInst, InstError};
 pub use kv_store::{KvHalf, KvStore, KvStoreFull};
 pub use mapping::{HeadAllocator, LevelSpec, MappingPolicy, Partitioning};

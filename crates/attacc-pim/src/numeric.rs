@@ -88,113 +88,6 @@ pub fn f16_round(x: f32) -> f32 {
     }
 }
 
-/// Encodes `x` into the IEEE-754 binary16 bit pattern the DRAM cells
-/// actually store (rounding with [`f16_round`] first). The integrity
-/// layer flips bits of *this* pattern to model cell faults faithfully.
-///
-/// NaN encodes to the canonical quiet NaN `0x7e00`.
-#[must_use]
-pub fn f16_to_bits(x: f32) -> u16 {
-    let r = f16_round(x);
-    if r.is_nan() {
-        return 0x7e00;
-    }
-    let bits = r.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    if r.is_infinite() {
-        return sign | 0x7c00;
-    }
-    if r == 0.0 {
-        return sign;
-    }
-    let exp = ((bits >> 23) & 0xff) as i32 - 127;
-    if exp >= -14 {
-        // Normal binary16: 5-bit exponent biased by 15, top 10 fraction
-        // bits (exact after f16_round).
-        let frac = ((bits >> 13) & 0x3ff) as u16;
-        sign | (((exp + 15) as u16) << 10) | frac
-    } else {
-        // Subnormal: magnitude is frac/1024 × 2^-14 with frac in 1..1024.
-        let mag = f32::from_bits(bits & 0x7fff_ffff);
-        let frac = (mag / 2.0f32.powi(-14) * 1024.0).round_ties_even() as u16;
-        sign | frac
-    }
-}
-
-/// Decodes an IEEE-754 binary16 bit pattern into `f32`. Exact for every
-/// pattern; the round-trip laws are
-/// `f16_from_bits(f16_to_bits(x)) == f16_round(x)` and
-/// `f16_to_bits(f16_from_bits(b)) == b` for non-NaN `b`.
-#[must_use]
-pub fn f16_from_bits(bits: u16) -> f32 {
-    let sign = if bits & 0x8000 != 0 { -1.0f32 } else { 1.0 };
-    let exp = ((bits >> 10) & 0x1f) as i32;
-    let frac = f32::from(bits & 0x3ff);
-    match exp {
-        0 => sign * frac / 1024.0 * 2.0f32.powi(-14),
-        0x1f => {
-            if frac == 0.0 {
-                sign * f32::INFINITY
-            } else {
-                f32::NAN
-            }
-        }
-        _ => sign * (1.0 + frac / 1024.0) * 2.0f32.powi(exp - 15),
-    }
-}
-
-/// A numerical blow-up caught by the integrity guards: instead of letting
-/// a NaN/Inf/overflow propagate as silent garbage, the pipeline surfaces
-/// it as a detected error and recomputes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum GuardError {
-    /// A non-finite value (NaN or ±∞) at the given index.
-    NonFinite {
-        /// Index of the offending element.
-        index: usize,
-    },
-    /// A probability vector whose sum strayed from 1.
-    NotNormalized {
-        /// The observed sum.
-        sum: f64,
-    },
-}
-
-impl std::fmt::Display for GuardError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GuardError::NonFinite { index } => {
-                write!(f, "non-finite value at index {index}")
-            }
-            GuardError::NotNormalized { sum } => {
-                write!(f, "probabilities sum to {sum}, expected 1")
-            }
-        }
-    }
-}
-
-/// Errors if any element is NaN or infinite.
-pub fn guard_finite(values: &[f32]) -> Result<(), GuardError> {
-    match values.iter().position(|v| !v.is_finite()) {
-        Some(index) => Err(GuardError::NonFinite { index }),
-        None => Ok(()),
-    }
-}
-
-/// Errors unless `probs` is finite and sums to 1 within `tol` (empty
-/// vectors pass: softmax of nothing is nothing).
-pub fn guard_normalized(probs: &[f32], tol: f64) -> Result<(), GuardError> {
-    guard_finite(probs)?;
-    if probs.is_empty() {
-        return Ok(());
-    }
-    let sum: f64 = probs.iter().map(|&p| f64::from(p)).sum();
-    if (sum - 1.0).abs() > tol {
-        return Err(GuardError::NotNormalized { sum });
-    }
-    Ok(())
-}
-
 /// A dense row-major `f32` matrix used by the functional dataflow.
 ///
 /// The GEMV convention throughout this crate is `y[n] = Σ_k x[k]·M[k][n]`,
@@ -432,71 +325,6 @@ mod tests {
         assert_eq!(f16_round(tiny), tiny);
         assert_eq!(f16_round(tiny / 3.0), 0.0);
         assert!(f16_round(f32::NAN).is_nan());
-    }
-
-    #[test]
-    fn f16_bits_round_trip_values() {
-        for i in 0..4000 {
-            let v = (i as f32 - 2000.0) * 0.7319;
-            assert_eq!(f16_from_bits(f16_to_bits(v)), f16_round(v), "v = {v}");
-        }
-        for v in [0.0f32, -0.0, 65504.0, -65504.0, 2.0f32.powi(-24), f32::INFINITY] {
-            assert_eq!(f16_from_bits(f16_to_bits(v)), f16_round(v), "v = {v}");
-        }
-    }
-
-    #[test]
-    fn f16_bits_round_trip_patterns() {
-        // Every non-NaN binary16 pattern survives decode → encode.
-        for bits in 0..=u16::MAX {
-            let v = f16_from_bits(bits);
-            if v.is_nan() {
-                continue;
-            }
-            assert_eq!(f16_to_bits(v), bits, "pattern {bits:#06x}");
-        }
-    }
-
-    #[test]
-    fn f16_special_encodings() {
-        assert_eq!(f16_to_bits(f32::INFINITY), 0x7c00);
-        assert_eq!(f16_to_bits(f32::NEG_INFINITY), 0xfc00);
-        assert_eq!(f16_to_bits(f32::NAN), 0x7e00);
-        assert_eq!(f16_to_bits(0.0), 0x0000);
-        assert_eq!(f16_to_bits(-0.0), 0x8000);
-        assert_eq!(f16_to_bits(1.0), 0x3c00);
-        assert_eq!(f16_to_bits(65504.0), 0x7bff);
-        assert!(f16_from_bits(0x7e00).is_nan());
-    }
-
-    #[test]
-    fn guards_accept_healthy_vectors() {
-        assert_eq!(guard_finite(&[1.0, -2.0, 0.0]), Ok(()));
-        assert_eq!(guard_normalized(&[0.25; 4], 1e-6), Ok(()));
-        assert_eq!(guard_normalized(&[], 1e-6), Ok(()));
-    }
-
-    #[test]
-    fn guards_catch_blowups() {
-        assert_eq!(
-            guard_finite(&[1.0, f32::NAN, 2.0]),
-            Err(GuardError::NonFinite { index: 1 })
-        );
-        assert_eq!(
-            guard_finite(&[f32::INFINITY]),
-            Err(GuardError::NonFinite { index: 0 })
-        );
-        assert!(matches!(
-            guard_normalized(&[0.9, 0.3], 1e-3),
-            Err(GuardError::NotNormalized { .. })
-        ));
-        // A NaN in a probability vector reports NonFinite, not a sum.
-        assert!(matches!(
-            guard_normalized(&[f32::NAN], 1e-3),
-            Err(GuardError::NonFinite { index: 0 })
-        ));
-        let msg = GuardError::NonFinite { index: 3 }.to_string();
-        assert!(msg.contains("index 3"));
     }
 
     #[test]

@@ -5,15 +5,6 @@
 //! maximum-value calculation, exponent calculation, normalization. A
 //! 512 KB SRAM buffer holds the score vector between the GEMV phases.
 
-use crate::integrity::{flip_f32, FaultPlan};
-use crate::numeric::{guard_finite, guard_normalized, GuardError};
-
-/// Normalization tolerance of the output guard: an f32 adder-tree sum of
-/// up to `max_vector_len` probabilities stays within ~1e-5 of 1, so 1e-3
-/// leaves three orders of magnitude of no-false-positive margin while
-/// still catching any corruption that matters at probability scale.
-pub const SOFTMAX_GUARD_TOL: f64 = 1e-3;
-
 /// Functional and timing model of one softmax unit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoftmaxUnit {
@@ -61,40 +52,6 @@ impl SoftmaxUnit {
         // Stage 3: the divider produces 1/sum; multipliers normalize.
         let inv = 1.0 / sum;
         exps.iter().map(|&e| e * inv).collect()
-    }
-
-    /// [`SoftmaxUnit::compute`] with an integrity-layer fault hook: score
-    /// reads from the SRAM buffer consult `plan` and flip the planned
-    /// bits before the comparator tree sees them. With an empty plan the
-    /// arithmetic is identical to [`SoftmaxUnit::compute`].
-    #[must_use]
-    pub fn compute_with_faults(&self, scores: &[f32], plan: &FaultPlan) -> Vec<f32> {
-        if plan.is_empty() {
-            return self.compute(scores);
-        }
-        let flipped: Vec<f32> = scores
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| match plan.score_flip(i) {
-                Some(bit) => flip_f32(s, bit),
-                None => s,
-            })
-            .collect();
-        self.compute(&flipped)
-    }
-
-    /// [`SoftmaxUnit::compute`] wrapped in the NaN/Inf/overflow guard:
-    /// non-finite scores and denormalized outputs come back as
-    /// [`GuardError`]s — *detected* errors the caller can recompute —
-    /// instead of silent garbage flowing into the context GEMV.
-    ///
-    /// On healthy inputs the returned weights are bit-identical to
-    /// [`SoftmaxUnit::compute`] (the guard only observes).
-    pub fn compute_guarded(&self, scores: &[f32]) -> Result<Vec<f32>, GuardError> {
-        guard_finite(scores)?;
-        let out = self.compute(scores);
-        guard_normalized(&out, SOFTMAX_GUARD_TOL)?;
-        Ok(out)
     }
 
     /// Processing rate in elements per second (one stage).

@@ -56,5 +56,5 @@ pub use pipeline::{ff_coprocess_speedup, head_level_pipelined_s, serial_s, Decod
 pub use resilience::RetryPolicy;
 pub use scheduler::{simulate, SchedulerConfig, StageCost, StageExecutor};
 pub use slo::max_batch_under_slo;
-pub use trace::{format_trace, parse_trace, FlashCrowd, ParseTraceError, TraceSpec};
+pub use trace::{FlashCrowd, TraceSpec};
 pub use workload::Workload;

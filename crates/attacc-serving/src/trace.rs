@@ -1,113 +1,12 @@
-//! Request-trace serialization and synthetic burst patterns.
-//!
-//! Production serving studies replay recorded traces. The format here is a
-//! minimal line-oriented text form, one request per line:
-//!
-//! ```text
-//! # arrival_s,id,l_in,l_out
-//! 0,0,512,64
-//! 0.18421521,1,512,128
-//! ```
-//!
-//! Arrival times are printed with Rust's shortest round-trip `f64`
-//! formatting, so `parse_trace(format_trace(w)) == w` holds *exactly* for
-//! any workload — replaying a formatted trace is bit-identical to running
-//! the original.
+//! Synthetic arrival shapes. The bursty and diurnal Poisson workloads are
+//! `cluster_sim`'s load shapes; the scaled [`TraceSpec`] trace and its
+//! [`FlashCrowd`] spikes are the day the autoscaling frontier replays.
+//! A shape draws from one seeded RNG, so a seed fixes every arrival.
 
 use crate::arrivals::ArrivalWorkload;
 use attacc_model::Request;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt;
-
-/// Error from [`parse_trace`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseTraceError {
-    /// 1-based line number.
-    pub line: usize,
-    /// What went wrong.
-    pub reason: String,
-}
-
-impl fmt::Display for ParseTraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "trace line {}: {}", self.line, self.reason)
-    }
-}
-
-impl std::error::Error for ParseTraceError {}
-
-/// Renders a workload in the trace format (comments included). Times use
-/// shortest round-trip formatting, so the codec is lossless.
-#[must_use]
-pub fn format_trace(workload: &ArrivalWorkload) -> String {
-    let mut out = String::from("# arrival_s,id,l_in,l_out\n");
-    for (t, r) in &workload.arrivals {
-        out.push_str(&format!("{},{},{},{}\n", t, r.id, r.l_in, r.l_out));
-    }
-    out
-}
-
-/// Parses the trace format. Blank lines and `#` comments are skipped;
-/// arrivals must be non-decreasing.
-///
-/// # Errors
-/// Returns [`ParseTraceError`] on malformed fields, non-positive lengths
-/// or out-of-order arrivals.
-pub fn parse_trace(text: &str) -> Result<ArrivalWorkload, ParseTraceError> {
-    let mut arrivals = Vec::new();
-    let mut last = 0.0f64;
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let err = |reason: &str| ParseTraceError {
-            line: i + 1,
-            reason: reason.to_string(),
-        };
-        let mut parts = line.split(',');
-        let t: f64 = parts
-            .next()
-            .ok_or_else(|| err("missing arrival"))?
-            .trim()
-            .parse()
-            .map_err(|_| err("bad arrival time"))?;
-        let id: u64 = parts
-            .next()
-            .ok_or_else(|| err("missing id"))?
-            .trim()
-            .parse()
-            .map_err(|_| err("bad id"))?;
-        let l_in: u64 = parts
-            .next()
-            .ok_or_else(|| err("missing l_in"))?
-            .trim()
-            .parse()
-            .map_err(|_| err("bad l_in"))?;
-        let l_out: u64 = parts
-            .next()
-            .ok_or_else(|| err("missing l_out"))?
-            .trim()
-            .parse()
-            .map_err(|_| err("bad l_out"))?;
-        if parts.next().is_some() {
-            return Err(err("too many fields"));
-        }
-        if !t.is_finite() || t < 0.0 {
-            return Err(err("arrival time must be finite and non-negative"));
-        }
-        if l_in == 0 || l_out == 0 {
-            return Err(err("lengths must be positive"));
-        }
-        if t < last {
-            return Err(err("arrivals out of order"));
-        }
-        last = t;
-        arrivals.push((t, Request::new(id, l_in, l_out)));
-    }
-    Ok(ArrivalWorkload { arrivals })
-}
 
 impl ArrivalWorkload {
     /// A bursty arrival pattern: a Poisson base rate with periodic bursts
@@ -348,31 +247,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn format_parse_roundtrip_is_exact() {
-        let wl = ArrivalWorkload::poisson(25, 3.0, 64, (4, 32), 11);
-        let back = parse_trace(&format_trace(&wl)).unwrap();
-        assert_eq!(back, wl, "shortest round-trip formatting is lossless");
-    }
-
-    #[test]
-    fn parser_skips_comments_and_blanks() {
-        let wl = parse_trace("# header\n\n0.5,1,8,4\n  \n1.0,2,8,4\n").unwrap();
-        assert_eq!(wl.arrivals.len(), 2);
-    }
-
-    #[test]
-    fn parser_reports_line_numbers() {
-        let err = parse_trace("0.1,0,8,4\nnot,a,line,x\n").unwrap_err();
-        assert_eq!(err.line, 2);
-        assert!(err.to_string().contains("line 2"));
-        let err = parse_trace("0.5,0,8,4\n0.1,1,8,4\n").unwrap_err();
-        assert!(err.reason.contains("out of order"));
-        assert!(parse_trace("0.1,0,0,4\n").is_err());
-        assert!(parse_trace("0.1,0,4\n").is_err());
-        assert!(parse_trace("0.1,0,4,4,9\n").is_err());
-    }
-
-    #[test]
     fn bursty_pattern_clusters_arrivals() {
         let wl = ArrivalWorkload::bursty(400, 2.0, 10.0, 10.0, 0.3, 64, (8, 8), 5);
         // Count arrivals in the burst windows vs outside.
@@ -420,13 +294,6 @@ mod tests {
         assert_eq!(wl, again);
     }
 
-    #[test]
-    fn parser_rejects_non_finite_times() {
-        assert!(parse_trace("inf,0,8,4\n").is_err());
-        assert!(parse_trace("NaN,0,8,4\n").is_err());
-        assert!(parse_trace("-1.0,0,8,4\n").is_err());
-    }
-
     fn crowd() -> FlashCrowd {
         FlashCrowd { start_s: 10.0, peak: 5.0, ramp_s: 2.0, hold_s: 4.0, decay_s: 2.0 }
     }
@@ -463,7 +330,6 @@ mod tests {
         assert_eq!(w.arrivals.len(), 500);
         assert!(w.arrivals.windows(2).all(|a| a[0].0 <= a[1].0));
         assert_eq!(w, spec(500).generate());
-        assert_eq!(parse_trace(&format_trace(&w)).unwrap(), w);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Property-based tests for the serving layer.
 
 use attacc_serving::{
-    ff_coprocess_speedup, format_trace, head_level_pipelined_s, max_batch_under_slo, parse_trace,
-    serial_s, simulate, simulate_open_loop, ArrivalWorkload, DecoderPhases, FlashCrowd,
-    LatencyStats, SchedulerConfig,
-    StageCost, StageExecutor, TraceSpec, Workload,
+    ff_coprocess_speedup, head_level_pipelined_s, max_batch_under_slo, serial_s, simulate,
+    simulate_open_loop, ArrivalWorkload, DecoderPhases, FlashCrowd, LatencyStats,
+    SchedulerConfig, StageCost, StageExecutor, TraceSpec, Workload,
 };
 use proptest::prelude::*;
 
@@ -119,75 +118,6 @@ proptest! {
         prop_assert!(f > 0.0 && f <= 1.0);
         prop_assert!(ff_coprocess_speedup(xpu, attacc + 1.0) < f);
     }
-
-    /// Trace codec round-trip is *exact* for Poisson workloads: the
-    /// shortest round-trip float formatting loses nothing.
-    #[test]
-    fn trace_roundtrip_exact_poisson(
-        n in 1u64..60,
-        rate in 0.1f64..200.0,
-        l_in in 1u64..4096,
-        l_out_max in 1u64..256,
-        seed in 0u64..10_000,
-    ) {
-        let wl = ArrivalWorkload::poisson(n, rate, l_in, (1, l_out_max), seed);
-        prop_assert_eq!(parse_trace(&format_trace(&wl)).unwrap(), wl);
-    }
-
-    /// Same exact round-trip for bursty workloads.
-    #[test]
-    fn trace_roundtrip_exact_bursty(
-        n in 1u64..60,
-        base in 0.1f64..50.0,
-        factor in 1.0f64..20.0,
-        period in 0.5f64..30.0,
-        duty in 0.05f64..1.0,
-        seed in 0u64..10_000,
-    ) {
-        let wl = ArrivalWorkload::bursty(n, base, factor, period, duty, 64, (1, 64), seed);
-        prop_assert_eq!(parse_trace(&format_trace(&wl)).unwrap(), wl);
-    }
-
-    /// Corrupting any single field of a well-formed line yields a
-    /// ParseTraceError naming that line, never a wrong parse.
-    #[test]
-    fn trace_parser_rejects_corrupt_fields(
-        seed in 0u64..1000,
-        field in 0usize..4,
-    ) {
-        let wl = ArrivalWorkload::poisson(3, 5.0, 32, (1, 8), seed);
-        let text = format_trace(&wl);
-        // Corrupt the chosen field of the second data line (line 3).
-        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-        let mut parts: Vec<String> = lines[2].split(',').map(str::to_string).collect();
-        parts[field] = "bogus".to_string();
-        lines[2] = parts.join(",");
-        let err = parse_trace(&lines.join("\n")).unwrap_err();
-        prop_assert_eq!(err.line, 3);
-        prop_assert!(!err.reason.is_empty());
-    }
-}
-
-#[test]
-fn trace_error_paths_are_reported_with_reasons() {
-    for (text, want) in [
-        ("0.1,0,8", "missing l_out"),
-        ("0.1,0,8,4,9", "too many fields"),
-        ("0.1,0,0,4", "lengths must be positive"),
-        ("0.1,0,8,0", "lengths must be positive"),
-        ("0.5,0,8,4\n0.1,1,8,4", "out of order"),
-        ("inf,0,8,4", "finite"),
-        ("-0.5,0,8,4", "non-negative"),
-        ("x,0,8,4", "bad arrival time"),
-        ("0.1,x,8,4", "bad id"),
-    ] {
-        let err = parse_trace(text).unwrap_err();
-        assert!(
-            err.reason.contains(want),
-            "input {text:?}: reason {:?} should mention {want:?}",
-            err.reason
-        );
-    }
 }
 
 proptest! {
@@ -242,37 +172,6 @@ proptest! {
         }
         let again = spec.generate();
         prop_assert!(w.arrivals == again.arrivals, "trace must be deterministic under its seed");
-    }
-
-    /// `format_trace` → `parse_trace` is the identity on generated
-    /// traces: Rust's float formatting is shortest-round-trip, so the
-    /// re-parsed arrival times are bit-identical, not just close.
-    #[test]
-    fn generated_traces_round_trip_through_format_and_parse(
-        sessions in 1u64..200,
-        mean_rate in 0.5f64..100.0,
-        amplitude in 0.0f64..0.9,
-        seed in 0u64..1_000_000,
-    ) {
-        let w = TraceSpec {
-            sessions,
-            mean_rate_per_s: mean_rate,
-            diurnal_amplitude: amplitude,
-            diurnal_period_s: 30.0,
-            crowds: vec![FlashCrowd {
-                start_s: 5.0,
-                peak: 3.0,
-                ramp_s: 1.0,
-                hold_s: 2.0,
-                decay_s: 1.0,
-            }],
-            l_in: 64,
-            l_out_range: (4, 32),
-            seed,
-        }
-        .generate();
-        let parsed = parse_trace(&format_trace(&w)).expect("generated traces must parse");
-        prop_assert!(parsed.arrivals == w.arrivals, "round-trip must be the identity");
     }
 }
 

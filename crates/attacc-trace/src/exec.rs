@@ -108,6 +108,47 @@ mod tests {
         );
     }
 
+    /// Each malformed trace is refused at the offending instruction,
+    /// which leaves the controller as it was.
+    #[test]
+    fn malformed_traces_are_errors_at_the_offending_instruction() {
+        let model = "set_model n_head=1 d_head=4 max_l=2\nadmit req=0\n";
+        let append = "append req=0 head=0 k=1,1,1,1 v=1,1,1,1\n";
+        let cases = [
+            ("set_model n_head=1 d_head=0 max_l=4\n".to_string(), 0, InstError::InvalidModel),
+            ("set_model n_head=1 d_head=4 max_l=0\n".to_string(), 0, InstError::InvalidModel),
+            (format!("{model}declare_kv req=0 head=0 tokens=3\n"), 2, InstError::CapacityExceeded),
+            // An eviction returns no room: the third append is a third token.
+            (
+                format!("{model}{append}{append}evict_kv req=0 head=0 keep_last=1\n{append}"),
+                5,
+                InstError::CapacityExceeded,
+            ),
+            (
+                "set_model n_head=1 d_head=4 max_l=4\nadmit req=0\nadmit req=0\n".to_string(),
+                2,
+                InstError::AlreadyResident(0),
+            ),
+            // 8 beats a token times 2^62 - 1 tokens overflows `u64`.
+            (
+                "set_model n_head=1 d_head=128 max_l=4611686018427387903\nadmit req=0\n"
+                    .to_string(),
+                1,
+                InstError::CapacityExceeded,
+            ),
+        ];
+        for (text, index, cause) in cases {
+            let trace = Trace::parse(&text).unwrap();
+            let err = replay(&mut controller(), &trace).unwrap_err();
+            assert_eq!(err, InstError::Trace { index, cause: Box::new(cause) }, "{text}");
+            let mut ctl = controller();
+            replay(&mut ctl, &Trace { insts: trace.insts[..index].to_vec() }).unwrap();
+            let before = format!("{ctl:?}");
+            assert!(ctl.execute(trace.insts[index].clone()).is_err());
+            assert_eq!(format!("{ctl:?}"), before, "{text}");
+        }
+    }
+
     #[test]
     fn sliding_window_and_paged_traces_replay() {
         for policy in [

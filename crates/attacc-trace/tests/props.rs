@@ -1,16 +1,17 @@
 //! Property-based tests for the trace subsystem: the text codec is a
 //! byte-identical round trip over arbitrary compiled traces and
-//! arbitrary well-formed instructions, and functional replay of a
-//! compiled trace is bit-for-bit the direct attention pipeline.
+//! arbitrary well-formed instructions, functional replay of a compiled
+//! trace is bit-for-bit the direct attention pipeline, and neither
+//! replay panics on a malformed trace.
 
 use attacc_hbm::StackGeometry;
 use attacc_pim::numeric::Matrix;
 use attacc_pim::{
-    AttAccController, AttInst, FaultPlan, GemvMode, MappingPolicy, Precision, ProtectedAttention,
+    AttAccController, AttInst, GemvMode, GemvUnit, MappingPolicy, Precision, SoftmaxUnit,
 };
 use attacc_trace::{
-    compile, kv_pair, paged_resident, q_vector, replay, DecodeSchedule, KvPolicy, RequestPlan,
-    Trace, TracePayload,
+    compile, execute_timing, kv_pair, paged_resident, q_vector, replay, DecodeSchedule, KvPolicy,
+    RequestPlan, TimingConfig, Trace, TracePayload,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -110,6 +111,53 @@ fn arb_inst() -> impl Strategy<Value = AttInst> {
     ]
 }
 
+/// A `set_model` whose sizes include zero and a `max_l` whose KV extent
+/// overflows `u64`.
+fn arb_set_model() -> impl Strategy<Value = AttInst> {
+    let d_head = prop_oneof![Just(0usize), Just(1), Just(4)];
+    let max_l = prop_oneof![
+        Just(0u64),
+        Just(1),
+        Just(2),
+        Just(3),
+        Just(u64::MAX / 4),
+        Just(u64::MAX),
+    ];
+    (0u32..4, d_head, max_l)
+        .prop_map(|(n_head, d_head, max_l)| AttInst::SetModel { n_head, d_head, max_l })
+}
+
+/// An instruction of any of the 14 opcodes over request and head ids
+/// 0–2, 0–4 tokens, pages 0–3 and vectors of 0–5 elements, so a case
+/// allocates a few KB.
+fn arb_small_inst() -> impl Strategy<Value = AttInst> {
+    prop_oneof![
+        arb_set_model(),
+        (0u64..3, 0u32..2)
+            .prop_map(|(request, remove)| AttInst::UpdateRequest { request, remove: remove == 1 }),
+        (0u64..3, 0u32..3, arb_vec_f32(), arb_vec_f32()).prop_map(|(request, head, k, v)| {
+            AttInst::AppendKv { request, head, k: Box::new(k), v: Box::new(v) }
+        }),
+        (0u64..3, 0u32..3, 0u64..5)
+            .prop_map(|(request, head, tokens)| AttInst::DeclareKv { request, head, tokens }),
+        (0u64..3, 0u32..3, arb_vec_f32())
+            .prop_map(|(request, head, q)| AttInst::LoadQ { request, head, q: Box::new(q) }),
+        (0u64..3, 0u32..3).prop_map(|(request, head)| AttInst::RunAttention { request, head }),
+        (0u64..3, 0u32..3, 0u32..4).prop_map(|(request, head0, n_heads)| {
+            AttInst::RunAttentionBatch { request, head0, n_heads }
+        }),
+        (0u64..3, 0u32..3).prop_map(|(request, head)| AttInst::ReadOutput { request, head }),
+        (0u64..3, 0u32..3, 0u64..5)
+            .prop_map(|(request, head, keep_last)| AttInst::EvictKv { request, head, keep_last }),
+        (0u64..5).prop_map(|tokens_per_page| AttInst::ConfigPages { tokens_per_page }),
+        (0u64..3, 0u32..3, 0u64..4)
+            .prop_map(|(request, head, page)| AttInst::MapPage { request, head, page }),
+        (0u64..3, 0u32..3, 0u64..4)
+            .prop_map(|(request, head, page)| AttInst::UnmapPage { request, head, page }),
+        (0u32..4).prop_map(|tag| AttInst::Barrier { tag }),
+    ]
+}
+
 /// The tokens a head actually attends over at decode step `step`
 /// (0-based), for a request with `prompt_l` prompt tokens: the policy's
 /// visibility rule, stated independently of the compiler's incremental
@@ -162,8 +210,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Functional replay through the controller is bit-for-bit the
-    /// direct `ProtectedAttention` pipeline over the policy's visible
-    /// tokens — for full, sliding-window, and paged KV alike.
+    /// direct unit pipeline over the policy's visible tokens — for full,
+    /// sliding-window, and paged KV alike.
     #[test]
     fn replay_matches_direct_attention_bit_for_bit(
         policy in arb_policy(),
@@ -181,7 +229,7 @@ proptest! {
 
         let mut ctl = small_controller();
         // Flat mapping (no hierarchy) on the exact datapath reproduces
-        // the integrity pipeline's arithmetic exactly.
+        // the direct unit pipeline's arithmetic exactly.
         ctl.set_policies(
             MappingPolicy { levels: vec![], unit_mode: GemvMode::AdderTree },
             MappingPolicy { levels: vec![], unit_mode: GemvMode::Accumulator },
@@ -192,7 +240,8 @@ proptest! {
             batch as u64 * decode_steps * u64::from(heads)
         );
 
-        let reference = ProtectedAttention::exact();
+        let unit = GemvUnit::exact();
+        let scale = 1.0 / (d_head as f64).sqrt();
         let mut steps_seen: HashMap<(u64, u32), u64> = HashMap::new();
         for ((request, head), got) in &outcome.outputs {
             let step = steps_seen.entry((*request, *head)).or_insert(0);
@@ -208,7 +257,15 @@ proptest! {
                 }
             }
             let q = q_vector(seed, *request, *head, *step, d_head);
-            let want = reference.attention_unprotected(&q, &kt, &v, &FaultPlan::none());
+            // The direct unit pipeline: score GEMV, the 1/√d scale in f64,
+            // softmax, context GEMV.
+            let scores: Vec<f32> = unit
+                .gemv(GemvMode::AdderTree, &q, &kt)
+                .into_iter()
+                .map(|s| (f64::from(s) * scale) as f32)
+                .collect();
+            let weights = SoftmaxUnit::new().compute(&scores);
+            let want = unit.gemv(GemvMode::Accumulator, &weights, &v);
             prop_assert_eq!(got.len(), want.len());
             for (a, b) in got.iter().zip(&want) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
@@ -217,3 +274,75 @@ proptest! {
         }
     }
 }
+
+/// The instructions of `trace` that `accepts` takes one at a time, each
+/// on top of those it took before.
+fn accepted(trace: &Trace, accepts: impl Fn(&Trace) -> bool) -> Trace {
+    let mut kept = Trace { insts: Vec::new() };
+    for inst in &trace.insts {
+        kept.insts.push(inst.clone());
+        if !accepts(&kept) {
+            kept.insts.pop();
+        }
+    }
+    kept
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// Replay never panics: any short trace, well formed or not, comes
+    /// back from functional and from timing replay as `Ok` or `Err`. So
+    /// does the part of it each replay accepts one instruction at a time,
+    /// which reaches the states that the first error cuts a random trace
+    /// off from.
+    #[test]
+    fn replay_never_panics(
+        model in arb_set_model(),
+        request in 0u64..3,
+        rest in prop::collection::vec(arb_small_inst(), 10..11),
+        len in 1usize..13,
+    ) {
+        // A `set_model` and an `admit`, as compiled traces open, then
+        // anything; cut to 1–12 instructions.
+        let admit = AttInst::UpdateRequest { request, remove: false };
+        let insts = [model, admit].into_iter().chain(rest).take(len).collect();
+        let trace = Trace { insts };
+        let functional = |t: &Trace| replay(&mut small_controller(), t).is_ok();
+        let timing = |t: &Trace| execute_timing(&TimingConfig::paper(), t).is_ok();
+        let outcome = std::panic::catch_unwind(|| {
+            functional(&trace);
+            timing(&trace);
+            functional(&accepted(&trace, functional));
+            timing(&accepted(&trace, timing));
+        });
+        prop_assert!(outcome.is_ok(), "replay panicked");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A compiled trace with up to three short random instructions spliced
+    /// in never panics either replay. The splices land where heads are
+    /// resident and hold KV, Q and outputs, which random traces rarely
+    /// reach.
+    #[test]
+    fn spliced_compiled_traces_never_panic(
+        schedule in arb_schedule(),
+        seed in u64::MIN..=u64::MAX,
+        splices in prop::collection::vec((0usize..64, arb_small_inst()), 1..4),
+    ) {
+        let schedule = DecodeSchedule { payload: TracePayload::Functional { seed }, ..schedule };
+        let mut trace = compile(&tiny_model(2, 4), &schedule);
+        for (at, inst) in splices {
+            trace.insts.insert(at % (trace.insts.len() + 1), inst);
+        }
+        let outcome = std::panic::catch_unwind(|| {
+            let _ = replay(&mut small_controller(), &trace);
+            let _ = execute_timing(&TimingConfig::paper(), &trace);
+        });
+        prop_assert!(outcome.is_ok(), "replay panicked");
+    }
+}
+

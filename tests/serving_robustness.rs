@@ -84,17 +84,3 @@ fn oversized_request_is_skipped_without_livelock() {
     let r2 = simulate(&exec, &giant_last, &cfg);
     assert_eq!(r2.requests_completed, 2, "small requests served");
 }
-
-#[test]
-fn trace_roundtrip_preserves_open_loop_results() {
-    let m = ModelConfig::gpt3_175b();
-    let exec = SystemExecutor::new(System::dgx_base(), &m);
-    let wl = ArrivalWorkload::poisson(40, 3.0, 128, (8, 32), 7);
-    let replayed =
-        attacc::serving::parse_trace(&attacc::serving::format_trace(&wl)).expect("roundtrip");
-    let cfg = SchedulerConfig::unlimited(8);
-    let a = simulate_open_loop(&exec, &wl, &cfg);
-    let b = simulate_open_loop(&exec, &replayed, &cfg);
-    assert_eq!(a.completed, b.completed);
-    assert!((a.makespan_s - b.makespan_s).abs() < 1e-4);
-}

@@ -9,16 +9,15 @@
 //!   direct loop over [`attacc::trace::head_cost`] — same bits in the
 //!   accumulated attention clock.
 //! * Functional: a compiled functional trace replayed through the
-//!   [`attacc::pim::AttAccController`] returns the same floats as
-//!   [`attacc::pim::ProtectedAttention`]'s pipeline over the same
-//!   operands.
+//!   [`attacc::pim::AttAccController`] returns the same floats as the
+//!   direct unit pipeline over the same operands: the score GEMV, the
+//!   `1/√d` scale, the softmax unit and the context GEMV, called one
+//!   after another.
 //! * Reporting: the `trace_sim` tables are byte-identical at any sweep
 //!   thread count and with a cold or warm timing cache — like every
 //!   other table of the evaluation.
 
-use attacc::pim::{
-    AttAccController, FaultPlan, GemvMode, MappingPolicy, Precision, ProtectedAttention,
-};
+use attacc::pim::{AttAccController, GemvMode, GemvUnit, MappingPolicy, Precision, SoftmaxUnit};
 use attacc::pim::numeric::Matrix;
 use attacc::trace::{
     compile, execute_timing, head_cost, kv_pair, paged_resident, q_vector, replay,
@@ -104,7 +103,7 @@ fn functional_controller() -> AttAccController {
     };
     let mut ctl = AttAccController::new(&geom, 2, Precision::Exact);
     // Flat mapping (no hierarchy) on the exact datapath reproduces the
-    // integrity pipeline's arithmetic exactly.
+    // direct unit pipeline's arithmetic exactly.
     ctl.set_policies(
         MappingPolicy { levels: vec![], unit_mode: GemvMode::AdderTree },
         MappingPolicy { levels: vec![], unit_mode: GemvMode::Accumulator },
@@ -146,7 +145,8 @@ fn functional_replay_matches_the_direct_attention_path_bit_for_bit() {
         let outcome = replay(&mut ctl, &trace).unwrap();
         assert_eq!(outcome.outputs.len() as u64, 2 * steps * 2, "{policy:?}");
 
-        let reference = ProtectedAttention::exact();
+        let unit = GemvUnit::exact();
+        let scale = 1.0 / (d_head as f64).sqrt();
         let mut seen = std::collections::HashMap::<(u64, u32), u64>::new();
         for ((request, head), got) in &outcome.outputs {
             let step = seen.entry((*request, *head)).or_insert(0);
@@ -170,7 +170,15 @@ fn functional_replay_matches_the_direct_attention_path_bit_for_bit() {
                 }
             }
             let q = q_vector(seed, *request, *head, *step, d_head);
-            let want = reference.attention_unprotected(&q, &kt, &v, &FaultPlan::none());
+            // The direct unit pipeline: score GEMV, the 1/√d scale in f64,
+            // softmax, context GEMV.
+            let scores: Vec<f32> = unit
+                .gemv(GemvMode::AdderTree, &q, &kt)
+                .into_iter()
+                .map(|s| (f64::from(s) * scale) as f32)
+                .collect();
+            let weights = SoftmaxUnit::new().compute(&scores);
+            let want = unit.gemv(GemvMode::Accumulator, &weights, &v);
             let got_bits: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
             let want_bits: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
             assert_eq!(got_bits, want_bits, "{policy:?} req {request} head {head} step {step}");
