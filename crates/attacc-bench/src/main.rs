@@ -144,7 +144,7 @@ fn model_card() {
 /// `scripts/bench-ab.sh` in CI, against `BENCHMARK.json`'s bounds.
 mod hotpath {
     use attacc_hbm::engine::{simulate_stream, stream_time_estimate_ps};
-    use attacc_hbm::{AddressMap, HbmConfig, Interleave, StackGeometry, StreamSpec};
+    use attacc_hbm::{HbmConfig, StackGeometry, StreamSpec};
     use attacc_model::ModelConfig;
     use attacc_pim::accumulator::Accumulator;
     use attacc_pim::mapping::hierarchical_gemv;
@@ -254,13 +254,6 @@ mod hotpath {
             ctl.execute(AttInst::LoadQ { request: 0, head: 0, q: Box::new(q) }).unwrap();
             ctl.execute(AttInst::RunAttention { request: 0, head: 0 }).unwrap();
             ctl.execute(AttInst::ReadOutput { request: 0, head: 0 }).unwrap()
-        });
-
-        // Address mapping: one beat decoded to (channel, bank, row, col)
-        // and encoded back.
-        let map = AddressMap::new(StackGeometry::hbm3_8hi(), Interleave::RowInterleaved);
-        time("address decode+encode", 1_000_000, |i| {
-            map.encode(map.decode(black_box(i * 997 % 1_000_000)))
         });
     }
 }

@@ -33,7 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod address;
 pub mod bank;
 pub mod command;
 pub mod energy;
@@ -44,7 +43,6 @@ pub mod power;
 pub mod stats;
 pub mod timing;
 
-pub use address::{AddressMap, Interleave, PhysicalAddr};
 pub use bank::{BankPhase, BankState};
 pub use command::{DramCommand, PimCommand};
 pub use energy::{AccessDepth, EnergyCounter, EnergyModel};

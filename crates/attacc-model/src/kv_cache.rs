@@ -42,13 +42,20 @@ impl KvCacheSpec {
     }
 
     /// Largest batch of requests with maximum context `l_max` that fits in
-    /// `capacity_bytes` of KV storage.
+    /// `capacity_bytes` of KV storage: §3.2's one capacity rule, under
+    /// which every request may grow to `l_max`.
+    ///
+    /// Returns `u64::MAX` when a request costs nothing, and 0 when its
+    /// cost overflows `u64`, which no capacity holds.
     #[must_use]
     pub const fn max_batch(&self, capacity_bytes: u64, l_max: u64) -> u64 {
         if self.bytes_per_token == 0 || l_max == 0 {
             return u64::MAX;
         }
-        capacity_bytes / self.bytes_at(l_max)
+        match self.bytes_per_token.checked_mul(l_max) {
+            Some(per_request) => capacity_bytes / per_request,
+            None => 0,
+        }
     }
 }
 
@@ -111,5 +118,31 @@ mod tests {
     fn max_batch_monotone_in_capacity() {
         let spec = KvCacheSpec::of(&ModelConfig::gpt3_175b());
         assert!(spec.max_batch(100 * GIB, 4096) <= spec.max_batch(200 * GIB, 4096));
+    }
+
+    fn spec(bytes_per_token: u64) -> KvCacheSpec {
+        KvCacheSpec { bytes_per_token }
+    }
+
+    #[test]
+    fn zero_cost_is_unlimited() {
+        assert_eq!(spec(0).max_batch(100, 10), u64::MAX);
+        assert_eq!(spec(10).max_batch(100, 0), u64::MAX);
+    }
+
+    #[test]
+    fn exact_division() {
+        assert_eq!(spec(10).max_batch(1000, 10), 10);
+        assert_eq!(spec(10).max_batch(999, 10), 9);
+    }
+
+    #[test]
+    fn overflowing_per_request_cost_means_nothing_fits() {
+        // bytes_per_token × l_max wraps in u64; the wrapped product would
+        // be tiny and report a huge bogus batch.
+        assert_eq!(spec(u64::MAX).max_batch(u64::MAX, 2), 0);
+        assert_eq!(spec(1 << 40).max_batch(1 << 40, 1 << 40), 0);
+        // The largest non-overflowing cost still divides normally.
+        assert_eq!(spec(u64::MAX).max_batch(u64::MAX, 1), 1);
     }
 }

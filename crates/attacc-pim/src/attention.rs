@@ -82,7 +82,7 @@ pub const HEAD_OVERHEAD_S: f64 = 30e-9;
 /// `stack_heads` lists, per distinct context length, how many heads the
 /// *critical* (most loaded) stack executes. The caller (usually
 /// [`crate::AttAccDevice`]) derives those counts from the batch shape and
-/// the head allocator's balance guarantees.
+/// the balance of §4.2's greedy head placement.
 #[must_use]
 pub fn stack_attention_timing(
     hbm: &HbmConfig,

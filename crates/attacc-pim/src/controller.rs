@@ -6,16 +6,18 @@
 //! cells would hold them), `RunAttention` drives score → softmax → context
 //! through the §4.2 hierarchical mapping, and `ReadOutput` returns the
 //! context vector. Property tests show the result matches a reference
-//! attention implementation for arbitrary shapes.
+//! attention implementation for arbitrary shapes. Admission follows
+//! §3.2's one KV-capacity rule, [`KvCacheSpec::max_batch`] over every
+//! stack's capacity with each request sized at `max_l`.
 
 use crate::accumulator::Accumulator;
 use crate::gemv_unit::{GemvUnit, Precision};
 use crate::isa::{AttInst, InstError};
-use crate::kv_store::{KvHalf, KvStore};
-use crate::mapping::{hierarchical_gemv, HeadAllocator, HeadId, MappingPolicy};
+use crate::mapping::{hierarchical_gemv, MappingPolicy};
 use crate::numeric::{f16_round, Matrix};
 use crate::softmax_unit::SoftmaxUnit;
 use attacc_hbm::StackGeometry;
+use attacc_model::KvCacheSpec;
 use std::collections::{BTreeSet, HashMap};
 
 /// Contents of the controller's config memory (§5.1): model geometry plus
@@ -27,7 +29,8 @@ pub struct ConfigMemory {
     /// Per-head dimension.
     pub d_head: usize,
     /// Tokens a head may receive over its life, evictions included: an
-    /// eviction frees no room for later appends. Sizes the KV extents.
+    /// eviction frees no room for later appends. Admission sizes every
+    /// resident request at this length.
     pub max_l: u64,
     /// Context length of each resident request.
     pub request_len: HashMap<u64, u64>,
@@ -50,21 +53,18 @@ struct HeadStore {
 /// The functional AttAcc controller.
 #[derive(Debug, Clone)]
 pub struct AttAccController {
-    geom: StackGeometry,
     config: Option<ConfigMemory>,
     heads: HashMap<(u64, u32), HeadStore>,
-    allocator: HeadAllocator,
-    /// One physical KV placement manager per stack.
-    stores: Vec<KvStore>,
-    /// Stack owning each (request, head).
-    head_stacks: HashMap<(u64, u32), usize>,
     score_policy: MappingPolicy,
     context_policy: MappingPolicy,
     gemv: GemvUnit,
     accum: Accumulator,
     softmax: SoftmaxUnit,
+    /// KV bytes the device holds: every stack's capacity.
     kv_capacity_bytes: u64,
-    kv_bytes_per_vector: u64,
+    /// Requests that may be resident at once under the current model
+    /// (§3.2's rule, [`KvCacheSpec::max_batch`]).
+    max_resident: u64,
     /// `Some(tokens_per_page)` once `ConfigPages` enables paged KV.
     tokens_per_page: Option<u64>,
     /// Pages each head currently streams from (paged mode only). A
@@ -75,6 +75,10 @@ pub struct AttAccController {
 impl AttAccController {
     /// A controller over `n_stacks` stacks with the paper's mapping
     /// policies on `geom`, using the given datapath precision.
+    ///
+    /// `n_stacks` only sets the KV capacity admission checks,
+    /// `n_stacks × geom.capacity_bytes`: the controller records no
+    /// head-to-stack placement.
     #[must_use]
     pub fn new(geom: &StackGeometry, n_stacks: usize, precision: Precision) -> AttAccController {
         let gemv = GemvUnit {
@@ -83,45 +87,18 @@ impl AttAccController {
         };
         let accum = Accumulator { precision };
         AttAccController {
-            geom: geom.clone(),
             config: None,
             heads: HashMap::new(),
-            allocator: HeadAllocator::new(n_stacks),
-            stores: Vec::new(),
-            head_stacks: HashMap::new(),
             score_policy: MappingPolicy::paper_score(geom),
             context_policy: MappingPolicy::paper_context(geom),
             gemv,
             accum,
             softmax: SoftmaxUnit::new(),
-            kv_capacity_bytes: geom.capacity_bytes * n_stacks as u64,
-            kv_bytes_per_vector: 0,
+            kv_capacity_bytes: geom.capacity_bytes.saturating_mul(n_stacks as u64),
+            max_resident: 0,
             tokens_per_page: None,
             mapped_pages: HashMap::new(),
         }
-    }
-
-    /// Tokens per KV page, once `ConfigPages` has enabled paged mode.
-    #[must_use]
-    pub fn tokens_per_page(&self) -> Option<u64> {
-        self.tokens_per_page
-    }
-
-    /// Pages a head currently has mapped (paged mode only).
-    #[must_use]
-    pub fn mapped_pages(&self, request: u64, head: u32) -> Option<&BTreeSet<u64>> {
-        self.mapped_pages.get(&(request, head))
-    }
-
-    /// Physical (pCH, bank) span of a head's key matrix on its stack, if
-    /// the head holds data — the streaming parallelism its GEMV pass sees.
-    #[must_use]
-    pub fn physical_span(&self, request: u64, head: u32) -> Option<usize> {
-        let &stack = self.head_stacks.get(&(request, head))?;
-        Some(self.stores[stack].banks_spanned(
-            HeadId { request, head },
-            KvHalf::Key,
-        ))
     }
 
     /// Overrides the mapping policies (used by tests exploring the design
@@ -135,12 +112,6 @@ impl AttAccController {
     #[must_use]
     pub fn config(&self) -> Option<&ConfigMemory> {
         self.config.as_ref()
-    }
-
-    /// The head→stack allocator state.
-    #[must_use]
-    pub fn allocator(&self) -> &HeadAllocator {
-        &self.allocator
     }
 
     fn cfg(&self) -> Result<&ConfigMemory, InstError> {
@@ -206,74 +177,43 @@ impl AttAccController {
                 if d_head == 0 || max_l == 0 {
                     return Err(InstError::InvalidModel);
                 }
-                let kv_bytes_per_vector =
+                let vector_bytes =
                     (d_head as u64).checked_mul(2).ok_or(InstError::InvalidModel)?;
+                // K and V of every head at FP16. A request whose bytes
+                // overflow `u64` fits no device.
+                let bytes_per_token = (2 * u64::from(n_head)).checked_mul(vector_bytes);
+                self.max_resident = bytes_per_token.map_or(0, |bytes_per_token| {
+                    KvCacheSpec { bytes_per_token }.max_batch(self.kv_capacity_bytes, max_l)
+                });
                 self.config = Some(ConfigMemory {
                     n_head,
                     d_head,
                     max_l,
                     request_len: HashMap::new(),
                 });
-                self.kv_bytes_per_vector = kv_bytes_per_vector;
-                let n_stacks = self.allocator.n_stacks();
-                self.stores = (0..n_stacks)
-                    .map(|_| KvStore::new(self.geom.clone(), d_head as u64, 2, max_l))
-                    .collect();
-                self.head_stacks.clear();
                 self.heads.clear();
-                self.allocator = HeadAllocator::new(n_stacks);
                 self.tokens_per_page = None;
                 self.mapped_pages.clear();
                 Ok(None)
             }
             AttInst::UpdateRequest { request, remove } => {
-                let n_head = self.cfg()?.n_head;
-                let cfg = self.config.as_mut().expect("checked above");
+                let max_resident = self.max_resident;
+                let cfg = self.config.as_mut().ok_or(InstError::NotConfigured)?;
                 if remove {
                     if cfg.request_len.remove(&request).is_none() {
                         return Err(InstError::UnknownRequest(request));
                     }
                     self.heads.retain(|&(r, _), _| r != request);
                     self.mapped_pages.retain(|&(r, _), _| r != request);
-                    for h in 0..n_head {
-                        if let Some(stack) = self.head_stacks.remove(&(request, h)) {
-                            self.stores[stack].close_head(HeadId { request, head: h });
-                        }
-                    }
-                    self.allocator.release(request);
                 } else {
                     if cfg.request_len.contains_key(&request) {
                         return Err(InstError::AlreadyResident(request));
                     }
-                    if self.allocator.total_load() >= self.kv_capacity_bytes {
+                    // §3.2: every resident request may grow to `max_l`.
+                    if cfg.request_len.len() as u64 >= max_resident {
                         return Err(InstError::CapacityExceeded);
                     }
                     cfg.request_len.insert(request, 0);
-                    let placed = self.allocator.allocate(request, n_head, 0);
-                    for (h, &stack) in placed.iter().enumerate() {
-                        let head = HeadId {
-                            request,
-                            head: h as u32,
-                        };
-                        if self.stores[stack].open_head(head).is_err() {
-                            // Roll back this request's placements.
-                            for (hh, &s2) in placed.iter().enumerate().take(h) {
-                                self.stores[s2].close_head(HeadId {
-                                    request,
-                                    head: hh as u32,
-                                });
-                                self.head_stacks.remove(&(request, hh as u32));
-                            }
-                            self.allocator.release(request);
-                            self.config
-                                .as_mut()
-                                .expect("configured")
-                                .request_len
-                                .remove(&request);
-                            return Err(InstError::CapacityExceeded);
-                        }
-                        self.head_stacks.insert((request, h as u32), stack);
-                    }
                 }
                 Ok(None)
             }
@@ -290,17 +230,9 @@ impl AttAccController {
                 let store = self.receive(request, head, 1)?;
                 store.keys.push(rounded(*k));
                 store.values.push(rounded(*v));
-                // Mirror the append into the physical KV extents.
-                if let Some(&stack) = self.head_stacks.get(&(request, head)) {
-                    let id = HeadId { request, head };
-                    let _ = self.stores[stack].append(id, KvHalf::Key);
-                    let _ = self.stores[stack].append(id, KvHalf::Value);
-                }
                 // The config memory tracks L per request; heads advance in
                 // lockstep, so update on head 0.
                 if head == 0 {
-                    let grow = 2 * self.kv_bytes_per_vector;
-                    self.allocator.grow(request, grow);
                     let cfg = self.config.as_mut().expect("configured");
                     if let Some(l) = cfg.request_len.get_mut(&request) {
                         *l += 1;
@@ -321,16 +253,7 @@ impl AttAccController {
                     store.keys.push(vec![0.0; d_head]);
                     store.values.push(vec![0.0; d_head]);
                 }
-                if let Some(&stack) = self.head_stacks.get(&(request, head)) {
-                    let id = HeadId { request, head };
-                    for _ in 0..tokens {
-                        let _ = self.stores[stack].append(id, KvHalf::Key);
-                        let _ = self.stores[stack].append(id, KvHalf::Value);
-                    }
-                }
                 if head == 0 {
-                    self.allocator
-                        .grow(request, tokens * 2 * self.kv_bytes_per_vector);
                     let cfg = self.config.as_mut().expect("configured");
                     if let Some(l) = cfg.request_len.get_mut(&request) {
                         *l += tokens;
@@ -362,8 +285,6 @@ impl AttAccController {
                 }
                 // Head 0 carries the bookkeeping, mirroring AppendKv.
                 if head == 0 && evicted > 0 {
-                    self.allocator
-                        .shrink(request, evicted * 2 * self.kv_bytes_per_vector);
                     let cfg = self.config.as_mut().expect("configured");
                     if let Some(len) = cfg.request_len.get_mut(&request) {
                         *len -= evicted;
@@ -654,13 +575,13 @@ mod tests {
             v: Box::new(vec![0.0; 8]),
         })
         .unwrap();
-        assert!(ctl.allocator().total_load() > 0);
+        assert_eq!(ctl.config().unwrap().request_len, HashMap::from([(1, 1)]));
         ctl.execute(AttInst::UpdateRequest {
             request: 1,
             remove: true,
         })
         .unwrap();
-        assert_eq!(ctl.allocator().total_load(), 0);
+        assert!(ctl.config().unwrap().request_len.is_empty());
         assert_eq!(
             ctl.execute(AttInst::UpdateRequest {
                 request: 1,
@@ -689,22 +610,54 @@ mod tests {
         assert_eq!(ctl.config().unwrap().max_l, 4096);
     }
 
+    /// §3.2's rule at its edges: a `SetModel` on `n_stacks` full-size
+    /// stacks, then admissions and retirements, each with the outcome it
+    /// must have. A refusal leaves the controller as it was.
     #[test]
-    fn physical_placement_tracks_appends() {
-        let mut ctl = controller();
-        let _ = run_one_head(&mut ctl, 8, 13);
-        // Head 0 holds 13 tokens of 16 B: one beat each → ≥1 bank spanned,
-        // growing with more data.
-        let span = ctl.physical_span(0, 0).expect("head resident");
-        assert!(span >= 1);
-        assert!(ctl.physical_span(0, 1).is_some(), "sibling head placed too");
-        assert!(ctl.physical_span(99, 0).is_none());
-        // Retiring the request releases its physical extents.
-        ctl.execute(AttInst::UpdateRequest {
-            request: 0,
-            remove: true,
-        })
-        .unwrap();
-        assert!(ctl.physical_span(0, 0).is_none());
+    fn admission_follows_the_kv_capacity_rule() {
+        let admit = |request| AttInst::UpdateRequest { request, remove: false };
+        let retire = |request| AttInst::UpdateRequest { request, remove: true };
+        let ok = Ok(None);
+        let full = Err(InstError::CapacityExceeded);
+        let model = |n_head, d_head, max_l| AttInst::SetModel { n_head, d_head, max_l };
+        let cases = [
+            // 4 stacks hold 64 GiB and a request at max_l takes 2 KiB a
+            // token, about 9.6 GiB: both fit the device, though not one
+            // 16-GiB stack.
+            (4, model(4, 128, 5_033_164), vec![(admit(0), ok.clone()), (admit(1), ok.clone())]),
+            // 2 stacks hold 2^35 B and a request 64 B × 2^27 = 2^33 B:
+            // exactly 4 fit, and a retirement frees one slot.
+            (
+                2,
+                model(2, 8, 1 << 27),
+                vec![
+                    (admit(0), ok.clone()),
+                    (admit(1), ok.clone()),
+                    (admit(2), ok.clone()),
+                    (admit(3), ok.clone()),
+                    (admit(4), full.clone()),
+                    (retire(0), ok.clone()),
+                    (admit(4), ok.clone()),
+                    (admit(5), full.clone()),
+                ],
+            ),
+            // A request without heads holds no KV.
+            (2, model(0, 1, u64::MAX), (0..100).map(|r| (admit(r), ok.clone())).collect()),
+            // Vector bytes 2^63 fit `u64`; K plus V do not.
+            (2, model(1, 1 << 62, 1), vec![(admit(0), full.clone())]),
+        ];
+        for (n_stacks, model, steps) in cases {
+            let mut ctl =
+                AttAccController::new(&StackGeometry::hbm3_8hi(), n_stacks, Precision::Exact);
+            ctl.execute(model.clone()).unwrap();
+            for (inst, want) in steps {
+                let before = format!("{ctl:?}");
+                let got = ctl.execute(inst.clone());
+                assert_eq!(got, want, "{model:?} then {inst:?}");
+                if got.is_err() {
+                    assert_eq!(format!("{ctl:?}"), before, "{model:?} then {inst:?}");
+                }
+            }
+        }
     }
 }

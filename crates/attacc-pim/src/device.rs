@@ -85,9 +85,12 @@ impl AttAccDevice {
     /// described as `(requests, context_length)` groups, each request
     /// contributing `model.n_head` query-head jobs.
     ///
-    /// Heads are assumed spread by the greedy allocator, which keeps every
-    /// stack within one head of the mean; the critical stack therefore
-    /// runs `ceil(group_heads / n_stacks)` heads of each group.
+    /// Heads are assumed spread by §4.2's greedy placement, each on the
+    /// least-loaded stack, which keeps every stack within one head of the
+    /// mean; the critical stack therefore runs
+    /// `ceil(group_heads / n_stacks)` heads of each group. No code places
+    /// heads: the placement is a test oracle in `tests/props.rs`, checked
+    /// against this count.
     ///
     /// [`AttentionMemo::decoder_time`] returns the same value bit for bit
     /// and remembers the per-length and per-count terms between calls.

@@ -34,7 +34,7 @@ use std::fmt;
 pub enum AttInst {
     /// `AttAcc::SetModel`: configure head geometry. The config memory
     /// stores `N_head`, `d_head` and the maximum context length (§5.1),
-    /// which sizes each head's physical KV extents.
+    /// at which admission sizes every request.
     SetModel {
         /// Query heads per request.
         n_head: u32,
@@ -44,7 +44,7 @@ pub enum AttInst {
         max_l: u64,
     },
     /// `AttAcc::UpdateRequest`: admit a request (KV length starts at 0) or
-    /// remove a completed one, freeing its stacks.
+    /// remove a completed one, freeing its share of the KV capacity.
     UpdateRequest {
         /// Request id.
         request: u64,
@@ -115,8 +115,8 @@ pub enum AttInst {
         head: u32,
     },
     /// Sliding-window eviction: drop a head's oldest KV vectors so at
-    /// most `keep_last` tokens remain resident. Bookkeeping (context
-    /// length, capacity accounting) follows head 0, mirroring
+    /// most `keep_last` tokens remain resident. The request's context
+    /// length in the config memory follows head 0, mirroring
     /// [`AttInst::AppendKv`]'s lockstep convention.
     EvictKv {
         /// Owning request.
@@ -486,8 +486,9 @@ pub enum InstError {
     MissingQ,
     /// `ReadOutput` before `RunAttention`.
     NoOutput,
-    /// Admitting the request would exceed device KV capacity, or a head
-    /// would receive more than `max_l` tokens over its life.
+    /// Admitting the request would exceed device KV capacity (§3.2: each
+    /// resident request sized at `max_l`), or a head would receive more
+    /// than `max_l` tokens over its life.
     CapacityExceeded,
     /// `SetModel` with a zero `d_head` or `max_l`, or a `d_head` whose
     /// KV vector size in bytes overflows `u64`.

@@ -39,7 +39,6 @@ pub mod controller;
 pub mod device;
 pub mod gemv_unit;
 pub mod isa;
-pub mod kv_store;
 pub mod mapping;
 pub mod numeric;
 pub mod placement;
@@ -53,8 +52,7 @@ pub use controller::{AttAccController, ConfigMemory};
 pub use device::{AttAccDevice, AttentionMemo};
 pub use gemv_unit::{GemvMode, GemvUnit, Precision};
 pub use isa::{AttInst, InstError};
-pub use kv_store::{KvHalf, KvStore, KvStoreFull};
-pub use mapping::{HeadAllocator, LevelSpec, MappingPolicy, Partitioning};
+pub use mapping::{LevelSpec, MappingPolicy, Partitioning};
 pub use placement::GemvPlacement;
 pub use schedule::{schedule_head, HeadSchedule, ScheduledCommand};
 pub use softmax_unit::SoftmaxUnit;

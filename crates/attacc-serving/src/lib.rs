@@ -1,5 +1,7 @@
-//! Batched serving layer: iteration-level scheduling, SLO and capacity
-//! batch-size limits, and the §6 pipelining / co-processing combinators.
+//! Batched serving layer: iteration-level scheduling, the SLO batch-size
+//! limit, and the §6 pipelining / co-processing combinators. The KV
+//! capacity limit is §3.2's one rule,
+//! [`attacc_model::KvCacheSpec::max_batch`].
 //!
 //! The serving layer is device-agnostic: it drives any [`StageExecutor`]
 //! (implemented by `attacc-sim` for each system) through the lifecycle of
@@ -38,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod arrivals;
-pub mod capacity;
 pub mod metrics;
 pub mod node;
 pub mod pipeline;
@@ -49,7 +50,6 @@ pub mod trace;
 pub mod workload;
 
 pub use arrivals::{simulate_open_loop, ArrivalWorkload, LatencyStats, OpenLoopReport};
-pub use capacity::max_batch_by_capacity;
 pub use metrics::ServingReport;
 pub use node::{CrashedWork, DisplacedRequest, NodeEngine, NodeMetrics, NodeRole, RoundOutcome};
 pub use pipeline::{ff_coprocess_speedup, head_level_pipelined_s, serial_s, DecoderPhases};

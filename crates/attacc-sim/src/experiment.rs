@@ -52,13 +52,9 @@ pub fn max_feasible_batch(
     l_out: u64,
     slo_s: Option<f64>,
 ) -> u64 {
-    let spec = KvCacheSpec::of(model);
-    let by_capacity = attacc_serving::max_batch_by_capacity(
-        system.kv_capacity_bytes(model),
-        spec.bytes_per_token,
-        l_in + l_out,
-    )
-    .min(MAX_BATCH);
+    let by_capacity = KvCacheSpec::of(model)
+        .max_batch(system.kv_capacity_bytes(model), l_in + l_out)
+        .min(MAX_BATCH);
     match slo_s {
         None => by_capacity,
         Some(slo) => {

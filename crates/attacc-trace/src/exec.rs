@@ -43,6 +43,7 @@ pub fn replay(ctl: &mut AttAccController, trace: &Trace) -> Result<ReplayOutcome
 mod tests {
     use super::*;
     use crate::compiler::{compile, DecodeSchedule, KvPolicy, TracePayload};
+    use crate::{execute_timing, TimingConfig};
     use attacc_model::{DataType, ModelConfig};
     use attacc_pim::gemv_unit::Precision;
     use attacc_hbm::StackGeometry;
@@ -109,7 +110,9 @@ mod tests {
     }
 
     /// Each malformed trace is refused at the offending instruction,
-    /// which leaves the controller as it was.
+    /// which leaves the controller as it was. Timing replay refuses it
+    /// the same way, except for the device's KV capacity, which it does
+    /// not model.
     #[test]
     fn malformed_traces_are_errors_at_the_offending_instruction() {
         let model = "set_model n_head=1 d_head=4 max_l=2\nadmit req=0\n";
@@ -129,7 +132,8 @@ mod tests {
                 2,
                 InstError::AlreadyResident(0),
             ),
-            // 8 beats a token times 2^62 - 1 tokens overflows `u64`.
+            // 512 B of K and V a token times 2^62 - 1 tokens overflows
+            // `u64`: no request fits the device.
             (
                 "set_model n_head=1 d_head=128 max_l=4611686018427387903\nadmit req=0\n"
                     .to_string(),
@@ -140,6 +144,12 @@ mod tests {
         for (text, index, cause) in cases {
             let trace = Trace::parse(&text).unwrap();
             let err = replay(&mut controller(), &trace).unwrap_err();
+            let timing = execute_timing(&TimingConfig::paper(), &trace);
+            if cause == InstError::CapacityExceeded && trace.insts[index].opcode() == "admit" {
+                assert!(timing.is_ok(), "{text}");
+            } else {
+                assert_eq!(timing.unwrap_err(), err, "{text}");
+            }
             assert_eq!(err, InstError::Trace { index, cause: Box::new(cause) }, "{text}");
             let mut ctl = controller();
             replay(&mut ctl, &Trace { insts: trace.insts[..index].to_vec() }).unwrap();

@@ -2,7 +2,11 @@
 //!
 //! The timing executor interprets the same instruction stream as the
 //! functional controller but carries no data — only per-head KV lengths,
-//! the paging state, and the window left by evictions. Every attention
+//! the paging state, and the window left by evictions. It refuses what
+//! the controller refuses, at the same instruction with the same error,
+//! except for checks that need what it does not hold: the data (a missing
+//! Q or output, a vector of the wrong length) and the device's KV
+//! capacity at `admit`. Every attention
 //! launch lowers to [`execute_head`] on the event-driven engine (one
 //! [`HeadJob`] per head over the *visible* context), so trace-driven
 //! timing is the engine's ground truth by construction, not a parallel
@@ -146,6 +150,9 @@ impl TraceReport {
 struct HeadState {
     /// Resident KV length.
     len: u64,
+    /// Tokens received over the head's life, evictions included; at most
+    /// the model's `max_l`, which bounds `len` too.
+    received: u64,
     /// Mapped pages, sorted ascending.
     pages: Vec<u64>,
 }
@@ -185,6 +192,7 @@ fn find(heads: &Heads, head: u32) -> Result<usize, usize> {
 struct DeviceState {
     n_head: u32,
     d_head: u64,
+    max_l: u64,
     configured: bool,
     tokens_per_page: Option<u64>,
     /// Admitted request id → index into `requests`. Ids come from the
@@ -230,15 +238,16 @@ impl DeviceState {
         Ok(&mut heads[at].1)
     }
 
-    fn admit(&mut self, request: u64) {
+    fn admit(&mut self, request: u64) -> Result<(), InstError> {
         if self.slots.contains_key(&request) {
-            return;
+            return Err(InstError::AlreadyResident(request));
         }
         let slot = self.free.pop().unwrap_or_else(|| {
             self.requests.push(Vec::new());
             self.requests.len() - 1
         });
         self.slots.insert(request, slot);
+        Ok(())
     }
 
     fn retire(&mut self, request: u64) -> Result<(), InstError> {
@@ -274,10 +283,18 @@ impl Replay<'_> {
     /// charged.
     fn step(&mut self, inst: &AttInst) -> Result<(f64, f64), InstError> {
         match *inst {
-            AttInst::SetModel { n_head, d_head, .. } => {
+            AttInst::SetModel { n_head, d_head, max_l } => {
+                // The controller's model checks: no zero size, and a KV
+                // vector's bytes within `u64`.
+                let d_head = d_head as u64;
+                let vector_bytes = d_head.checked_mul(self.cfg.kv_dtype_bytes);
+                if d_head == 0 || max_l == 0 || vector_bytes.is_none() {
+                    return Err(InstError::InvalidModel);
+                }
                 self.state = DeviceState {
                     n_head,
-                    d_head: d_head as u64,
+                    d_head,
+                    max_l,
                     configured: true,
                     ..DeviceState::default()
                 };
@@ -291,7 +308,7 @@ impl Replay<'_> {
                 if remove {
                     self.state.retire(request)?;
                 } else {
-                    self.state.admit(request);
+                    self.state.admit(request)?;
                 }
             }
             AttInst::AppendKv { request, head, .. } => return self.ingest(request, head, 1),
@@ -351,11 +368,17 @@ impl Replay<'_> {
     }
 
     /// Registers `tokens` KV pairs on a head and charges shipping them over
-    /// the external interface. A length or byte count past `u64` is a
-    /// capacity error.
+    /// the external interface. A head that would receive more than `max_l`
+    /// tokens over its life, or a byte count past `u64`, is a capacity
+    /// error.
     fn ingest(&mut self, request: u64, head: u32, tokens: u64) -> Result<(f64, f64), InstError> {
+        let max_l = self.state.max_l;
         let h = self.state.head_mut(request, head)?;
-        h.len = h.len.checked_add(tokens).ok_or(InstError::CapacityExceeded)?;
+        if tokens > max_l - h.received {
+            return Err(InstError::CapacityExceeded);
+        }
+        h.received += tokens;
+        h.len += tokens;
         // One token's K and V vectors, then `tokens` of them.
         let bytes = self
             .state
@@ -412,8 +435,12 @@ impl Replay<'_> {
 ///
 /// # Errors
 /// Returns the failure wrapped with the zero-based instruction index
-/// ([`InstError::Trace`]), exactly as functional replay does. A KV
-/// length or ingest byte count that overflows `u64` is
+/// ([`InstError::Trace`]), exactly as functional replay does, and for the
+/// same traces, with two kinds of exception. Checks on data it does not
+/// carry (`MissingQ`, `NoOutput`, `DimensionMismatch`) are functional
+/// only. So is the device's KV capacity at `admit`: timing replays one
+/// stack's heads in sequence and knows no device size. A head past
+/// `max_l` tokens, or an ingest byte count that overflows `u64`, is
 /// [`InstError::CapacityExceeded`].
 pub fn execute_timing(cfg: &TimingConfig, trace: &Trace) -> Result<TraceReport, InstError> {
     let mut replay = Replay {
@@ -624,15 +651,20 @@ mod tests {
         );
         let err = execute_timing(&cfg, &Trace::parse(&bytes).unwrap()).unwrap_err();
         assert_eq!(err, InstError::CapacityExceeded.at_index(2));
+        // Within `max_l`, the byte count itself overflows.
+        let unbounded = bytes.replace("max_l=64", &format!("max_l={}", u64::MAX));
+        let err = execute_timing(&cfg, &Trace::parse(&unbounded).unwrap()).unwrap_err();
+        assert_eq!(err, InstError::CapacityExceeded.at_index(2));
 
-        // With d_head = 0 no bytes move, so only the length can overflow.
+        // A zero d_head is refused where it is set, as functional replay
+        // refuses it.
         let length = format!(
             "set_model n_head=1 d_head=0 max_l=64\nadmit req=0\n\
              declare_kv req=0 head=0 tokens={0}\ndeclare_kv req=0 head=0 tokens={0}\n",
             u64::MAX
         );
         let err = execute_timing(&cfg, &Trace::parse(&length).unwrap()).unwrap_err();
-        assert_eq!(err, InstError::CapacityExceeded.at_index(3));
+        assert_eq!(err, InstError::InvalidModel.at_index(0));
     }
 
     #[test]

@@ -396,7 +396,7 @@ fn arb_stream(
         |((kind, n_head, d_head, tokens_per_page, tokens), body)| {
             let mut insts = Vec::new();
             if kind > 0 {
-                insts.push(AttInst::SetModel { n_head, d_head, max_l: 64 });
+                insts.push(AttInst::SetModel { n_head, d_head, max_l: 4096 });
                 let paged = kind.is_multiple_of(2);
                 if paged {
                     insts.push(AttInst::ConfigPages { tokens_per_page });
@@ -418,9 +418,10 @@ fn arb_stream(
 }
 
 /// A KV-declaring prefix, then instructions that stay valid after it:
-/// requests 0 and 1 stay admitted, heads 0 and 1 exist, no eviction
-/// empties a head and no page is unmapped (nor mapped without paging),
-/// so every launch runs and the report's floats get compared.
+/// requests 0 and 1 stay admitted, heads 0 and 1 exist, no head receives
+/// `max_l` (fewer than 1,640 tokens of 4,096), no eviction empties a head
+/// and no page is unmapped (nor mapped without paging), so every launch
+/// runs and the report's floats get compared.
 fn arb_live_stream() -> impl Strategy<Value = Trace> {
     arb_stream(3..8, prop::collection::vec(arb_live_inst(), 0..40)).prop_map(|mut trace| {
         let paged = trace.insts.iter().any(|i| i.opcode() == "config_pages");
@@ -470,7 +471,7 @@ fn arb_sparse_heads() -> impl Strategy<Value = Trace> {
     ];
     prop::collection::vec(inst, 0..40).prop_map(|body| {
         let mut insts = vec![
-            AttInst::SetModel { n_head: 8, d_head: 8, max_l: 64 },
+            AttInst::SetModel { n_head: 8, d_head: 8, max_l: 4096 },
             AttInst::UpdateRequest { request: 0, remove: false },
             AttInst::UpdateRequest { request: 1, remove: false },
         ];
@@ -521,8 +522,11 @@ fn replay_scenarios_agree_with_the_reference() {
     let setup = "set_model n_head=2 d_head=8 max_l=64\nadmit req=0\n";
     // Each body runs after `setup`; `Ok(l)` is one launch over `l` tokens.
     let cases: [(&str, Result<u64, InstError>); 11] = [
-        // Re-admitting a live request keeps its KV.
-        ("declare_kv req=0 head=0 tokens=5\nadmit req=0\nrun req=0 head=0\n", Ok(5)),
+        // Re-admitting a live request is an error.
+        (
+            "declare_kv req=0 head=0 tokens=5\nadmit req=0\nrun req=0 head=0\n",
+            Err(InstError::AlreadyResident(0).at_index(3)),
+        ),
         // Retiring and re-admitting an id starts from an empty cache.
         (
             "declare_kv req=0 head=0 tokens=5\nretire req=0\nadmit req=0\nrun req=0 head=0\n",

@@ -8,7 +8,9 @@
 //! * [`parse`] / [`parse_inst`] — the `lines()` + `trim()` +
 //!   `split_whitespace()` + `split_once('=')` parser.
 //! * [`execute_timing`] — the replay over `HashMap<(request, head), _>`
-//!   state with a `BTreeMap` per-opcode table.
+//!   state with a `BTreeMap` per-opcode table. It refuses a `set_model`
+//!   functional replay refuses, a second `admit` of a resident request
+//!   and a head's tokens past `max_l`, as the crate's replay does.
 
 #![allow(dead_code)]
 
@@ -246,10 +248,14 @@ pub fn parse_inst(line: &str) -> Result<AttInst, String> {
 struct DeviceState {
     n_head: u32,
     d_head: u64,
+    max_l: u64,
     configured: bool,
     requests: HashSet<u64>,
     /// Resident KV length per (request, head).
     lens: HashMap<(u64, u32), u64>,
+    /// Tokens each (request, head) received since admission, evictions
+    /// included.
+    received: HashMap<(u64, u32), u64>,
     tokens_per_page: Option<u64>,
     mapped: HashMap<(u64, u32), BTreeSet<u64>>,
 }
@@ -320,8 +326,15 @@ pub fn execute_timing(cfg: &TimingConfig, trace: &Trace) -> Result<TraceReport, 
             report.host_s += bytes as f64 / ext_bw;
             report.host_bytes += bytes;
         };
+        // A head receives at most `max_l` tokens over its life.
         let step = |state: &mut DeviceState, request: u64, head: u32, tokens: u64| {
+            let received = state.received.entry((request, head)).or_insert(0);
+            if *received + tokens > state.max_l {
+                return Err(InstError::CapacityExceeded.at_index(index));
+            }
+            *received += tokens;
             *state.lens.entry((request, head)).or_insert(0) += tokens;
+            Ok(())
         };
         let run_one = |state: &DeviceState,
                        memo: &mut HashMap<u64, HeadCost>,
@@ -351,10 +364,15 @@ pub fn execute_timing(cfg: &TimingConfig, trace: &Trace) -> Result<TraceReport, 
         };
 
         match *inst {
-            AttInst::SetModel { n_head, d_head, .. } => {
+            AttInst::SetModel { n_head, d_head, max_l } => {
+                let d_head = d_head as u64;
+                if d_head == 0 || max_l == 0 || d_head.checked_mul(cfg.kv_dtype_bytes).is_none() {
+                    return Err(InstError::InvalidModel.at_index(index));
+                }
                 state = DeviceState {
                     n_head,
-                    d_head: d_head as u64,
+                    d_head,
+                    max_l,
                     configured: true,
                     ..DeviceState::default()
                 };
@@ -369,19 +387,20 @@ pub fn execute_timing(cfg: &TimingConfig, trace: &Trace) -> Result<TraceReport, 
                         return Err(InstError::UnknownRequest(request).at_index(index));
                     }
                     state.lens.retain(|&(r, _), _| r != request);
+                    state.received.retain(|&(r, _), _| r != request);
                     state.mapped.retain(|&(r, _), _| r != request);
-                } else {
-                    state.requests.insert(request);
+                } else if !state.requests.insert(request) {
+                    return Err(InstError::AlreadyResident(request).at_index(index));
                 }
             }
             AttInst::AppendKv { request, head, .. } => {
                 state.check(request, head).map_err(|e| e.at_index(index))?;
-                step(&mut state, request, head, 1);
+                step(&mut state, request, head, 1)?;
                 ingest(2 * state.d_head * cfg.kv_dtype_bytes, &mut time_s, &mut energy_j);
             }
             AttInst::DeclareKv { request, head, tokens } => {
                 state.check(request, head).map_err(|e| e.at_index(index))?;
-                step(&mut state, request, head, tokens);
+                step(&mut state, request, head, tokens)?;
                 ingest(
                     tokens * 2 * state.d_head * cfg.kv_dtype_bytes,
                     &mut time_s,

@@ -1,13 +1,14 @@
 //! Property-based tests for the trace subsystem: the text codec is a
 //! byte-identical round trip over arbitrary compiled traces and
 //! arbitrary well-formed instructions, functional replay of a compiled
-//! trace is bit-for-bit the direct attention pipeline, and neither
-//! replay panics on a malformed trace.
+//! trace is bit-for-bit the direct attention pipeline, neither replay
+//! panics on a malformed trace, and both refuse the same traces.
 
 use attacc_hbm::StackGeometry;
 use attacc_pim::numeric::Matrix;
 use attacc_pim::{
-    AttAccController, AttInst, GemvMode, GemvUnit, MappingPolicy, Precision, SoftmaxUnit,
+    AttAccController, AttInst, GemvMode, GemvUnit, InstError, MappingPolicy, Precision,
+    SoftmaxUnit,
 };
 use attacc_trace::{
     compile, execute_timing, kv_pair, paged_resident, q_vector, replay, DecodeSchedule, KvPolicy,
@@ -111,8 +112,8 @@ fn arb_inst() -> impl Strategy<Value = AttInst> {
     ]
 }
 
-/// A `set_model` whose sizes include zero and a `max_l` whose KV extent
-/// overflows `u64`.
+/// A `set_model` whose sizes include zero and a `max_l` whose KV bytes
+/// overflow `u64`.
 fn arb_set_model() -> impl Strategy<Value = AttInst> {
     let d_head = prop_oneof![Just(0usize), Just(1), Just(4)];
     let max_l = prop_oneof![
@@ -156,6 +157,16 @@ fn arb_small_inst() -> impl Strategy<Value = AttInst> {
             .prop_map(|(request, head, page)| AttInst::UnmapPage { request, head, page }),
         (0u32..4).prop_map(|tag| AttInst::Barrier { tag }),
     ]
+}
+
+/// A `set_model` and an `admit`, as compiled traces open, then
+/// instructions of any kind; cut to 1–12 instructions.
+fn arb_short_trace() -> impl Strategy<Value = Trace> {
+    let rest = prop::collection::vec(arb_small_inst(), 10..11);
+    (arb_set_model(), 0u64..3, rest, 1usize..13).prop_map(|(model, request, rest, len)| {
+        let admit = AttInst::UpdateRequest { request, remove: false };
+        Trace { insts: [model, admit].into_iter().chain(rest).take(len).collect() }
+    })
 }
 
 /// The tokens a head actually attends over at decode step `step`
@@ -297,17 +308,7 @@ proptest! {
     /// which reaches the states that the first error cuts a random trace
     /// off from.
     #[test]
-    fn replay_never_panics(
-        model in arb_set_model(),
-        request in 0u64..3,
-        rest in prop::collection::vec(arb_small_inst(), 10..11),
-        len in 1usize..13,
-    ) {
-        // A `set_model` and an `admit`, as compiled traces open, then
-        // anything; cut to 1–12 instructions.
-        let admit = AttInst::UpdateRequest { request, remove: false };
-        let insts = [model, admit].into_iter().chain(rest).take(len).collect();
-        let trace = Trace { insts };
+    fn replay_never_panics(trace in arb_short_trace()) {
         let functional = |t: &Trace| replay(&mut small_controller(), t).is_ok();
         let timing = |t: &Trace| execute_timing(&TimingConfig::paper(), t).is_ok();
         let outcome = std::panic::catch_unwind(|| {
@@ -317,6 +318,39 @@ proptest! {
             timing(&accepted(&trace, timing));
         });
         prop_assert!(outcome.is_ok(), "replay panicked");
+    }
+
+    /// Timing replay refuses what functional replay refuses, at the same
+    /// instruction with the same cause, and runs every trace functional
+    /// replay runs. Two kinds of refusal are functional only and need
+    /// timing to run at least as far: checks on data timing does not
+    /// carry, and the device's KV capacity at `admit`.
+    #[test]
+    fn replays_agree_on_legality(trace in arb_short_trace()) {
+        let functional = stopped_at(replay(&mut small_controller(), &trace));
+        let timing = stopped_at(execute_timing(&TimingConfig::paper(), &trace));
+        let index = |stop: &Option<(usize, InstError)>| stop.as_ref().map_or(usize::MAX, |s| s.0);
+        prop_assert!(
+            index(&timing) >= index(&functional),
+            "timing stopped first: functional {:?}, timing {:?}", functional, timing
+        );
+        let functional_only = functional.as_ref().is_some_and(|(i, cause)| match cause {
+            InstError::MissingQ | InstError::NoOutput | InstError::DimensionMismatch { .. } => true,
+            InstError::CapacityExceeded => trace.insts[*i].opcode() == "admit",
+            _ => false,
+        });
+        if !functional_only {
+            prop_assert_eq!(functional, timing);
+        }
+    }
+}
+
+/// Where a replay stopped, `(instruction index, cause)`, or `None` if it
+/// ran the whole trace.
+fn stopped_at<T>(result: Result<T, InstError>) -> Option<(usize, InstError)> {
+    match result.err()? {
+        InstError::Trace { index, cause } => Some((index, *cause)),
+        other => panic!("a replay error names its instruction: {other:?}"),
     }
 }
 

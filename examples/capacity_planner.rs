@@ -36,9 +36,7 @@ fn main() {
         let attacc = system.attacc.as_mut().expect("PIM platform");
         attacc.n_stacks = stacks;
         let kv_capacity = system.kv_capacity_bytes(&model);
-        let by_capacity =
-            attacc::serving::max_batch_by_capacity(kv_capacity, spec.bytes_per_token, l_in + l_out)
-                .min(512);
+        let by_capacity = spec.max_batch(kv_capacity, l_in + l_out).min(512);
         let exec = SystemExecutor::new(system.clone(), &model);
         let batch = max_batch_under_slo(&exec, slo, l_in + l_out / 2, by_capacity);
         let (iter_ms, tput) = if batch == 0 {

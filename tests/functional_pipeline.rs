@@ -5,6 +5,7 @@
 use attacc::hbm::StackGeometry;
 use attacc::pim::numeric::attention_ref;
 use attacc::pim::{AttAccController, AttInst, Precision};
+use std::collections::HashMap;
 
 fn gen_val(request: u64, head: u32, tok: usize, i: usize, salt: u64) -> f32 {
     let x = request
@@ -79,13 +80,13 @@ fn multi_request_multi_head_generation_matches_reference() {
         }
     }
 
-    // KV residency: 3 requests × 3 heads × 6 tokens × 2 (K+V) × d × 2B.
-    let expect = 3 * 6 * 2 * (d as u64) * 2 * 3;
-    assert_eq!(ctl.allocator().total_load(), expect);
+    // KV residency: the config memory holds each request's 6 tokens.
+    let resident = |ctl: &AttAccController| ctl.config().unwrap().request_len.clone();
+    assert_eq!(resident(&ctl), HashMap::from([(10, 6), (11, 6), (12, 6)]));
 
     // Retire one request mid-flight (iteration-level scheduling).
     ctl.execute(AttInst::UpdateRequest { request: 11, remove: true }).unwrap();
-    assert_eq!(ctl.allocator().total_load(), expect * 2 / 3);
+    assert_eq!(resident(&ctl), HashMap::from([(10, 6), (12, 6)]));
 
     // The survivors keep generating correctly.
     let q: Vec<f32> = (0..d).map(|i| gen_val(10, 0, 6, i, 3)).collect();
